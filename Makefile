@@ -1,6 +1,6 @@
 # Convenience targets; everything real lives in dune.
 
-.PHONY: all build test bench bench-smoke bench-numeric bench-speedup trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz check fmt clean
+.PHONY: all build test bench bench-smoke bench-numeric bench-speedup trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check fmt clean
 
 all: build
 
@@ -71,6 +71,16 @@ CASES ?= 2000
 fuzz:
 	dune build bin/dlsched.exe
 	dune exec bin/dlsched.exe -- fuzz --seed $(SEED) --cases $(CASES)
+
+# The repository benchmark's correctness gate: one traced run per
+# workload (perfbench/, see perfbench/README.md).  run.sh exits 1 when a
+# check fails — schedule invariants, per-session fingerprints, the
+# WAL-resume state identity — so an engine or snapshot change that breaks
+# them fails here instead of at the next benchmark run.
+perfbench-smoke:
+	for w in serve-lp serve-durable offline-maxflow; do \
+	  sh perfbench/run.sh --workload $$w --seed 1 --trace 1 || exit 1; \
+	done
 
 # What CI would run: full build + every test, the solve-count, parallel
 # bit-equality, admission-control, trace, crash-recovery and fuzzing

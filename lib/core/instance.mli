@@ -50,7 +50,11 @@ val make_checked :
   (t, degeneracy) result
 (** Total variant of {!make}: a degenerate input is a value, not an
     exception.  [n = 0] (no jobs) is {e not} degenerate — the empty
-    instance is valid and solvers return their [`Trivial] case on it. *)
+    instance is valid and solvers return their [`Trivial] case on it.
+    Array shapes are checked first; then each job in index order, and the
+    lowest-indexed degenerate job is reported with its first failing
+    condition among release, flow origin, weight, finite costs (by
+    machine) and runnability. *)
 
 val make :
   ?flow_origins:Rat.t array ->
@@ -61,6 +65,16 @@ val make :
 (** [flow_origins] defaults to [releases].
     @raise Invalid_argument on any {!degeneracy} (the message carries
     {!degeneracy_to_string}). *)
+
+val extend :
+  t -> releases:Rat.t array -> weights:Rat.t array -> Rat.t option array array -> t
+(** [extend t ~releases ~weights cost] appends [k] jobs ([cost] is
+    [num_machines × k], flow origins equal the releases) as indices
+    [num_jobs t .. num_jobs t + k - 1].  Structurally equal to {!make}
+    over the concatenated arrays, but only the new jobs are validated —
+    by the same per-job checks as {!make_checked}.  Costs one pointer
+    copy of [t] ([O(m·n)]) and no arithmetic on the old jobs.
+    @raise Invalid_argument on any {!degeneracy} of the new jobs. *)
 
 val uniform :
   speeds:Rat.t array ->

@@ -348,6 +348,27 @@ let to_string = function
     if B.equal bden B.one then B.to_string bnum
     else B.to_string bnum ^ "/" ^ B.to_string bden
 
+(* Decimal digits straight into the buffer: [string_of_int] goes through
+   the C formatter and allocates, which dominates bulk serialization. *)
+let buffer_add_int b n =
+  if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    if n < 0 then Buffer.add_char b '-';
+    let rec digits n =
+      if n >= 10 then digits (n / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+    in
+    digits (Stdlib.abs n)
+  end
+
+let buffer_add b = function
+  | S (n, 1) -> buffer_add_int b n
+  | S (n, d) ->
+    buffer_add_int b n;
+    Buffer.add_char b '/';
+    buffer_add_int b d
+  | L _ as x -> Buffer.add_string b (to_string x)
+
 let of_string s =
   let fail msg = invalid_arg (Printf.sprintf "Rat.of_string: %S: %s" s msg) in
   if s = "" then fail "empty string";

@@ -103,6 +103,14 @@ val approx : max_den:int -> t -> t
     used in computation.  @raise Invalid_argument if [max_den < 1]. *)
 
 val to_string : t -> string
+
+val buffer_add : Buffer.t -> t -> unit
+(** Append [to_string x] to the buffer without building the string
+    (small values never allocate). *)
+
+val buffer_add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n] to the buffer, likewise. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Infix operators}

@@ -12,10 +12,14 @@ type counter = { mutable count : int }
 
 type gauge = { mutable value : float; mutable peak : float }
 
+(* [buf] holds the samples in insertion order — the order [dump]
+   serializes, so reading a quantile must never permute it.  Order
+   statistics come from [sorted], a sorted copy of the live prefix built
+   on the first read after a change. *)
 type histogram = {
   mutable buf : float array;
   mutable len : int;
-  mutable sorted : bool;
+  mutable sorted : float array option;
 }
 
 type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -47,7 +51,7 @@ let gauge t name =
 
 let histogram t name =
   match
-    find_or_create t name (fun () -> Histogram { buf = Array.make 64 0.; len = 0; sorted = true })
+    find_or_create t name (fun () -> Histogram { buf = Array.make 64 0.; len = 0; sorted = None })
   with
   | Histogram h -> h
   | _ -> invalid_arg (Printf.sprintf "Registry.histogram: %S is not a histogram" name)
@@ -73,29 +77,30 @@ let observe h v =
       end;
       h.buf.(h.len) <- v;
       h.len <- h.len + 1;
-      h.sorted <- false)
+      h.sorted <- None)
 
 let samples h = Mutex.protect lock (fun () -> h.len)
 
-let ensure_sorted_unlocked h =
-  if not h.sorted then begin
-    let live = Array.sub h.buf 0 h.len in
-    Array.sort compare live;
-    Array.blit live 0 h.buf 0 h.len;
-    h.sorted <- true
-  end
+let sorted_unlocked h =
+  match h.sorted with
+  | Some s -> s
+  | None ->
+    let s = Array.sub h.buf 0 h.len in
+    Array.sort compare s;
+    h.sorted <- Some s;
+    s
 
 let quantile_unlocked h q =
   if q < 0. || q > 1. then invalid_arg "Registry.quantile: level outside [0, 1]";
   if h.len = 0 then nan
   else begin
-    ensure_sorted_unlocked h;
+    let s = sorted_unlocked h in
     (* Linear interpolation between closest order statistics (type 7). *)
     let pos = q *. float_of_int (h.len - 1) in
     let lo = int_of_float (Float.floor pos) in
     let hi = Stdlib.min (lo + 1) (h.len - 1) in
     let frac = pos -. float_of_int lo in
-    ((1. -. frac) *. h.buf.(lo)) +. (frac *. h.buf.(hi))
+    ((1. -. frac) *. s.(lo)) +. (frac *. s.(hi))
   end
 
 let quantile h q = Mutex.protect lock (fun () -> quantile_unlocked h q)
@@ -120,8 +125,8 @@ let hsum h =
       done;
       !sum)
 
-let hmin_unlocked h = if h.len = 0 then nan else (ensure_sorted_unlocked h; h.buf.(0))
-let hmax_unlocked h = if h.len = 0 then nan else (ensure_sorted_unlocked h; h.buf.(h.len - 1))
+let hmin_unlocked h = if h.len = 0 then nan else (sorted_unlocked h).(0)
+let hmax_unlocked h = if h.len = 0 then nan else (sorted_unlocked h).(h.len - 1)
 let hmin h = Mutex.protect lock (fun () -> hmin_unlocked h)
 let hmax h = Mutex.protect lock (fun () -> hmax_unlocked h)
 
@@ -163,7 +168,7 @@ let load t items =
       | Dump_histogram samples -> (
         match
           find_or_create t name (fun () ->
-              Histogram { buf = Array.make 64 0.; len = 0; sorted = true })
+              Histogram { buf = Array.make 64 0.; len = 0; sorted = None })
         with
         | Histogram h ->
           Mutex.protect lock (fun () ->
@@ -172,7 +177,7 @@ let load t items =
                  capacity when full, and doubling 0 would stay 0. *)
               h.buf <- (if n = 0 then Array.make 64 0. else Array.copy samples);
               h.len <- n;
-              h.sorted <- false)
+              h.sorted <- None)
         | _ -> invalid_arg (Printf.sprintf "Registry.load: %S is not a histogram" name)))
     items
 

@@ -75,9 +75,10 @@ val hmax : histogram -> float
 
     A registry can be dumped to a plain value and loaded back exactly —
     the serving layer's durability subsystem persists engine metrics this
-    way.  Histograms dump {e every} sample in buffer order, so a loaded
-    registry reproduces not just the same quantiles but the same report
-    text bit for bit. *)
+    way.  Histograms dump {e every} sample in insertion order — reading a
+    quantile, minimum or maximum sorts a cached copy, never the samples
+    themselves — so a loaded registry reproduces not just the same
+    quantiles but the same report text and the same dump bit for bit. *)
 
 type dump_item =
   | Dump_counter of int

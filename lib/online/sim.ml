@@ -67,15 +67,21 @@ let check_decision ?where ?(up = fun _ -> true) ~name inst ~eligible ~now d =
   | Some r when Rat.compare r now <= 0 -> bad ?where name "review_at not in the future"
   | _ -> ()
 
-let progress_rates inst d =
-  let rate = Array.make (I.num_jobs inst) Rat.zero in
+let next_completion inst d ~now ~remaining =
+  let rate = Hashtbl.create 8 in
   List.iter
     (fun s ->
       match I.cost inst ~machine:s.machine ~job:s.job with
-      | Some c -> rate.(s.job) <- Rat.add rate.(s.job) (Rat.div s.share c)
+      | Some c ->
+        let r = Option.value (Hashtbl.find_opt rate s.job) ~default:Rat.zero in
+        Hashtbl.replace rate s.job (Rat.add r (Rat.div s.share c))
       | None -> assert false)
     d.shares;
-  rate
+  Hashtbl.fold
+    (fun j r acc ->
+      let t = Rat.add now (Rat.div (remaining j) r) in
+      match acc with None -> Some t | Some best -> Some (Rat.min best t))
+    rate None
 
 let materialize inst ~now ~horizon d ~remaining =
   let dt = Rat.sub horizon now in
@@ -151,19 +157,9 @@ let run (module P : POLICY) inst =
       incr decisions;
       let d = P.decide state ~now ~active in
       validate_decision now d;
-      let rate = progress_rates inst d in
       (* Earliest of: job completion, next arrival, requested review. *)
       let completion_candidate =
-        List.fold_left
-          (fun acc v ->
-            if Rat.sign rate.(v.id) > 0 then begin
-              let t = Rat.add now (Rat.div v.remaining rate.(v.id)) in
-              match acc with
-              | None -> Some t
-              | Some best -> Some (Rat.min best t)
-            end
-            else acc)
-          None active
+        next_completion inst d ~now ~remaining:(fun j -> remaining.(j))
       in
       let arrival_candidate =
         match !pending with [] -> None | j :: _ -> Some (I.release inst j)

@@ -125,9 +125,12 @@ val check_decision :
     @raise Invalid_argument with a ["where(name): ..."] message ([where]
     defaults to ["Sim.run"]). *)
 
-val progress_rates : Sched_core.Instance.t -> decision -> Rat.t array
-(** Per-job progress rate [Σ_i s_{i,j}/c_{i,j}] implied by the decision;
-    length [num_jobs]. *)
+val next_completion :
+  Sched_core.Instance.t -> decision -> now:Rat.t -> remaining:(int -> Rat.t) -> Rat.t option
+(** Earliest date at which a job holding a share of the decision completes,
+    each job progressing at rate [Σ_i s_{i,j}/c_{i,j}] from [remaining j];
+    [None] for a decision without shares.  Walks the shares only, so its
+    cost follows the decision's size, not the instance's. *)
 
 val materialize :
   Sched_core.Instance.t ->

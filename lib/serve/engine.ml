@@ -6,6 +6,18 @@ module W = Gripps.Workload
 
 module Metrics = Obs.Registry
 
+module Iset = Set.Make (Int)
+
+(* Not-yet-arrived jobs as (arrival date, index): the minimum is the next
+   arrival, and ties fire together. *)
+module Pending = Set.Make (struct
+  type t = Rat.t * int
+
+  let compare (a, i) (b, j) =
+    let c = Rat.compare a b in
+    if c <> 0 then c else Int.compare i j
+end)
+
 type objective = [ `Flow | `Stretch ]
 
 type lost_work = [ `Lost | `Preserved ]
@@ -54,8 +66,20 @@ type t = {
   mutable n : int;
   ids : (string, int) Hashtbl.t;  (* request id -> job index *)
   mutable remaining : Rat.t array;  (* parallel to [jobs], fraction left *)
-  mutable inst : I.t option;  (* cache over jobs.(0..n-1), healthy costs *)
-  mutable masked : I.t option;  (* [inst] under the overlay, for decisions *)
+  (* Instance caches, healthy and under the overlay.  Each covers a prefix
+     of [jobs] and is extended by the jobs submitted since, never rebuilt
+     while the overlay holds. *)
+  mutable inst : I.t option;
+  mutable masked : I.t option;
+  (* Derived indexes over [jobs], rebuilt by [restore] and never
+     serialized, so the event loop touches only the jobs still in play:
+     [live] holds the arrived, incomplete jobs (parked ones included) in
+     index order, [num_live]/[num_parked] count them, and [pending] queues
+     the jobs whose arrival date has not fired yet. *)
+  mutable live : Iset.t;
+  mutable num_live : int;
+  mutable num_parked : int;
+  mutable pending : Pending.t;
   mutable runner : runner option;
   mutable now : Rat.t;
   (* Current validated decision and its batching state. *)
@@ -148,6 +172,10 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
       remaining = [||];
       inst = None;
       masked = None;
+      live = Iset.empty;
+      num_live = 0;
+      num_parked = 0;
+      pending = Pending.empty;
       runner = None;
       now = Rat.zero;
     decision = None;
@@ -202,29 +230,11 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
 let submitted t = t.n
 let completed t = t.num_completed
 
-let active t =
-  let k = ref 0 in
-  for j = 0 to t.n - 1 do
-    if t.jobs.(j).arrived && t.jobs.(j).completed_at = None then incr k
-  done;
-  !k
-
-let starved t =
-  let k = ref 0 in
-  for j = 0 to t.n - 1 do
-    let job = t.jobs.(j) in
-    if job.arrived && job.parked && job.completed_at = None then incr k
-  done;
-  !k
+let active t = t.num_live
+let starved t = t.num_parked
 
 (* Arrived, incomplete and not starved: the jobs the policy may schedule. *)
-let schedulable t =
-  let k = ref 0 in
-  for j = 0 to t.n - 1 do
-    let job = t.jobs.(j) in
-    if job.arrived && (not job.parked) && job.completed_at = None then incr k
-  done;
-  !k
+let schedulable t = t.num_live - t.num_parked
 
 let machine_up t i =
   if i < 0 || i >= Array.length t.overlay then
@@ -252,19 +262,31 @@ let platform t = t.platform
 
 let clock_date t = W.quantize (Clock.now t.clock -. t.origin)
 
+(* [cached] (an instance over a prefix of [jobs], or none) extended by
+   the jobs it does not cover yet, with cost columns from [column]. *)
+let extended t cached column =
+  let cached =
+    match cached with
+    | Some i -> i
+    | None ->
+      let m = Array.length t.platform.W.speeds in
+      I.make ~releases:[||] ~weights:[||] (Array.make m [||])
+  in
+  let have = I.num_jobs cached in
+  if have = t.n then cached
+  else begin
+    let fresh = Array.sub t.jobs have (t.n - have) in
+    let columns = Array.map column fresh in
+    I.extend cached
+      ~releases:(Array.map (fun j -> j.arrival) fresh)
+      ~weights:(Array.map (fun j -> j.weight) fresh)
+      (Array.init (I.num_machines cached) (fun i -> Array.map (fun c -> c.(i)) columns))
+  end
+
 let instance t =
-  match t.inst with
-  | Some i -> i
-  | None ->
-    if t.n = 0 then bug "no jobs submitted";
-    let jobs = Array.sub t.jobs 0 t.n in
-    let releases = Array.map (fun j -> j.arrival) jobs in
-    let weights = Array.map (fun j -> j.weight) jobs in
-    let m = Array.length t.platform.W.speeds in
-    let cost = Array.init m (fun i -> Array.map (fun j -> j.column.(i)) jobs) in
-    let inst = I.make ~releases ~weights cost in
-    t.inst <- Some inst;
-    inst
+  let inst = extended t t.inst (fun j -> j.column) in
+  t.inst <- Some inst;
+  inst
 
 (* No live machine holds the job's bank: the masked column is all-[None],
    the paper's "every c_{i,j} = +∞" row. *)
@@ -284,26 +306,35 @@ let starved_column t column =
    scheduled against those phantom costs. *)
 let decision_instance t =
   if W.healthy t.overlay then instance t
-  else
-    match t.masked with
-    | Some i -> i
-    | None ->
-      if t.n = 0 then bug "no jobs submitted";
-      let jobs = Array.sub t.jobs 0 t.n in
-      let releases = Array.map (fun j -> j.arrival) jobs in
-      let weights = Array.map (fun j -> j.weight) jobs in
-      let columns =
-        Array.map
-          (fun j ->
-            if starved_column t j.column then j.column
-            else W.mask_column t.overlay j.column)
-          jobs
-      in
-      let m = Array.length t.platform.W.speeds in
-      let cost = Array.init m (fun i -> Array.map (fun col -> col.(i)) columns) in
-      let inst = I.make ~releases ~weights cost in
-      t.masked <- Some inst;
-      inst
+  else begin
+    let inst =
+      extended t t.masked (fun j ->
+          if starved_column t j.column then j.column else W.mask_column t.overlay j.column)
+    in
+    t.masked <- Some inst;
+    inst
+  end
+
+(* --- derived job indexes ---------------------------------------------- *)
+
+let make_live t j =
+  t.live <- Iset.add j t.live;
+  t.num_live <- t.num_live + 1;
+  if t.jobs.(j).parked then t.num_parked <- t.num_parked + 1
+
+let set_parked t j parked =
+  let job = t.jobs.(j) in
+  if job.parked <> parked then begin
+    job.parked <- parked;
+    t.num_parked <- (t.num_parked + if parked then 1 else -1)
+  end
+
+(* File a freshly pushed job (new, or restored with its flags) in the
+   index its flags place it in. *)
+let index_job t j =
+  let job = t.jobs.(j) in
+  if not job.arrived then t.pending <- Pending.add (job.arrival, j) t.pending
+  else if job.completed_at = None then make_live t j
 
 let push t job =
   if t.n = Array.length t.jobs then begin
@@ -318,6 +349,7 @@ let push t job =
   t.jobs.(t.n) <- job;
   t.remaining.(t.n) <- Rat.one;
   t.n <- t.n + 1;
+  index_job t (t.n - 1);
   t.n - 1
 
 (* --- durability ------------------------------------------------------ *)
@@ -425,10 +457,9 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
   log_record t (Wal.Submit { id; arrival; bank; num_motifs });
   let idx = push t job in
   Hashtbl.add t.ids id idx;
-  (* The instance grew: caches over the old job set are stale.  A live
-     rebuild mid-run is counted; replay submits everything up front. *)
-  t.inst <- None;
-  t.masked <- None;
+  (* The instance grew (the caches extend themselves on their next use),
+     so the policy state built over the old one is stale.  A live rebuild
+     mid-run is counted; replay submits everything up front. *)
   if t.runner <> None then begin
     t.runner <- None;
     Metrics.incr t.c_rebuilds
@@ -448,30 +479,26 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
    views, not eligible, never announced.  They re-enter when a recovery
    makes them runnable again. *)
 let views t =
-  let rec go j acc =
-    if j < 0 then acc
-    else
-      go (j - 1)
-        (if t.jobs.(j).arrived && (not t.jobs.(j).parked) && t.jobs.(j).completed_at = None
-         then
-           { Sim.id = j; release = t.jobs.(j).arrival; weight = t.jobs.(j).weight;
-             remaining = t.remaining.(j) }
-           :: acc
-         else acc)
-  in
-  go (t.n - 1) []
+  Seq.fold_left
+    (fun acc j ->
+      let job = t.jobs.(j) in
+      if job.parked then acc
+      else
+        { Sim.id = j; release = job.arrival; weight = job.weight; remaining = t.remaining.(j) }
+        :: acc)
+    [] (Iset.to_rev_seq t.live)
+
+let by_arrival t a b =
+  let c = Rat.compare t.jobs.(a).arrival t.jobs.(b).arrival in
+  if c <> 0 then c else compare a b
 
 (* Schedulable jobs in announcement order (arrival date, then index) — the
    exact sequence a rebuilt policy state is re-announced, and therefore the
    canonical job enumeration the decision cache keys on. *)
 let announced t =
-  List.filter
-    (fun j ->
-      t.jobs.(j).arrived && (not t.jobs.(j).parked) && t.jobs.(j).completed_at = None)
-    (List.init t.n (fun j -> j))
-  |> List.sort (fun a b ->
-         let c = Rat.compare t.jobs.(a).arrival t.jobs.(b).arrival in
-         if c <> 0 then c else compare a b)
+  Iset.elements t.live
+  |> List.filter (fun j -> not t.jobs.(j).parked)
+  |> List.sort (by_arrival t)
 
 let runner t =
   match t.runner with
@@ -486,8 +513,7 @@ let runner t =
     t.dirty <- true;
     r
 
-let eligible_for t j =
-  j < t.n && t.jobs.(j).arrived && (not t.jobs.(j).parked) && t.jobs.(j).completed_at = None
+let eligible_for t j = Iset.mem j t.live && not t.jobs.(j).parked
 
 (* Canonical fingerprint of the masked decision instance: availability
    overlay plus the *shape* of every schedulable job — arrival age, bank,
@@ -561,12 +587,7 @@ let decide_fresh t =
   Metrics.add t.c_rat_demoted (NC.demotions () - rat_demoted0);
   Sim.check_decision ~where:"Serve.Engine" ~name:P.name (decision_instance t)
     ~up:(fun i -> W.machine_live t.overlay.(i))
-    ~eligible:(fun j ->
-      j < t.n
-      && t.jobs.(j).arrived
-      && (not t.jobs.(j).parked)
-      && t.jobs.(j).completed_at = None)
-    ~now:t.now d;
+    ~eligible:(eligible_for t) ~now:t.now d;
   t.decision <- Some d;
   t.decided_at <- t.now;
   t.dirty <- false;
@@ -629,24 +650,30 @@ let decide t =
   end
 
 let fire_due_arrivals t =
-  let due = ref [] in
-  for j = t.n - 1 downto 0 do
-    if (not t.jobs.(j).arrived) && Rat.compare t.jobs.(j).arrival t.now <= 0 then
-      due := j :: !due
-  done;
-  match !due with
+  let rec pop due =
+    match Pending.min_elt_opt t.pending with
+    | Some ((a, j) as e) when Rat.compare a t.now <= 0 ->
+      t.pending <- Pending.remove e t.pending;
+      pop (j :: due)
+    | _ -> due
+  in
+  match List.sort Int.compare (pop []) with
   | [] -> ()
   | due ->
     let parked, runnable =
       List.partition (fun j -> starved_column t t.jobs.(j).column) due
+    in
+    let arrive j =
+      t.jobs.(j).arrived <- true;
+      make_live t j
     in
     (* Nothing live can run a starved job: park it instead of announcing
        it — Mct's arrival handler, for one, asserts some machine can take
        the job. *)
     List.iter
       (fun j ->
-        t.jobs.(j).arrived <- true;
-        t.jobs.(j).parked <- true)
+        t.jobs.(j).parked <- true;
+        arrive j)
       parked;
     (match runnable with
      | [] -> ()
@@ -654,7 +681,7 @@ let fire_due_arrivals t =
        (* Build the runner before flipping [arrived], or a fresh rebuild
           would announce the batch a second time. *)
        let (Runner ((module P), state)) = runner t in
-       List.iter (fun j -> t.jobs.(j).arrived <- true) runnable;
+       List.iter arrive runnable;
        (* The whole instant's arrivals are one batch: policies hear about
           the burst in a single callback and can rebalance once. *)
        P.on_batch_arrival state ~now:t.now ~jobs:runnable;
@@ -678,6 +705,9 @@ let fire_due_arrivals t =
 let complete t j =
   let job = t.jobs.(j) in
   job.completed_at <- Some t.now;
+  t.live <- Iset.remove j t.live;
+  t.num_live <- t.num_live - 1;
+  if job.parked then t.num_parked <- t.num_parked - 1;
   t.num_completed <- t.num_completed + 1;
   t.dirty <- true;
   (* The finishing decision may have outlived its policy state: a live
@@ -730,24 +760,15 @@ let platform_changed t =
      before the disruption, and the table should not hoard entries for
      overlays that may never recur. *)
   Hashtbl.reset t.decision_cache;
-  let unparked = ref [] in
-  for j = 0 to t.n - 1 do
-    let job = t.jobs.(j) in
-    if job.arrived && job.completed_at = None then begin
-      let s = starved_column t job.column in
-      if s && not job.parked then job.parked <- true
-      else if (not s) && job.parked then begin
-        job.parked <- false;
-        unparked := j :: !unparked
-      end
-    end
-  done;
   let unparked =
-    List.sort
-      (fun a b ->
-        let c = Rat.compare t.jobs.(a).arrival t.jobs.(b).arrival in
-        if c <> 0 then c else compare a b)
-      !unparked
+    Iset.fold
+      (fun j acc ->
+        let was = t.jobs.(j).parked in
+        let now_starved = starved_column t t.jobs.(j).column in
+        set_parked t j now_starved;
+        if was && not now_starved then j :: acc else acc)
+      t.live []
+    |> List.sort (by_arrival t)
   in
   (match t.runner with
    | None -> ()  (* the next [runner] builds against the new platform *)
@@ -839,17 +860,8 @@ let fire_due_faults t =
 let next_fault t = match t.faults with [] -> None | (at, _) :: _ -> Some at
 
 let next_arrival_after t date =
-  let best = ref None in
-  for j = 0 to t.n - 1 do
-    if not t.jobs.(j).arrived then begin
-      let a = t.jobs.(j).arrival in
-      if Rat.compare a date > 0 then
-        match !best with
-        | None -> best := Some a
-        | Some b -> if Rat.compare a b < 0 then best := Some a
-    end
-  done;
-  !best
+  Pending.find_first_opt (fun (a, _) -> Rat.compare a date > 0) t.pending
+  |> Option.map fst
 
 let advance_time t date =
   (* During recovery replay the events being applied happened in the past:
@@ -915,16 +927,8 @@ let step t ~limit =
         | _ -> decide t
       in
       let inst = decision_instance t in
-      let rate = Sim.progress_rates inst d in
       let completion_candidate =
-        List.fold_left
-          (fun acc (v : Sim.job_view) ->
-            if Rat.sign rate.(v.id) > 0 then begin
-              let c = Rat.add t.now (Rat.div v.remaining rate.(v.id)) in
-              match acc with None -> Some c | Some b -> Some (Rat.min b c)
-            end
-            else acc)
-          None (views t)
+        Sim.next_completion inst d ~now:t.now ~remaining:(fun j -> t.remaining.(j))
       in
       let arrival_candidate = next_arrival_after t t.now in
       let event =
@@ -966,12 +970,15 @@ let step t ~limit =
           (* A partial segment consumed part of the plan's shares in time
              but the share *rates* are unchanged, so the decision stays
              valid for the rest of its window. *)
-          for j = 0 to t.n - 1 do
-            if t.jobs.(j).arrived && t.jobs.(j).completed_at = None then begin
-              if Rat.sign t.remaining.(j) < 0 then bug "job %d over-processed" j;
-              if Rat.is_zero t.remaining.(j) then complete t j
-            end
-          done
+          let finished =
+            Iset.fold
+              (fun j acc ->
+                if Rat.sign t.remaining.(j) < 0 then bug "job %d over-processed" j;
+                if Rat.is_zero t.remaining.(j) then j :: acc else acc)
+              t.live []
+          in
+          (* Ascending index order, as policies and histograms expect. *)
+          List.iter (complete t) (List.rev finished)
         end;
         if not clipped then begin
           (match d.Sim.review_at with
@@ -1127,6 +1134,8 @@ let restore ~clock ~policy platform st =
         make_job t ~id:js.js_id ~arrival:js.js_arrival ~bank:js.js_bank
           ~num_motifs:js.js_num_motifs
       in
+      (* Flags before [push]: it files the job in the live set or the
+         pending queue by them, which rebuilds the derived indexes. *)
       job.arrived <- js.js_arrived;
       job.parked <- js.js_parked;
       job.completed_at <- js.js_completed_at;

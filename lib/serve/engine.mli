@@ -7,7 +7,7 @@
     a live daemon), and every decision, segment and completed request is
     recorded in an {!Obs.Registry}.  The scheduling semantics are
     shared with the simulator through its exposed hooks
-    ({!Online.Sim.check_decision}, {!Online.Sim.progress_rates},
+    ({!Online.Sim.check_decision}, {!Online.Sim.next_completion},
     {!Online.Sim.materialize}): a virtual-clock replay of a trace with a
     zero batch window produces {e exactly} the schedule [Sim.run] produces
     on the equivalent offline instance.
@@ -133,11 +133,32 @@ val now : t -> Rat.t
 (** Current engine time (seconds since the engine's epoch). *)
 
 val submitted : t -> int
+
 val active : t -> int
+(** Arrived, incomplete jobs, parked ones included. *)
 
 val starved : t -> int
 (** Arrived, incomplete jobs currently parked because no live machine
     holds their bank. *)
+
+val schedulable : t -> int
+(** Arrived, incomplete jobs the policy may schedule: [active - starved].
+    All three counts are kept incrementally, not by scanning the jobs. *)
+
+val instance : t -> Sched_core.Instance.t
+(** The instance over every submitted job with healthy costs (job [j] is
+    the [j]-th submission; weights follow the objective).  Cached and
+    extended by the jobs submitted since its last use rather than
+    rebuilt, so it stays structurally equal to {!Sched_core.Instance.make}
+    over the same jobs. *)
+
+val decision_instance : t -> Sched_core.Instance.t
+(** The instance decisions are made against: {!instance} under the
+    availability overlay ({!Gripps.Workload.mask_column}: a down
+    machine's costs become [None]).  A parked job keeps its healthy
+    column, since an all-[None] column is not an instance.  Physically
+    {!instance} while every machine is up; otherwise cached until the
+    next availability change and extended like {!instance}. *)
 
 val completed : t -> int
 

@@ -46,104 +46,111 @@ let no_ws s =
 
 (* --- serialization ---------------------------------------------------- *)
 
+(* Every field is appended straight to one buffer.  A snapshot holds a
+   line per job and per slice ever served, and a [Printf] closure or an
+   intermediate string per line or per number costs more than the fsync
+   that follows. *)
 let state_to_string ~seq ~platform (st : Engine.state) =
   let b = Buffer.create 4096 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string b s;
-        Buffer.add_char b '\n')
-      fmt
-  in
+  let str s = Buffer.add_string b s in
+  let sp () = Buffer.add_char b ' ' in
+  let nl () = Buffer.add_char b '\n' in
+  let int n = Rat.buffer_add_int b n in
+  let rat r = Rat.buffer_add b r in
+  let flt f = str (float_repr f) in
+  let flag v = str (if v then " 1" else " 0") in
+  let line s = str s; nl () in
+  let keyed key n = str key; sp (); int n; nl () in
   line "dlsched-snapshot v2";
-  line "seq %d" seq;
+  keyed "seq" seq;
   line "platform-begin";
   let ptext = Trace.to_string { Trace.platform; entries = []; events = [] } in
-  Buffer.add_string b ptext;
-  if ptext <> "" && ptext.[String.length ptext - 1] <> '\n' then Buffer.add_char b '\n';
+  str ptext;
+  if ptext <> "" && ptext.[String.length ptext - 1] <> '\n' then nl ();
   line "platform-end";
   if not (no_ws st.Engine.st_policy) then fail "unencodable policy name %S" st.st_policy;
-  line "policy %s" st.st_policy;
-  line "batch_window %s" (Rat.to_string st.st_batch_window);
-  line "objective %s" (match st.st_objective with `Flow -> "flow" | `Stretch -> "stretch");
-  line "lost_work %s"
-    (match st.st_lost_work with `Lost -> "lost" | `Preserved -> "preserved");
-  line "now %s" (Rat.to_string st.st_now);
-  line "jobs %d" (List.length st.st_jobs);
+  str "policy "; line st.st_policy;
+  str "batch_window "; rat st.st_batch_window; nl ();
+  str "objective ";
+  line (match st.st_objective with `Flow -> "flow" | `Stretch -> "stretch");
+  str "lost_work ";
+  line (match st.st_lost_work with `Lost -> "lost" | `Preserved -> "preserved");
+  str "now "; rat st.st_now; nl ();
+  keyed "jobs" (List.length st.st_jobs);
   List.iter
     (fun (js : Engine.job_state) ->
       if not (Wal.encodable_id js.js_id) then fail "unencodable request id %S" js.js_id;
-      line "job %s %s %d %d %s %d %d %s" js.js_id (Rat.to_string js.js_arrival)
-        js.js_bank js.js_num_motifs
-        (Rat.to_string js.js_remaining)
-        (if js.js_arrived then 1 else 0)
-        (if js.js_parked then 1 else 0)
-        (match js.js_completed_at with None -> "none" | Some r -> Rat.to_string r))
+      str "job "; str js.js_id;
+      sp (); rat js.js_arrival;
+      sp (); int js.js_bank;
+      sp (); int js.js_num_motifs;
+      sp (); rat js.js_remaining;
+      flag js.js_arrived;
+      flag js.js_parked;
+      sp ();
+      (match js.js_completed_at with None -> str "none" | Some r -> rat r);
+      nl ())
     st.st_jobs;
-  line "overlay %d" (Array.length st.st_overlay);
+  keyed "overlay" (Array.length st.st_overlay);
   Array.iter
     (fun ms ->
       match ms with
       | W.Up -> line "avail up"
       | W.Down -> line "avail down"
-      | W.Degraded r -> line "avail degraded %s" (Rat.to_string r))
+      | W.Degraded r -> str "avail degraded "; rat r; nl ())
     st.st_overlay;
-  line "faults %d" (List.length st.st_faults);
+  keyed "faults" (List.length st.st_faults);
   List.iter
     (fun (at, fault) ->
-      let kind, i =
-        match fault with Trace.Fail i -> ("fail", i) | Trace.Recover i -> ("recover", i)
-      in
-      line "fault %s %s %d" (Rat.to_string at) kind i)
+      str "fault "; rat at;
+      (match fault with
+       | Trace.Fail i -> str " fail "; int i
+       | Trace.Recover i -> str " recover "; int i);
+      nl ())
     st.st_faults;
-  line "slices %d" (List.length st.st_slices);
+  keyed "slices" (List.length st.st_slices);
   List.iter
     (fun (s : Sched_core.Schedule.slice) ->
-      line "slice %d %d %s %s" s.machine s.job (Rat.to_string s.start)
-        (Rat.to_string s.stop))
+      str "slice "; int s.machine;
+      sp (); int s.job;
+      sp (); rat s.start;
+      sp (); rat s.stop;
+      nl ())
     st.st_slices;
-  line "last_stop %d" (Array.length st.st_last_stop);
-  Array.iter (fun r -> line "stop %s" (Rat.to_string r)) st.st_last_stop;
-  line "completed %d" st.st_num_completed;
-  line "metrics %d" (List.length st.st_metrics);
+  keyed "last_stop" (Array.length st.st_last_stop);
+  Array.iter (fun r -> str "stop "; rat r; nl ()) st.st_last_stop;
+  keyed "completed" st.st_num_completed;
+  keyed "metrics" (List.length st.st_metrics);
   List.iter
     (fun (name, item) ->
       if not (no_ws name) then fail "unencodable metric name %S" name;
       match item with
-      | Obs.Registry.Dump_counter n -> line "counter %s %d" name n
+      | Obs.Registry.Dump_counter n -> str "counter "; str name; sp (); int n; nl ()
       | Obs.Registry.Dump_gauge { value; peak } ->
-        line "gauge %s %s %s" name (float_repr value) (float_repr peak)
+        str "gauge "; str name; sp (); flt value; sp (); flt peak; nl ()
       | Obs.Registry.Dump_histogram samples ->
-        let b2 = Buffer.create 64 in
-        Array.iter
-          (fun f ->
-            Buffer.add_char b2 ' ';
-            Buffer.add_string b2 (float_repr f))
-          samples;
-        line "hist %s %d%s" name (Array.length samples) (Buffer.contents b2))
+        str "hist "; str name; sp (); int (Array.length samples);
+        Array.iter (fun f -> sp (); flt f) samples;
+        nl ())
     st.st_metrics;
-  line "cache %d" (List.length st.st_cache);
+  keyed "cache" (List.length st.st_cache);
   List.iter
     (fun (key, (cd : Engine.cached_decision)) ->
       (* Fingerprint keys are built from whitespace-free atoms (policy
          name, overlay letters, exact rational text) joined by '|'/':';
          enforce that here so the line stays parseable. *)
       if not (no_ws key) then fail "unencodable cache key %S" key;
-      let b2 = Buffer.create 64 in
+      str "centry "; str key; sp ();
+      (match cd.Engine.cd_review_offset with None -> str "none" | Some r -> rat r);
+      sp (); int (List.length cd.Engine.cd_shares);
       List.iter
-        (fun (machine, pos, share) ->
-          Buffer.add_string b2
-            (Printf.sprintf " %d %d %s" machine pos (Rat.to_string share)))
+        (fun (machine, pos, share) -> sp (); int machine; sp (); int pos; sp (); rat share)
         cd.Engine.cd_shares;
-      line "centry %s %s %d%s" key
-        (match cd.Engine.cd_review_offset with
-         | None -> "none"
-         | Some r -> Rat.to_string r)
-        (List.length cd.Engine.cd_shares)
-        (Buffer.contents b2))
+      nl ())
     st.st_cache;
-  let body = Buffer.contents b in
-  body ^ Printf.sprintf "checksum %d\n" (Wal.adler32 body)
+  let sum = Wal.adler32 (Buffer.contents b) in
+  str "checksum "; int sum; nl ();
+  Buffer.contents b
 
 (* --- parsing ---------------------------------------------------------- *)
 
@@ -385,14 +392,21 @@ let write_atomic path content =
     (try Unix.close dfd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let save_file path ~seq ~platform st =
-  let text = state_to_string ~seq ~platform st in
-  Obs.Span.with_span "snapshot.write" (fun () ->
-      Obs.Span.set_int "seq" seq;
-      Obs.Span.set_int "bytes" (String.length text);
-      write_atomic path text);
+let save_file path ~seq engine =
+  (* Dump and encoding run inside the span: serialization is part of the
+     snapshot's cost, not of whichever command triggered the checkpoint. *)
+  let bytes =
+    Obs.Span.with_span "snapshot.write" (fun () ->
+        let text =
+          state_to_string ~seq ~platform:(Engine.platform engine) (Engine.dump engine)
+        in
+        Obs.Span.set_int "seq" seq;
+        Obs.Span.set_int "bytes" (String.length text);
+        write_atomic path text;
+        String.length text)
+  in
   Obs.Registry.incr c_snapshots;
-  Obs.Registry.add c_snapshot_bytes (String.length text)
+  Obs.Registry.add c_snapshot_bytes bytes
 
 let load_file path =
   let text = In_channel.with_open_bin path In_channel.input_all in
@@ -406,16 +420,14 @@ let dir h = h.dir
 let close h = Wal.close h.writer
 
 let take_snapshot dir engine =
-  save_file (snapshot_file dir) ~seq:(Engine.last_seq engine)
-    ~platform:(Engine.platform engine) (Engine.dump engine)
+  save_file (snapshot_file dir) ~seq:(Engine.last_seq engine) engine
 
 let arm ?(snapshot_every = 0) ~dir engine =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   if Sys.file_exists (meta_file dir) then
     fail "%s already holds serving state; resume from it (--resume) or point --wal at a fresh directory"
       dir;
-  save_file (meta_file dir) ~seq:0 ~platform:(Engine.platform engine)
-    (Engine.dump engine);
+  save_file (meta_file dir) ~seq:0 engine;
   let w = Wal.open_append ~next_seq:1 (wal_file dir) in
   Engine.set_durability engine ~log:(Wal.append w)
     ~checkpoint:(fun () -> take_snapshot dir engine)

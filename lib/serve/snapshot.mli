@@ -71,9 +71,10 @@ val state_of_string : string -> int * Gripps.Workload.platform * Engine.state
     @raise Invalid_argument with a line-numbered message on malformed
     input or a checksum mismatch. *)
 
-val save_file :
-  string -> seq:int -> platform:Gripps.Workload.platform -> Engine.state -> unit
-(** Atomic write: temp file, [fsync], rename, directory [fsync]. *)
+val save_file : string -> seq:int -> Engine.t -> unit
+(** Serialize {!Engine.dump} of the engine and write it atomically: temp
+    file, [fsync], rename, directory [fsync].  Dump, encoding and write
+    all run inside one [snapshot.write] span. *)
 
 val load_file : string -> int * Gripps.Workload.platform * Engine.state
 

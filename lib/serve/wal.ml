@@ -36,12 +36,21 @@ let c_replayed = Obs.Registry.counter Obs.Registry.global "wal.records_replayed"
 let c_torn = Obs.Registry.counter Obs.Registry.global "wal.torn_tails"
 
 let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  (* Reduce once per block rather than per byte: 5552 bytes is zlib's
+     bound for 32-bit sums, far inside 63-bit ints, and modular
+     arithmetic makes the deferred reduction give the same value. *)
+  let n = String.length s in
+  let a = ref 1 and b = ref 0 and i = ref 0 in
+  while !i < n do
+    let stop = Stdlib.min n (!i + 5552) in
+    for k = !i to stop - 1 do
+      a := !a + Char.code (String.unsafe_get s k);
+      b := !b + !a
+    done;
+    a := !a mod 65521;
+    b := !b mod 65521;
+    i := stop
+  done;
   (!b lsl 16) lor !a
 
 let encodable_id id =

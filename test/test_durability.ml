@@ -81,6 +81,20 @@ let test_wal_codec () =
        false
      with Invalid_argument _ -> true)
 
+(* The per-byte definition of Adler-32 (RFC 1950), against the codec's
+   block-reduced implementation. *)
+let prop_adler32_reference =
+  QCheck.Test.make ~count:100 ~name:"adler32 matches the per-byte definition"
+    QCheck.(string_gen_of_size Gen.(int_bound 20_000) Gen.char)
+    (fun s ->
+      let a = ref 1 and b = ref 0 in
+      String.iter
+        (fun c ->
+          a := (!a + Char.code c) mod 65521;
+          b := (!b + !a) mod 65521)
+        s;
+      Wal.adler32 s = (!b lsl 16) lor !a)
+
 let test_wal_file_roundtrip () =
   let dir = fresh_dir "walfile" in
   Unix.mkdir dir 0o755;
@@ -181,6 +195,60 @@ let test_snapshot_rejects_corruption () =
        ignore (E.restore ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Mct) p st);
        false
      with Invalid_argument _ -> true)
+
+(* The committed v2 fixture: written by the encoder before its
+   allocation-light rewrite, from the fixed script below.  Three
+   machines, machine 2 the sole holder of bank 0: failing it parks the
+   bank-0 requests, the recovery stays pending, the live submissions
+   force a cache-consulting rebuild, and the completions leave histogram
+   samples out of sorted order.  No engine degrades a machine, so the
+   degraded overlay entry is edited into the dumped state. *)
+let fixture_platform () =
+  {
+    W.speeds = [| R.one; R.of_ints 3 2; R.of_int 2 |];
+    bank_sizes = [| 100; 200 |];
+    has_bank = [| [| false; true |]; [| false; true |]; [| true; true |] |];
+  }
+
+let fixture_state () =
+  let e =
+    E.create ~batch_window:(R.of_ints 1 2) ~clock:(Serve.Clock.virtual_ ())
+      ~policy:(module Online.Policies.Mct) (fixture_platform ())
+  in
+  E.set_decision_cache e true;
+  ignore (E.submit e ~id:"a" ~arrival:R.zero ~bank:1 ~num_motifs:8 ());
+  ignore (E.submit e ~id:"b" ~arrival:R.zero ~bank:0 ~num_motifs:12 ());
+  E.run_until e R.one;
+  E.inject e ~at:(E.now e) (T.Fail 2);
+  E.inject e ~at:(R.of_int 900) (T.Recover 2);
+  ignore (E.submit e ~id:"c" ~arrival:(R.of_int 2) ~bank:1 ~num_motifs:5 ());
+  ignore (E.submit e ~id:"d" ~arrival:(R.of_int 2) ~bank:0 ~num_motifs:3 ());
+  ignore (E.submit e ~id:"e" ~arrival:(R.of_int 3) ~bank:1 ~num_motifs:40 ());
+  ignore (E.submit e ~id:"f" ~arrival:(R.of_int 5) ~bank:1 ~num_motifs:1 ());
+  E.run_until e (R.of_int 40);
+  let st = E.dump e in
+  st.E.st_overlay.(1) <- W.Degraded (R.of_ints 3 4);
+  st
+
+let fixture_file =
+  if Sys.file_exists "fixtures/engine_state_v2.snapshot" then
+    "fixtures/engine_state_v2.snapshot"
+  else "test/fixtures/engine_state_v2.snapshot"
+
+let test_snapshot_fixture_bytes () =
+  let expected = read_file fixture_file in
+  Alcotest.(check string) "encoder reproduces the committed v2 bytes" expected
+    (Snap.state_to_string ~seq:42 ~platform:(fixture_platform ()) (fixture_state ()));
+  let seq, platform, st = Snap.state_of_string expected in
+  Alcotest.(check string) "parse/re-encode round-trip" expected
+    (Snap.state_to_string ~seq ~platform st);
+  (* An engine restored from the old bytes dumps them back unchanged. *)
+  let e =
+    E.restore ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Mct)
+      platform st
+  in
+  Alcotest.(check string) "restore/dump round-trip" expected
+    (Snap.state_to_string ~seq ~platform (E.dump e))
 
 (* ------------------------------------------------------------------ *)
 (* Crash / resume                                                      *)
@@ -393,16 +461,52 @@ let test_cache_survives_crash () =
     (pp_counts oracle_counts) (pp_counts crashed_counts);
   Alcotest.(check string) "final engine states identical" oracle_state crashed_state
 
+(* Regression: reading a histogram used to sort its sample buffer in
+   place.  A [metrics] command therefore permuted the samples the live
+   engine serializes, while a WAL-resumed twin (which never served the
+   read) kept insertion order, so the two dumped different states.  The
+   script completes a long request before a short one, so the samples
+   are out of sorted order when [metrics] reads them. *)
+let test_metrics_read_keeps_dump_order () =
+  let dir = fresh_dir "metrics-read" in
+  let e =
+    E.create ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Srpt)
+      (platform ())
+  in
+  let h = Snap.arm ~dir e in
+  let server = Serve.Server.create e in
+  List.iter
+    (fun line -> ignore (Serve.Server.handle_line server line))
+    [ "submit long 1 30"; "tick 200"; "submit short 1 1"; "tick 200"; "metrics";
+      "submit late 0 4"; "metrics json"; "drain"; "metrics" ];
+  Snap.close h;
+  let h1, e1 =
+    Snap.resume ~dir ~clock:(Serve.Clock.virtual_ ())
+      ~policies:[ (module Online.Policies.Srpt) ] ()
+  in
+  Snap.close h1;
+  rm_rf dir;
+  (match List.assoc_opt "flow_seconds" (M.dump (E.metrics e1)) with
+   | Some (M.Dump_histogram samples) ->
+     let sorted = Array.copy samples in
+     Array.sort compare sorted;
+     Alcotest.(check bool) "samples recorded out of sorted order" true (samples <> sorted)
+   | _ -> Alcotest.fail "no flow_seconds histogram");
+  Alcotest.(check string) "live and resumed states identical" (final_dump e)
+    (final_dump e1)
+
 let () =
   Alcotest.run "durability"
     [ ( "wal",
         [ Alcotest.test_case "codec" `Quick test_wal_codec;
           Alcotest.test_case "file roundtrip" `Quick test_wal_file_roundtrip;
-          Alcotest.test_case "torn tail" `Quick test_wal_torn_tail
+          Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
+          QCheck_alcotest.to_alcotest prop_adler32_reference
         ] );
       ( "snapshot",
         [ Alcotest.test_case "text roundtrip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "corruption rejected" `Quick test_snapshot_rejects_corruption
+          Alcotest.test_case "corruption rejected" `Quick test_snapshot_rejects_corruption;
+          Alcotest.test_case "v2 fixture bytes" `Quick test_snapshot_fixture_bytes
         ] );
       ( "resume",
         [ Alcotest.test_case "from meta" `Quick test_resume_from_meta;
@@ -410,6 +514,8 @@ let () =
           Alcotest.test_case "arm refuses reuse" `Quick test_arm_refuses_reuse;
           Alcotest.test_case "decision cache survives crash" `Quick
             test_cache_survives_crash;
+          Alcotest.test_case "metrics read keeps dump order" `Quick
+            test_metrics_read_keeps_dump_order;
           QCheck_alcotest.to_alcotest prop_crash_resume_identical
         ] )
     ]

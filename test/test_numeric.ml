@@ -661,6 +661,18 @@ let prop_rat_oracle =
       let t = reval_tagged e and r = reval_ref e in
       String.equal (R.to_string t) (RRef.to_string r) && rat_canonically_tagged t)
 
+let prop_buffer_add_matches_to_string =
+  QCheck.Test.make ~name:"buffer_add writes to_string text" ~count:400
+    (QCheck.pair arbitrary_rexpr
+       QCheck.(oneof [ int; oneofl [ 0; 9; 10; -1; -10; max_int; min_int ] ]))
+    (fun (e, n) ->
+      let v = reval_tagged e in
+      let b = Buffer.create 16 in
+      R.buffer_add b v;
+      Buffer.add_char b ' ';
+      R.buffer_add_int b n;
+      String.equal (Buffer.contents b) (R.to_string v ^ " " ^ string_of_int n))
+
 let prop_rat_oracle_compare =
   QCheck.Test.make ~name:"tagged Rat compare agrees with reference" ~count:400
     (QCheck.pair arbitrary_rexpr arbitrary_rexpr)
@@ -825,7 +837,9 @@ let test_rat_of_string_valid () =
 let prop_rat_approx_bound_big =
   (* The denominator bound must hold for values whose components live on
      the limb path too, and the result must never be further from x than
-     the trivial candidate round(x·d)/d for any sampled d. *)
+     the trivial candidate round(x·d)/d for any sampled d <= max_den
+     (a finer denominator is not a competitor: with max_den = 1, 293/2
+     beats every integer near 146.59). *)
   QCheck.Test.make ~name:"approx respects max_den on big operands" ~count:200
     (QCheck.pair arbitrary_rexpr (QCheck.int_range 1 997))
     (fun (e, max_den) ->
@@ -838,7 +852,7 @@ let prop_rat_approx_bound_big =
            (fun d ->
              let num = R.floor (R.add (R.mul_int x d) (R.of_ints 1 2)) in
              R.compare (dist a) (dist (R.make num (B.of_int d))) <= 0)
-           (List.filter (fun d -> d >= 1) [ 1; 2; 3; max_den / 2; max_den ]))
+           (List.filter (fun d -> d >= 1 && d <= max_den) [ 1; 2; 3; max_den / 2; max_den ]))
 
 let dyadic_gen =
   let open QCheck.Gen in
@@ -969,7 +983,7 @@ let () =
       ( "approx-and-floats",
         qsuite
           [ prop_rat_approx_bound_big; prop_of_float_dyadic_roundtrip;
-            prop_to_float_of_float_roundtrip
+            prop_to_float_of_float_roundtrip; prop_buffer_add_matches_to_string
           ] );
       ( "affine",
         [ Alcotest.test_case "eval" `Quick test_affine_eval;

@@ -942,6 +942,134 @@ let test_engine_catch_up_guard () =
   Alcotest.(check rat) "finite clock resumes" (R.of_int 3) (E.now eng)
 
 (* ------------------------------------------------------------------ *)
+(* Derived engine state                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine keeps its instances, live-job set and pending-arrival queue
+   incrementally.  After every command of a random script, each must agree
+   with a from-scratch computation over the dumped jobs: the instances
+   with [Instance.make] (masked under the current overlay), the counts
+   with a full scan of the job flags. *)
+type derived_op =
+  | D_submit of int * int * int  (* bank, motifs, arrival delay in cs *)
+  | D_tick of int
+  | D_fault of T.fault
+  | D_later of int * T.fault  (* a fault injected this many cs ahead *)
+  | D_drain
+
+let derived_platform () =
+  (* Machine 2 alone holds bank 0: failing it parks bank-0 requests. *)
+  {
+    W.speeds = [| R.one; R.of_ints 3 2; R.of_int 2 |];
+    bank_sizes = [| 100; 200 |];
+    has_bank = [| [| false; true |]; [| false; true |]; [| true; true |] |];
+  }
+
+let scratch_instances platform (st : E.state) =
+  let jobs = Array.of_list st.st_jobs in
+  let columns =
+    Array.map
+      (fun (js : E.job_state) ->
+        W.cost_column platform
+          { W.arrival = js.js_arrival; bank = js.js_bank; num_motifs = js.js_num_motifs })
+      jobs
+  in
+  let weights =
+    Array.map
+      (fun column ->
+        match st.st_objective with
+        | `Flow -> R.one
+        | `Stretch ->
+          R.inv (Array.fold_left (fun acc c -> match c with Some c -> R.min acc c | None -> acc)
+                   (Option.get (Array.find_map Fun.id column)) column))
+      columns
+  in
+  let make cols =
+    I.make ~releases:(Array.map (fun (js : E.job_state) -> js.js_arrival) jobs) ~weights
+      (Array.init (Array.length platform.W.speeds) (fun i -> Array.map (fun c -> c.(i)) cols))
+  in
+  let masked =
+    Array.map
+      (fun c ->
+        let m = W.mask_column st.st_overlay c in
+        if Array.for_all Option.is_none m then c else m)
+      columns
+  in
+  (make columns, make masked)
+
+let prop_derived_state =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun b m d -> D_submit (b, m, d))
+              (int_bound 1) (int_range 1 30)
+              (frequency [ (2, return 0); (1, int_range 1 500) ]) );
+          (3, map (fun cs -> D_tick cs) (int_range 1 400));
+          (1, map (fun i -> D_fault (T.Fail i)) (int_bound 2));
+          (1, map (fun i -> D_fault (T.Recover i)) (int_bound 2));
+          (1, map2 (fun d i -> D_later (d, T.Recover i)) (int_range 1 300) (int_bound 2));
+          (1, return D_drain);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (list_size (int_range 1 30) gen_op) (int_bound 2) (oneofl [ 0; 50 ]) bool)
+  in
+  let print (ops, pi, window, flow) =
+    let op = function
+      | D_submit (b, m, d) -> Printf.sprintf "submit(%d,%d,+%d)" b m d
+      | D_tick cs -> Printf.sprintf "tick(%d)" cs
+      | D_fault (T.Fail i) -> Printf.sprintf "fail(%d)" i
+      | D_fault (T.Recover i) -> Printf.sprintf "recover(%d)" i
+      | D_later (d, T.Fail i) -> Printf.sprintf "fail(%d)@+%d" i d
+      | D_later (d, T.Recover i) -> Printf.sprintf "recover(%d)@+%d" i d
+      | D_drain -> "drain"
+    in
+    Printf.sprintf "policy %d, window %dcs, %s: [%s]" pi window
+      (if flow then "flow" else "stretch")
+      (String.concat "; " (List.map op ops))
+  in
+  QCheck.Test.make ~count:60 ~name:"incremental instances and job counts match a full rebuild"
+    (QCheck.make ~print gen)
+    (fun (ops, pi, window, flow) ->
+      let platform = derived_platform () in
+      let eng =
+        E.create ~batch_window:(R.of_ints window 100)
+          ~objective:(if flow then `Flow else `Stretch)
+          ~clock:(Serve.Clock.virtual_ ()) ~policy:(List.nth policies pi) platform
+      in
+      let counter = ref 0 in
+      let cs n = R.of_ints n 100 in
+      let check () =
+        let st = E.dump eng in
+        let count p = List.length (List.filter p st.st_jobs) in
+        let live (js : E.job_state) = js.js_arrived && js.js_completed_at = None in
+        let healthy, masked = scratch_instances platform st in
+        E.instance eng = healthy
+        && E.decision_instance eng = masked
+        && E.active eng = count live
+        && E.starved eng = count (fun js -> live js && js.js_parked)
+        && E.schedulable eng = count (fun js -> live js && not js.js_parked)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | D_submit (bank, motifs, delay) ->
+             incr counter;
+             ignore
+               (E.submit eng ~id:(Printf.sprintf "r%d" !counter)
+                  ~arrival:(R.add (E.now eng) (cs delay)) ~bank ~num_motifs:motifs ())
+           | D_tick n -> E.run_until eng (R.add (E.now eng) (cs n))
+           | D_fault f -> E.inject eng ~at:(E.now eng) f
+           | D_later (d, f) -> E.inject eng ~at:(R.add (E.now eng) (cs d)) f
+           | D_drain -> E.drain eng);
+          check ())
+        ops)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "serve"
@@ -963,7 +1091,8 @@ let () =
           Alcotest.test_case "metrics report" `Quick test_engine_metrics_report;
           Alcotest.test_case "batching" `Quick test_engine_batching;
           Alcotest.test_case "live submissions" `Quick test_engine_live_submissions;
-          Alcotest.test_case "catch-up guard" `Quick test_engine_catch_up_guard
+          Alcotest.test_case "catch-up guard" `Quick test_engine_catch_up_guard;
+          QCheck_alcotest.to_alcotest prop_derived_state
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic wall" `Quick test_clock_monotonic;
