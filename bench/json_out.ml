@@ -4,7 +4,7 @@
    the current directory (repo root under `make bench`) when the harness
    runs with `--json`.  Files carry a schema/version envelope plus the
    solver configuration they were measured under, so downstream tooling
-   can refuse data from a mismatched harness or solver variant. *)
+   can refuse data from a mismatched harness or configuration. *)
 
 type v =
   | Str of string
@@ -67,9 +67,9 @@ let rec emit buf = function
    fast-path tallies over the experiment's slice); v5 scoped the [trace] /
    [rat] deltas to the experiment proper ([mark] at experiment start, so
    work done between two [write]s no longer leaks into the next
-   envelope). *)
+   envelope); v6 dropped the [solver] field (one LP engine ships). *)
 let schema = "dlsched-bench"
-let version = 5
+let version = 6
 
 (* Trace summary attached to every envelope: spans/events emitted and wall
    seconds spent inside the LP engines since the previous [write] (or
@@ -154,7 +154,6 @@ let write ~experiment data =
           ("schema", Str schema);
           ("version", Int version);
           ("experiment", Str experiment);
-          ("solver", Str (Lp.Solve.variant_name !Lp.Solve.variant));
           ("warm", Bool !Lp.Solve.warm);
           ("jobs", Int (Par.Pool.jobs ()));
           ("recommended_domain_count", Int (Domain.recommended_domain_count ()));

@@ -95,18 +95,9 @@ module Flags = struct
   let rate ~doc default = mk [ "rate" ] doc Arg.float default
 
   (* Shared by every command that solves LPs.  Evaluates to (), setting the
-     process-wide engine family and (with [--trace]) installing the trace
-     sink as side effects before the command runs. *)
+     domain-pool width and (with [--trace]) installing the trace sink as
+     side effects before the command runs. *)
   let setup =
-    let solver =
-      mk [ "solver" ] ~docv:"ENGINE"
-        "LP engine: $(b,sparse) (revised simplex on sparse columns, with \
-         warm-started re-solves; the default) or $(b,dense) (the original \
-         tableau solver, kept as a differential-testing oracle).  Exact \
-         results are identical under both."
-        (Arg.enum [ ("sparse", Lp.Solve.Sparse); ("dense", Lp.Solve.Dense) ])
-        Lp.Solve.Sparse
-    in
     let trace =
       mk [ "trace" ] ~docv:"FILE"
         "Write an observability trace to $(docv): one JSON object per line, \
@@ -124,8 +115,7 @@ module Flags = struct
          entirely."
         Arg.(some int) None
     in
-    let setup variant trace jobs =
-      Lp.Solve.variant := variant;
+    let setup trace jobs =
       (match jobs with
        | None -> ()
        | Some n when n >= 1 -> Par.Pool.set_jobs n
@@ -139,7 +129,7 @@ module Flags = struct
         (* Flush and close the file even on [exit 1/2] paths. *)
         at_exit Obs.Sink.uninstall
     in
-    Term.(const setup $ solver $ trace $ jobs)
+    Term.(const setup $ trace $ jobs)
 
   let policy =
     let keyed =

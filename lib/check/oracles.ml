@@ -44,11 +44,6 @@ let same_maxflow a b =
     end
   | _ -> Fail "one path trivial, the other solved"
 
-let with_variant v f =
-  let saved = !Lp.Solve.variant in
-  Lp.Solve.variant := v;
-  Fun.protect ~finally:(fun () -> Lp.Solve.variant := saved) f
-
 (* --- offline oracles -------------------------------------------------- *)
 
 (* The validator itself: every solved case satisfies the paper's
@@ -59,9 +54,7 @@ let validator ~aux:_ inst =
   | `Solved r -> of_result (Invariants.solution ~objective:r.objective r.schedule)
 
 let dense_vs_sparse ~aux:_ inst =
-  same_maxflow
-    (with_variant Lp.Solve.Dense (fun () -> MF.solve_total inst))
-    (with_variant Lp.Solve.Sparse (fun () -> MF.solve_total inst))
+  same_maxflow (Oracle.with_dense (fun () -> MF.solve_total inst)) (MF.solve_total inst)
 
 let exact_vs_accelerated ~aux:_ inst =
   same_maxflow (MF.solve_total ~accelerate:false inst) (MF.solve_total ~accelerate:true inst)

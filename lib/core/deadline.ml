@@ -1,14 +1,12 @@
 module Rat = Numeric.Rat
-module Sx = Lp.Simplex.Exact
-module Sf = Lp.Simplex.Approx
 
 let solve_form inst (form : Formulations.deadline_form) =
   match Lp.Solve.exact form.dl_problem with
-  | Sx.Optimal sol ->
+  | Lp.Solution.Optimal sol ->
     let fractions = form.dl_decode sol.values in
     Some (Schedule.pack inst ~intervals:form.dl_intervals ~fractions)
-  | Sx.Infeasible -> None
-  | Sx.Unbounded -> assert false (* feasibility system: bounded by construction *)
+  | Lp.Solution.Infeasible -> None
+  | Lp.Solution.Unbounded -> assert false (* feasibility system: bounded by construction *)
 
 let feasible inst ~deadlines =
   solve_form inst (Formulations.deadline_system inst ~deadlines)
@@ -16,16 +14,16 @@ let feasible inst ~deadlines =
 let is_feasible ?divisible inst ~deadlines =
   let form = Formulations.deadline_system ?divisible inst ~deadlines in
   match Lp.Solve.exact form.dl_problem with
-  | Sx.Optimal _ -> true
-  | Sx.Infeasible -> false
-  | Sx.Unbounded -> assert false
+  | Lp.Solution.Optimal _ -> true
+  | Lp.Solution.Infeasible -> false
+  | Lp.Solution.Unbounded -> assert false
 
 let is_feasible_approx ?divisible inst ~deadlines =
   let form = Formulations.deadline_system ?divisible inst ~deadlines in
   match Lp.Solve.approx (Lp.Problem.map Rat.to_float form.dl_problem) with
-  | Sf.Optimal _ -> true
-  | Sf.Infeasible -> false
-  | Sf.Unbounded -> assert false
+  | Lp.Solution.Optimal _ -> true
+  | Lp.Solution.Infeasible -> false
+  | Lp.Solution.Unbounded -> assert false
 
 let flow_deadlines inst ~objective =
   Array.init (Instance.num_jobs inst) (fun j ->
@@ -111,9 +109,9 @@ let probe_approx pr ~objective =
             Hashtbl.replace pr.p_bases (obj_key objective) b))
       basis;
     match outcome with
-    | Sf.Optimal _ -> true
-    | Sf.Infeasible -> false
-    | Sf.Unbounded -> assert false
+    | Lp.Solution.Optimal _ -> true
+    | Lp.Solution.Infeasible -> false
+    | Lp.Solution.Unbounded -> assert false
   in
   if not (Obs.Sink.enabled ()) then body ()
   else
@@ -133,12 +131,12 @@ let probe_exact pr ~objective =
     in
     Obs.Span.set_bool "float_basis_hint" (hint <> None);
     match Lp.Solve.exact ~cache:pr.p_cache ?hint form.dl_problem with
-    | Sx.Optimal sol ->
+    | Lp.Solution.Optimal sol ->
       Mutex.protect pr.p_lock (fun () ->
           Hashtbl.replace pr.p_solutions (obj_key objective) sol.values);
       true
-    | Sx.Infeasible -> false
-    | Sx.Unbounded -> assert false
+    | Lp.Solution.Infeasible -> false
+    | Lp.Solution.Unbounded -> assert false
   in
   if not (Obs.Sink.enabled ()) then body ()
   else

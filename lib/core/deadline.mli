@@ -30,7 +30,7 @@ val flow_deadlines : Instance.t -> objective:Rat.t -> Rat.t array
     float probe's basis seeding the exact solve of the same system, a
     shape-keyed basis cache across objectives, and cached solutions so the
     winning probe's schedule needs no extra solve.  Every reuse is
-    verified by the solver (see {!Lp.Session}), so answers are identical
+    verified by the solver (see [Lp.Revised] warm starts), so answers are identical
     to cold solves — only cheaper. *)
 
 type prober

@@ -1,5 +1,4 @@
 module Rat = Numeric.Rat
-module Sx = Lp.Simplex.Exact
 
 type result = { makespan : Rat.t; schedule : Schedule.t }
 
@@ -7,7 +6,7 @@ let solve_untraced inst =
   if Instance.num_jobs inst = 0 then invalid_arg "Makespan.solve: empty instance";
   let form = Formulations.makespan_system inst in
   match Lp.Solve.exact form.mk_problem with
-  | Sx.Optimal sol ->
+  | Lp.Solution.Optimal sol ->
     let delta, fractions = form.mk_decode sol.values in
     let r_max = Instance.max_release inst in
     let intervals =
@@ -15,9 +14,9 @@ let solve_untraced inst =
     in
     let schedule = Schedule.pack inst ~intervals ~fractions in
     { makespan = Rat.add r_max delta; schedule }
-  | Sx.Infeasible ->
+  | Lp.Solution.Infeasible ->
     assert false (* system (1) is always feasible: process everything in I_n *)
-  | Sx.Unbounded -> assert false (* Δ ≥ 0 and the objective is minimized *)
+  | Lp.Solution.Unbounded -> assert false (* Δ ≥ 0 and the objective is minimized *)
 
 let solve inst =
   if not (Obs.Sink.enabled ()) then solve_untraced inst

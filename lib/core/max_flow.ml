@@ -1,5 +1,4 @@
 module Rat = Numeric.Rat
-module Sx = Lp.Simplex.Exact
 
 type result = {
   objective : Rat.t;
@@ -59,16 +58,16 @@ let solve_untraced ?(accelerate = true) ?cache inst =
   let f_lo = if idx = 0 then Rat.zero else candidates.(idx - 1) in
   (* The open range (f_lo, f_hi) contains no milestone; minimize F there.
      This final parametric solve intentionally takes no warm-start hint:
-     cold solves are bit-identical across solver variants, so the returned
+     cold solves are bit-identical to the dense oracle's, so the returned
      schedule never depends on probe history. *)
   let outcome =
     Obs.Span.with_span "parametric.solve" (fun () ->
         let form = Formulations.parametric_system ~divisible:true inst ~f_lo ~f_hi in
         match Lp.Solve.exact form.pf_problem with
-        | Sx.Optimal sol -> Some (form, sol)
-        | Sx.Infeasible ->
+        | Lp.Solution.Optimal sol -> Some (form, sol)
+        | Lp.Solution.Infeasible ->
           assert false (* f_hi is feasible, so the range contains a solution *)
-        | Sx.Unbounded -> assert false (* F is bounded below by f_lo ≥ 0 *))
+        | Lp.Solution.Unbounded -> assert false (* F is bounded below by f_lo ≥ 0 *))
   in
   match outcome with
   | Some (form, sol) ->

@@ -1,5 +1,4 @@
 module Rat = Numeric.Rat
-module Sx = Lp.Simplex.Exact
 
 type result = {
   objective : Rat.t;
@@ -78,10 +77,10 @@ let solve inst =
   let f_hi = candidates.(idx) in
   let f_lo = if idx = 0 then Rat.zero else candidates.(idx - 1) in
   (* Cold final solve, as in {!Max_flow.solve}: schedules stay independent
-     of probe history and identical across solver variants. *)
+     of probe history and identical to the dense oracle's. *)
   let form = Formulations.parametric_system ~divisible:false inst ~f_lo ~f_hi in
   match Lp.Solve.exact form.pf_problem with
-  | Sx.Optimal sol ->
+  | Lp.Solution.Optimal sol ->
     let f_star, fractions = form.pf_decode sol.values in
     let intervals =
       Array.init
@@ -92,8 +91,8 @@ let solve inst =
     in
     let schedule, preemption_slots = reconstruct inst ~intervals ~fractions in
     { objective = f_star; schedule; milestones; search_range = (f_lo, f_hi); preemption_slots }
-  | Sx.Infeasible -> assert false
-  | Sx.Unbounded -> assert false
+  | Lp.Solution.Infeasible -> assert false
+  | Lp.Solution.Unbounded -> assert false
 
 let solve_total inst =
   if Instance.num_jobs inst = 0 then `Trivial (Schedule.make inst [])

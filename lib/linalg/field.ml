@@ -1,9 +1,10 @@
-(* Ordered-field abstraction shared by the dense linear algebra and the
-   simplex solver.  Two instances matter in this project:
-   - [Rational]: exact arithmetic, used by every offline solver so that the
-     paper's polynomial-time exactness claims actually hold;
-   - [Approx]: IEEE doubles with an epsilon tolerance, used by the online
-     simulator which re-solves an LP at every event. *)
+(* Ordered-field abstraction the simplex engines are functorized over.
+   Two instances matter in this project:
+   - [Rational]: exact arithmetic, used by every solve whose answer is
+     returned, so that the paper's exactness claims actually hold;
+   - [Approx]: IEEE doubles with an epsilon tolerance, used by the float
+     feasibility probes that guide the milestone search before the exact
+     certification. *)
 
 module type S = sig
   type t

@@ -37,8 +37,8 @@ val diff : before:totals -> totals -> totals
 
 val warm_solves : exact:bool -> int
 (** Current warm-solve count for one arithmetic — a cheap single-counter
-    read for callers (e.g. [Session]) that only need to detect whether a
-    solve they just issued went warm. *)
+    read for callers that only need to detect whether a solve they just
+    issued went warm. *)
 
 val record :
   exact:bool ->

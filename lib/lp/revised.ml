@@ -9,15 +9,16 @@
    with the number of variables, and the scheduling formulations have one
    variable per machine×interval.
 
-   Pivot-rule parity: cold solves use exactly the rules of [Simplex.Make] —
-   Dantzig entering with the same budget formula and first-index tie-break,
-   Bland fallback, minimum-ratio leaving with ties broken by smallest basic
-   variable, the same normalization and phase-1 artificial drive-out scan
-   order.  In exact arithmetic the reduced costs computed here equal the
-   dense tableau's objective row entry for entry, so a cold solve visits
-   the same sequence of bases and returns bit-identical values and duals.
-   The dense solvers are kept as a differential-testing oracle behind
-   [Solve.Dense].
+   Pivot-rule parity: cold solves use exactly the rules of the dense
+   tableau oracle ([Oracle.Simplex.Make], lib/oracle) — Dantzig entering
+   with the same budget formula and first-index tie-break, Bland fallback,
+   minimum-ratio leaving with ties broken by smallest basic variable, the
+   same normalization and phase-1 artificial drive-out scan order.  In
+   exact arithmetic the reduced costs computed here equal the dense
+   tableau's objective row entry for entry, so a cold solve visits the
+   same sequence of bases and returns bit-identical values and duals.
+   The dense solvers are kept, outside the production libraries, as the
+   differential-testing oracle ([Oracle.with_dense]).
 
    Warm starts ([solve_prepared ?warm]) re-solve a problem starting from a
    previously optimal basis: refactorize B⁻¹ from scratch (so stale hints
@@ -358,7 +359,7 @@ module Make (F : Linalg.Field.S) = struct
   exception Iteration_limit
 
   (* Primal simplex from the current (primal-feasible) state.  Entering
-     rules and the Dantzig budget mirror [Simplex.optimize] so that cold
+     rules and the Dantzig budget mirror [Oracle.Simplex.optimize] so that cold
      runs traverse the same bases as the dense tableau. *)
   let primal ?(count = ref 0) st ~cost ~allowed_up_to ~max_iters =
     let m = st.prep.m in

@@ -1,9 +1,8 @@
 (* Solver-independent result types.
 
-   Every engine in this library (dense tableau, fraction-free tableau,
-   revised simplex) re-exports these with a type equation, so outcomes
-   flow freely between engines and the [Solve] dispatcher without
-   conversion — in particular the differential tests compare a dense and a
+   Both engines (the revised simplex here, the dense tableau oracle in
+   lib/oracle) re-export these with a type equation, so outcomes flow
+   freely between engines and the [Solve] dispatcher without conversion — in particular the differential tests compare a dense and a
    sparse solve with plain [=] on the payload. *)
 
 type 'f solution = {

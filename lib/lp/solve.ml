@@ -1,32 +1,32 @@
 (* Solver dispatch: one entry point for the rest of the codebase.
 
-   [variant] selects the engine family process-wide:
-   - [Sparse] (default): the revised simplex over CSC columns.  Cold
-     solves follow the dense pivot rules exactly, so exact-arithmetic
-     results are bit-identical to [Dense].
-   - [Dense]: the original tableau solvers ([Simplex.Exact] for rationals,
-     [Simplex.Approx] for floats), kept as a differential-testing oracle
-     (CLI flag [--solver=dense]).  Note this is the rational tableau, not
-     [Simplex_ff]: the fraction-free solver agrees on objectives but can
-     land on a different optimal vertex under degeneracy, while the
-     revised engine replicates the tableau's pivot rules vertex-for-vertex.
+   Every solve runs on the revised simplex over CSC columns ([Revised]).
+   Warm-start hints are honored only when the caller supplies them
+   ([?hint] for a one-shot basis, [?cache] for a shape-keyed basis
+   store); paths that pass neither get cold solves, whose pivot rules
+   follow the dense tableau oracle exactly.
 
-   Warm-start hints are only honored by the sparse engines and only when
-   the caller supplies them ([?hint] for a one-shot basis, [?cache] for a
-   shape-keyed basis store).  Paths that pass neither get cold solves and
-   therefore identical results under both variants. *)
+   [with_engine] is the one test seam: it swaps in another engine (the
+   dense tableau of lib/oracle) for the duration of a thunk, so the
+   differential tests and the fuzz matrix can run whole pipelines on it.
+   No CLI or bench flag reaches it. *)
 
 module R = Numeric.Rat
 
-type variant = Dense | Sparse
+type engine = {
+  exact : R.t Problem.t -> R.t Solution.outcome;
+  approx : float Problem.t -> float Solution.outcome;
+}
 
-let variant = ref Sparse
-let variant_name = function Dense -> "dense" | Sparse -> "sparse"
+(* The installed test engine, [None] for the revised simplex. *)
+let override : engine option ref = ref None
 
-let variant_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | _ -> None
+(* While [e] is installed, [?hint] and [?cache] are ignored and no basis
+   is returned. *)
+let with_engine e f =
+  let saved = !override in
+  override := Some e;
+  Fun.protect ~finally:(fun () -> override := saved) f
 
 (* Global warm-start enable: flipping this off makes even hinted solves
    run cold.  The bench uses it to measure the warm-start payoff with
@@ -72,13 +72,13 @@ let pick_hint ?cache ?hint shape =
           Mutex.protect c.lock (fun () -> Hashtbl.find_opt c.tbl shape))
 
 (* Exact (rational) solve.  [exact_basis] additionally returns the final
-   basis under the sparse variant, for callers that hand bases across
-   engines (e.g. float probe → exact certification). *)
+   basis, for callers that hand bases across arithmetics (e.g. float probe
+   → exact certification). *)
 let exact_basis ?cache ?hint (p : R.t Problem.t) :
     R.t Solution.outcome * int array option =
-  match !variant with
-  | Dense -> (Simplex.Exact.solve p, None)
-  | Sparse ->
+  match !override with
+  | Some e -> (e.exact p, None)
+  | None ->
     let prep = Revised.Exact.prepare p in
     let shape = Revised.Exact.shape prep in
     let warm = pick_hint ?cache ?hint shape in
@@ -91,9 +91,9 @@ let exact ?cache ?hint p = fst (exact_basis ?cache ?hint p)
 (* Approximate (float) solve, same dispatch. *)
 let approx_basis ?cache ?hint (p : float Problem.t) :
     float Solution.outcome * int array option =
-  match !variant with
-  | Dense -> (Simplex.Approx.solve p, None)
-  | Sparse ->
+  match !override with
+  | Some e -> (e.approx p, None)
+  | None ->
     let prep = Revised.Approx.prepare p in
     let shape = Revised.Approx.shape prep in
     let warm = pick_hint ?cache ?hint shape in

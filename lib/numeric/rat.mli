@@ -12,8 +12,9 @@
     ([Bigint]) when a 63-bit intermediate would wrap, and limb results are
     demoted back on construction.  The representation is canonical and
     never observable — results are bit-identical to the always-big
-    implementation (enforced by a differential qcheck oracle against
-    [Bigint_ref]).  [Counters] tallies fast-path hits, promotions and
+    implementation (enforced by a differential qcheck oracle in
+    test/test_numeric.ml against the reference limb integers of
+    test/bigint_ref.ml).  [Counters] tallies fast-path hits, promotions and
     demotions; see DESIGN §10. *)
 
 type t

@@ -7,8 +7,15 @@
    scheduling formulations produce (intervals of zero duration at milestone
    boundaries make degeneracy the common case, not the exception).
 
-   Exact instance [Exact] (rationals) backs all offline solvers; [Approx]
-   (floats with tolerance) backs the online simulator. *)
+   No production path solves on this engine: it is the independent oracle
+   the revised simplex ([Lp.Revised]) is checked against.  [Exact]
+   (rationals) must agree with it bit for bit on cold solves; [Approx]
+   (floats with tolerance) within tolerance.  {!Oracle.with_dense} routes
+   every [Lp.Solve] call through it. *)
+
+module Problem = Lp.Problem
+module Solution = Lp.Solution
+module Instrument = Lp.Instrument
 
 module Make (F : Linalg.Field.S) = struct
   (* Result types are shared across engines (see [Solution]); the type

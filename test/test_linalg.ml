@@ -1,15 +1,10 @@
-(* Tests for the dense linear algebra layer: vectors, matrices, Gaussian
-   elimination — on both the exact rational and the float field. *)
+(* Tests for the linear-algebra layer's ordered-field instances: the
+   exact rational field and the float field with its zero tolerance. *)
 
 module R = Numeric.Rat
-module LQ = Linalg.Dense.Rational
-module LF = Linalg.Dense.Approx
 module F = Linalg.Field
 
 let rat = Alcotest.testable R.pp R.equal
-let ri = R.of_int
-let rm rows = Array.map (Array.map ri) rows
-let rv = Array.map ri
 
 (* ------------------------------------------------------------------ *)
 (* Field instances                                                     *)
@@ -27,143 +22,10 @@ let test_field_approx_tolerance () =
   Alcotest.(check int) "compare within eps" 0 (F.Approx.compare 1.0 (1.0 +. 1e-12));
   Alcotest.(check int) "sign of small negative" 0 (F.Approx.sign (-1e-12))
 
-(* ------------------------------------------------------------------ *)
-(* Vectors                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_vec_ops () =
-  let a = rv [| 1; 2; 3 |] and b = rv [| 4; 5; 6 |] in
-  Alcotest.(check rat) "dot" (ri 32) (LQ.Vec.dot a b);
-  Alcotest.(check bool) "add" true (LQ.Vec.equal (rv [| 5; 7; 9 |]) (LQ.Vec.add a b));
-  Alcotest.(check bool) "sub" true (LQ.Vec.equal (rv [| -3; -3; -3 |]) (LQ.Vec.sub a b));
-  Alcotest.(check bool) "scale" true (LQ.Vec.equal (rv [| 2; 4; 6 |]) (LQ.Vec.scale (ri 2) a));
-  Alcotest.(check bool) "zero" true (LQ.Vec.is_zero (LQ.Vec.sub a a))
-
-(* ------------------------------------------------------------------ *)
-(* Matrices                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_mat_mul () =
-  let a = rm [| [| 1; 2 |]; [| 3; 4 |] |] in
-  let b = rm [| [| 5; 6 |]; [| 7; 8 |] |] in
-  Alcotest.(check bool) "product" true
-    (LQ.Mat.equal (rm [| [| 19; 22 |]; [| 43; 50 |] |]) (LQ.Mat.mul a b));
-  Alcotest.(check bool) "identity neutral" true
-    (LQ.Mat.equal a (LQ.Mat.mul a (LQ.Mat.identity 2)));
-  Alcotest.(check bool) "transpose twice" true
-    (LQ.Mat.equal a (LQ.Mat.transpose (LQ.Mat.transpose a)))
-
-let test_mat_det_rank () =
-  Alcotest.(check rat) "det 2x2" (ri (-2)) (LQ.Mat.det (rm [| [| 1; 2 |]; [| 3; 4 |] |]));
-  Alcotest.(check rat) "det singular" R.zero (LQ.Mat.det (rm [| [| 1; 2 |]; [| 2; 4 |] |]));
-  Alcotest.(check rat) "det identity" R.one (LQ.Mat.det (LQ.Mat.identity 4));
-  Alcotest.(check int) "rank full" 2 (LQ.Mat.rank (rm [| [| 1; 2 |]; [| 3; 4 |] |]));
-  Alcotest.(check int) "rank deficient" 1 (LQ.Mat.rank (rm [| [| 1; 2 |]; [| 2; 4 |] |]));
-  Alcotest.(check int) "rank wide" 2 (LQ.Mat.rank (rm [| [| 1; 0; 1 |]; [| 0; 1; 1 |] |]))
-
-let test_solve_unique () =
-  (* x + 2y = 5; 3x + 4y = 11  →  x = 1, y = 2 *)
-  let a = rm [| [| 1; 2 |]; [| 3; 4 |] |] in
-  match LQ.Mat.solve a (rv [| 5; 11 |]) with
-  | Some x ->
-    Alcotest.(check rat) "x" (ri 1) x.(0);
-    Alcotest.(check rat) "y" (ri 2) x.(1)
-  | None -> Alcotest.fail "solvable system"
-
-let test_solve_inconsistent () =
-  let a = rm [| [| 1; 2 |]; [| 2; 4 |] |] in
-  (match LQ.Mat.solve a (rv [| 1; 3 |]) with
-   | None -> ()
-   | Some _ -> Alcotest.fail "inconsistent system must fail");
-  (* Consistent but underdetermined: returns one valid solution. *)
-  match LQ.Mat.solve a (rv [| 1; 2 |]) with
-  | Some x ->
-    Alcotest.(check rat) "satisfies row" (ri 1) (R.add x.(0) (R.mul_int x.(1) 2))
-  | None -> Alcotest.fail "consistent system"
-
-let test_float_instance () =
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  match LF.Mat.solve a [| 3.0; 5.0 |] with
-  | Some x ->
-    Alcotest.(check (float 1e-9)) "x" 0.8 x.(0);
-    Alcotest.(check (float 1e-9)) "y" 1.4 x.(1)
-  | None -> Alcotest.fail "solvable float system"
-
-(* ------------------------------------------------------------------ *)
-(* Properties                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let mat_gen =
-  let open QCheck.Gen in
-  let* n = int_range 1 5 in
-  let* m = array_size (return n) (array_size (return n) (int_range (-9) 9)) in
-  return (Array.map (Array.map R.of_int) m)
-
-let vec_gen n =
-  QCheck.Gen.(array_size (return n) (int_range (-9) 9))
-
-let prop_solve_satisfies =
-  QCheck.Test.make ~name:"solve result satisfies the system" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         let* a = mat_gen in
-         let* b = vec_gen (Array.length a) in
-         return (a, Array.map R.of_int b)))
-    (fun (a, b) ->
-      match LQ.Mat.solve a b with
-      | None -> true (* inconsistent; checked by construction below *)
-      | Some x ->
-        let ax = LQ.Mat.mul_vec a x in
-        Array.for_all2 R.equal ax b)
-
-let prop_solve_finds_constructed_solution =
-  QCheck.Test.make ~name:"ax = b with b := a·x0 is always solvable" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         let* a = mat_gen in
-         let* x0 = vec_gen (Array.length a) in
-         return (a, Array.map R.of_int x0)))
-    (fun (a, x0) ->
-      let b = LQ.Mat.mul_vec a x0 in
-      match LQ.Mat.solve a b with
-      | None -> false
-      | Some x -> Array.for_all2 R.equal (LQ.Mat.mul_vec a x) b)
-
-let prop_det_multiplicative =
-  QCheck.Test.make ~name:"det (a·b) = det a · det b" ~count:100
-    (QCheck.make
-       QCheck.Gen.(
-         let* n = int_range 1 4 in
-         let* a = array_size (return n) (array_size (return n) (int_range (-5) 5)) in
-         let* b = array_size (return n) (array_size (return n) (int_range (-5) 5)) in
-         return (Array.map (Array.map R.of_int) a, Array.map (Array.map R.of_int) b)))
-    (fun (a, b) ->
-      R.equal (LQ.Mat.det (LQ.Mat.mul a b)) (R.mul (LQ.Mat.det a) (LQ.Mat.det b)))
-
-let prop_rank_bounds =
-  QCheck.Test.make ~name:"0 ≤ rank ≤ n; rank n ⇔ det ≠ 0" ~count:200
-    (QCheck.make mat_gen) (fun a ->
-      let n = LQ.Mat.rows a in
-      let r = LQ.Mat.rank a in
-      r >= 0 && r <= n && (r = n) = not (R.is_zero (LQ.Mat.det a)))
-
 let () =
   Alcotest.run "linalg"
     [ ( "field",
         [ Alcotest.test_case "rational" `Quick test_field_rational;
           Alcotest.test_case "approx tolerance" `Quick test_field_approx_tolerance
-        ] );
-      ("vec", [ Alcotest.test_case "operations" `Quick test_vec_ops ]);
-      ( "mat",
-        [ Alcotest.test_case "multiplication" `Quick test_mat_mul;
-          Alcotest.test_case "det and rank" `Quick test_mat_det_rank;
-          Alcotest.test_case "solve unique" `Quick test_solve_unique;
-          Alcotest.test_case "solve inconsistent/under" `Quick test_solve_inconsistent;
-          Alcotest.test_case "float instance" `Quick test_float_instance
-        ] );
-      ( "props",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_solve_satisfies; prop_solve_finds_constructed_solution;
-            prop_det_multiplicative; prop_rank_bounds
-          ] )
+        ] )
     ]

@@ -1,12 +1,14 @@
-(* Tests for the two-phase simplex solver, on both the exact-rational and
-   the float instances.  Random LPs are generated feasible-by-construction
-   so that optimality and feasibility can be checked independently of the
-   solver under test. *)
+(* Tests for the LP layer: the dense-tableau oracle (lib/oracle) on both
+   the exact-rational and the float instances, the revised simplex that
+   production runs checked against it, and the [Lp.Solve] dispatcher's
+   basis cache and engine seam.  Random LPs are generated
+   feasible-by-construction so that optimality and feasibility can be
+   checked independently of the solver under test. *)
 
 module R = Numeric.Rat
 module P = Lp.Problem
-module Sx = Lp.Simplex.Exact
-module Sf = Lp.Simplex.Approx
+module Sx = Oracle.Simplex.Exact
+module Sf = Oracle.Simplex.Approx
 
 let rat = Alcotest.testable R.pp R.equal
 
@@ -327,8 +329,8 @@ let test_duality_hand_case () =
 
 (* Feasible-by-construction problems with MIXED relations (Le/Ge/Eq) and
    fractional coefficients — the shape of the scheduling formulations.
-   This generator exists because a drive-out bug in the fraction-free
-   solver survived the Ge-only generator above. *)
+   This generator exists because a phase-1 drive-out bug in an earlier
+   fraction-free engine survived the Ge-only generator above. *)
 let mixed_lp_gen =
   let open QCheck.Gen in
   let* nvars = int_range 1 5 in
@@ -375,100 +377,6 @@ let prop_duality_rational =
       match Sx.solve p with
       | Sx.Optimal s -> dual_certificate_holds p s
       | Sx.Infeasible | Sx.Unbounded -> true)
-
-let prop_duality_fraction_free =
-  QCheck.Test.make ~name:"strong duality certificate (fraction-free solver)" ~count:200
-    (QCheck.make mixed_lp_gen) (fun spec ->
-      let p = build_mixed_min spec in
-      match Lp.Simplex_ff.solve p with
-      | Sx.Optimal s -> dual_certificate_holds p s
-      | Sx.Infeasible | Sx.Unbounded -> true)
-
-let prop_mixed_relations_agree =
-  QCheck.Test.make ~name:"fraction-free ≡ rational on mixed Le/Ge/Eq problems"
-    ~count:300 (QCheck.make mixed_lp_gen) (fun spec ->
-      let p = build_mixed_min spec in
-      match (Sx.solve p, Lp.Simplex_ff.solve p) with
-      | Sx.Optimal a, Sx.Optimal b ->
-        R.equal a.objective b.objective && Result.is_ok (Sx.check_feasible p b.values)
-      | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-      | _ -> false)
-
-(* Differential: the fraction-free integer-pivot solver must agree exactly
-   with the rational-tableau solver, outcome for outcome. *)
-let prop_fraction_free_agrees =
-  QCheck.Test.make ~name:"fraction-free solver ≡ rational solver" ~count:150
-    (QCheck.make random_lp_gen) (fun spec ->
-      let p = build_random_min spec in
-      match (Sx.solve p, Lp.Simplex_ff.solve p) with
-      | Sx.Optimal a, Sx.Optimal b ->
-        R.equal a.objective b.objective && Result.is_ok (Sx.check_feasible p b.values)
-      | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-      | _ -> false)
-
-(* The fraction-free solver on LPs with fractional data (scaling path). *)
-let prop_fraction_free_fractional_data =
-  QCheck.Test.make ~name:"fraction-free handles fractional coefficients" ~count:100
-    (QCheck.make random_lp_gen) (fun spec ->
-      let p = build_random_min spec in
-      (* Divide everything by 7 and by 3: optimum scales by 1/7 relative to
-         the divided-by-7-only objective... simpler: just check against the
-         rational solver on the scaled problem. *)
-      let scale k = List.map (fun (v, c) -> (v, R.div_int c k)) in
-      let p' : R.t P.t =
-        {
-          p with
-          P.objective = scale 7 p.P.objective;
-          constraints =
-            List.map
-              (fun (c : R.t P.constr) ->
-                { c with P.terms = scale 3 c.P.terms; rhs = R.div_int c.P.rhs 3 })
-              p.P.constraints;
-        }
-      in
-      match (Sx.solve p', Lp.Simplex_ff.solve p') with
-      | Sx.Optimal a, Sx.Optimal b -> R.equal a.objective b.objective
-      | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-      | _ -> false)
-
-let test_fraction_free_hand_cases () =
-  (* Re-run the Dantzig example through the fraction-free solver. *)
-  let st = P.Builder.create () in
-  let x = P.Builder.fresh_var st ~name:"x" and y = P.Builder.fresh_var st ~name:"y" in
-  P.Builder.add_constr st [ (x, R.one) ] P.Le (R.of_int 4);
-  P.Builder.add_constr st [ (y, R.of_int 2) ] P.Le (R.of_int 12);
-  P.Builder.add_constr st [ (x, R.of_int 3); (y, R.of_int 2) ] P.Le (R.of_int 18);
-  P.Builder.set_objective st P.Maximize [ (x, R.of_int 3); (y, R.of_int 5) ];
-  (match Lp.Simplex_ff.solve (P.Builder.finish st) with
-   | Sx.Optimal s ->
-     Alcotest.(check rat) "objective" (R.of_int 36) s.objective;
-     Alcotest.(check rat) "x" (R.of_int 2) s.values.(0);
-     Alcotest.(check rat) "y" (R.of_int 6) s.values.(1)
-   | _ -> Alcotest.fail "expected optimal");
-  (* Fractional optimum stays exact. *)
-  let st = P.Builder.create () in
-  let x = P.Builder.fresh_var st ~name:"x" in
-  P.Builder.add_constr st [ (x, R.of_int 3) ] P.Le R.one;
-  P.Builder.set_objective st P.Maximize [ (x, R.one) ];
-  (match Lp.Simplex_ff.solve (P.Builder.finish st) with
-   | Sx.Optimal s -> Alcotest.(check rat) "1/3 exact" (q 1 3) s.values.(0)
-   | _ -> Alcotest.fail "expected optimal");
-  (* Infeasible and unbounded detection. *)
-  let st = P.Builder.create () in
-  let x = P.Builder.fresh_var st ~name:"x" in
-  P.Builder.add_constr st [ (x, R.one) ] P.Ge (R.of_int 5);
-  P.Builder.add_constr st [ (x, R.one) ] P.Le (R.of_int 3);
-  P.Builder.set_objective st P.Minimize [ (x, R.one) ];
-  (match Lp.Simplex_ff.solve (P.Builder.finish st) with
-   | Sx.Infeasible -> ()
-   | _ -> Alcotest.fail "expected infeasible");
-  let st = P.Builder.create () in
-  let x = P.Builder.fresh_var st ~name:"x" in
-  P.Builder.set_objective st P.Maximize [ (x, R.one) ];
-  P.Builder.add_constr st [] P.Le R.one;
-  (match Lp.Simplex_ff.solve (P.Builder.finish st) with
-   | Sx.Unbounded -> ()
-   | _ -> Alcotest.fail "expected unbounded")
 
 (* Scaling all constraints and the objective by a positive constant scales
    the optimum by the same constant. *)
@@ -538,7 +446,8 @@ let test_revised_hand_cases () =
          ([ (0, R.one) ], P.Le, R.of_int 3) ])
     ]
 
-(* The parity claim behind --solver=dense differential testing: a cold
+(* The parity claim behind the dense-oracle differential tests
+   ([Oracle.with_dense]): a cold
    revised solve follows the dense pivot rules exactly, so in exact
    arithmetic the full payload (values, objective, duals) is identical. *)
 let prop_revised_bit_identical =
@@ -630,41 +539,6 @@ let prop_float_handoff =
       | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
       | _ -> false)
 
-(* Session API: resolve_rhs keeps the basis across a family of rhs
-   variations and must track cold solves exactly. *)
-let prop_session_resolve_rhs =
-  QCheck.Test.make ~name:"session resolve_rhs tracks cold solves" ~count:150
-    (QCheck.make mixed_lp_gen) (fun spec ->
-      let p = build_mixed_min spec in
-      let session = Lp.Session.Exact.create p in
-      let _ = Lp.Session.Exact.solve session in
-      List.for_all
-        (fun num ->
-          let scale = q num 10 in
-          let updates =
-            List.mapi
-              (fun i (c : R.t P.constr) -> (i, R.mul c.P.rhs scale))
-              p.P.constraints
-          in
-          let p' : R.t P.t =
-            {
-              p with
-              P.constraints =
-                List.map
-                  (fun (c : R.t P.constr) ->
-                    { c with P.rhs = R.mul c.P.rhs scale })
-                  p.P.constraints;
-            }
-          in
-          let warm_out = Lp.Session.Exact.resolve_rhs session updates in
-          match (warm_out, Sx.solve p') with
-          | Sx.Optimal a, Sx.Optimal b ->
-            R.equal a.objective b.objective
-            && Result.is_ok (Sx.check_feasible p' a.values)
-          | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-          | _ -> false)
-        [ 12; 8; 10; 15; 10 ])
-
 (* The approx instance of the revised engine against the dense float
    tableau: same classification, objectives within tolerance. *)
 let prop_revised_approx_agrees =
@@ -676,6 +550,90 @@ let prop_revised_approx_agrees =
       | Sf.Optimal a, Sf.Optimal b -> Float.abs (a.objective -. b.objective) < 1e-6
       | Sf.Infeasible, Sf.Infeasible | Sf.Unbounded, Sf.Unbounded -> true
       | _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Lp.Solve: the shape-keyed basis cache and the engine seam           *)
+(* ------------------------------------------------------------------ *)
+
+let exact_warm () = Lp.Instrument.warm_solves ~exact:true
+
+(* [f ()] and the number of exact solves it ran warm. *)
+let counting_warm f =
+  let before = exact_warm () in
+  let r = f () in
+  (r, exact_warm () - before)
+
+(* max Σ x_i s.t. Σ x_i ≤ 1 over [k] variables: one structural shape per
+   [k], and an optimal basis the warm path reuses without pivoting. *)
+let sum_lp k =
+  let st = P.Builder.create () in
+  let vars = List.init k (fun i -> P.Builder.fresh_var st ~name:(Printf.sprintf "x%d" i)) in
+  let ones = List.map (fun v -> (v, R.one)) vars in
+  P.Builder.add_constr st ones P.Le R.one;
+  P.Builder.set_objective st P.Maximize ones;
+  P.Builder.finish st
+
+let dantzig_lp () =
+  fst
+    (solve_exact ~dir:P.Maximize ~vars:2
+       ~obj:[ (0, R.of_int 3); (1, R.of_int 5) ]
+       [ ([ (0, R.one) ], P.Le, R.of_int 4);
+         ([ (1, R.of_int 2) ], P.Le, R.of_int 12);
+         ([ (0, R.of_int 3); (1, R.of_int 2) ], P.Le, R.of_int 18)
+       ])
+
+let test_cache_second_solve_warm () =
+  let p = dantzig_lp () in
+  let cache = Lp.Solve.cache () in
+  let cold, w1 = counting_warm (fun () -> Lp.Solve.exact ~cache p) in
+  let again, w2 = counting_warm (fun () -> Lp.Solve.exact ~cache p) in
+  Alcotest.(check int) "first solve cold" 0 w1;
+  Alcotest.(check int) "second solve warm" 1 w2;
+  Alcotest.(check bool) "warm outcome = cold outcome, bit for bit" true
+    (outcome_equal cold again);
+  Alcotest.(check bool) "cold outcome = dense oracle" true
+    (outcome_equal cold (Sx.solve p))
+
+let test_cache_capacity_reset () =
+  let cache = Lp.Solve.cache () in
+  let solve k = snd (counting_warm (fun () -> Lp.Solve.exact ~cache (sum_lp k))) in
+  for k = 1 to Lp.Solve.cache_capacity do
+    Alcotest.(check int) (Printf.sprintf "shape %d cold" k) 0 (solve k)
+  done;
+  Alcotest.(check int) "full table still holds the first shape" 1 (solve 1);
+  Alcotest.(check int) "65th shape cold" 0 (solve (Lp.Solve.cache_capacity + 1));
+  Alcotest.(check int) "first shape cold after the reset" 0 (solve 1)
+
+let test_cache_clear () =
+  let p = dantzig_lp () in
+  let cache = Lp.Solve.cache () in
+  ignore (Lp.Solve.exact ~cache p);
+  Alcotest.(check int) "warm before clearing" 1
+    (snd (counting_warm (fun () -> Lp.Solve.exact ~cache p)));
+  Lp.Solve.cache_clear cache;
+  Alcotest.(check int) "cold after clearing" 0
+    (snd (counting_warm (fun () -> Lp.Solve.exact ~cache p)))
+
+let test_with_engine_restores () =
+  let p = dantzig_lp () in
+  let calls = ref 0 in
+  let stub : Lp.Solve.engine =
+    { exact = (fun _ -> incr calls; Lp.Solution.Infeasible);
+      approx = (fun _ -> incr calls; Lp.Solution.Infeasible) }
+  in
+  (try
+     Lp.Solve.with_engine stub (fun () ->
+         let outcome, basis = Lp.Solve.exact_basis ~cache:(Lp.Solve.cache ()) p in
+         Alcotest.(check bool) "stub answers" true (outcome = Lp.Solution.Infeasible);
+         Alcotest.(check bool) "no basis from the stub" true (basis = None);
+         failwith "thunk raised")
+   with Failure _ -> ());
+  Alcotest.(check int) "stub called once" 1 !calls;
+  let outcome, basis = Lp.Solve.exact_basis p in
+  Alcotest.(check bool) "revised engine back: basis returned" true (basis <> None);
+  Alcotest.(check bool) "revised engine back: optimal" true
+    (outcome_equal outcome (Sx.solve p));
+  Alcotest.(check int) "stub not called after the raise" 1 !calls
 
 let () =
   Alcotest.run "lp"
@@ -692,22 +650,28 @@ let () =
           Alcotest.test_case "trivial" `Quick test_trivial;
           Alcotest.test_case "duplicate terms" `Quick test_duplicate_terms;
           Alcotest.test_case "exact fractional optimum" `Quick test_exactness;
-          Alcotest.test_case "fraction-free hand cases" `Quick test_fraction_free_hand_cases;
           Alcotest.test_case "duality hand case" `Quick test_duality_hand_case;
           Alcotest.test_case "revised hand cases" `Quick test_revised_hand_cases
         ] );
       ( "simplex-props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_optimal_is_feasible; prop_optimal_beats_witness;
-            prop_exact_and_float_agree; prop_fraction_free_agrees;
-            prop_fraction_free_fractional_data; prop_mixed_relations_agree;
-            prop_duality_rational; prop_duality_fraction_free; prop_scaling
+            prop_exact_and_float_agree; prop_duality_rational; prop_scaling
           ] );
       ( "revised-props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_revised_bit_identical; prop_revised_bit_identical_ge;
             prop_revised_duality; prop_warm_equals_cold;
             prop_bogus_hint_harmless; prop_float_handoff;
-            prop_session_resolve_rhs; prop_revised_approx_agrees
-          ] )
+            prop_revised_approx_agrees
+          ] );
+      ( "solve-cache",
+        [ Alcotest.test_case "second solve through a cache is warm" `Quick
+            test_cache_second_solve_warm;
+          Alcotest.test_case "65th shape resets the table" `Quick
+            test_cache_capacity_reset;
+          Alcotest.test_case "cache_clear forces a cold solve" `Quick test_cache_clear;
+          Alcotest.test_case "with_engine restores on raise" `Quick
+            test_with_engine_restores
+        ] )
     ]

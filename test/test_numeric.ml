@@ -413,7 +413,7 @@ let prop_rat_approx_best =
    machine word).  Division and gcd guard a zero divisor by replacing
    it with one — structurally, so both evaluators see the same tree. *)
 
-module BR = Numeric.Bigint_ref
+module BR = Bigint_ref
 
 type bexpr =
   | BLeaf of string

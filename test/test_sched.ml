@@ -872,13 +872,8 @@ let test_io_errors_malformed () =
   bad "machines 1\njob 0 1 2 extra words\n"
 
 (* ------------------------------------------------------------------ *)
-(* Solver variants: sparse (revised) vs dense (tableau) dispatch       *)
+(* Solver variants: the revised engine vs the dense tableau oracle     *)
 (* ------------------------------------------------------------------ *)
-
-let with_variant v f =
-  let saved = !Lp.Solve.variant in
-  Lp.Solve.variant := v;
-  Fun.protect ~finally:(fun () -> Lp.Solve.variant := saved) f
 
 let with_warm w f =
   let saved = !Lp.Solve.warm in
@@ -892,16 +887,16 @@ let print_sched s = Format.asprintf "%a" S.pp s
 let prop_variant_makespan_identical =
   QCheck.Test.make ~name:"makespan: sparse and dense solvers bit-identical"
     ~count:30 arbitrary_instance (fun inst ->
-      let rs = with_variant Lp.Solve.Sparse (fun () -> Mk.solve inst) in
-      let rd = with_variant Lp.Solve.Dense (fun () -> Mk.solve inst) in
+      let rs = Mk.solve inst in
+      let rd = Oracle.with_dense (fun () -> Mk.solve inst) in
       R.equal rs.Mk.makespan rd.Mk.makespan
       && print_sched rs.Mk.schedule = print_sched rd.Mk.schedule)
 
 let prop_variant_maxflow_identical =
   QCheck.Test.make ~name:"max-flow: sparse and dense solvers bit-identical"
     ~count:20 arbitrary_instance (fun inst ->
-      let rs = with_variant Lp.Solve.Sparse (fun () -> Mf.solve inst) in
-      let rd = with_variant Lp.Solve.Dense (fun () -> Mf.solve inst) in
+      let rs = Mf.solve inst in
+      let rd = Oracle.with_dense (fun () -> Mf.solve inst) in
       R.equal rs.Mf.objective rd.Mf.objective
       && rs.Mf.search_range = rd.Mf.search_range
       && print_sched rs.Mf.schedule = print_sched rd.Mf.schedule)
@@ -915,8 +910,8 @@ let prop_variant_deadline_identical =
         Array.init (I.num_jobs inst) (fun j ->
             R.add (I.release inst j) (R.mul_int (I.fastest_cost inst ~job:j) k))
       in
-      with_variant Lp.Solve.Sparse (fun () -> Dl.is_feasible inst ~deadlines)
-      = with_variant Lp.Solve.Dense (fun () -> Dl.is_feasible inst ~deadlines))
+      Dl.is_feasible inst ~deadlines
+      = Oracle.with_dense (fun () -> Dl.is_feasible inst ~deadlines))
 
 let prop_warm_toggle_identical =
   (* Warm starts only accelerate feasibility probes; disabling them must
@@ -931,8 +926,8 @@ let prop_warm_toggle_identical =
 let prop_variant_preemptive_identical =
   QCheck.Test.make ~name:"preemptive: sparse and dense solvers bit-identical"
     ~count:10 arbitrary_instance (fun inst ->
-      let rs = with_variant Lp.Solve.Sparse (fun () -> Pre.solve inst) in
-      let rd = with_variant Lp.Solve.Dense (fun () -> Pre.solve inst) in
+      let rs = Pre.solve inst in
+      let rd = Oracle.with_dense (fun () -> Pre.solve inst) in
       R.equal rs.Pre.objective rd.Pre.objective
       && print_sched rs.Pre.schedule = print_sched rd.Pre.schedule)
 
