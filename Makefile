@@ -13,14 +13,16 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Fails if LP solve/pivot counts regress past bench/solve_budget.txt.
+# Fails if LP solve/pivot counts regress past the ceilings in
+# bench/solve_budget.txt or differ at all from its expect_ counts.
 # --json drops a BENCH_smoke.json envelope (CI uploads it as an artifact).
 bench-smoke:
 	dune exec bench/main.exe -- --json smoke
 
 # Fails if the tagged numeric representation stops keeping solver
 # arithmetic on the machine-word fast path (hit-rate floor) or perturbs
-# the exact pivot sequence (ceiling) — see bench/numeric_budget.txt.
+# the exact pivot sequence (ceiling), or if the solver's rational
+# operation count grows past its ceiling — see bench/numeric_budget.txt.
 # --json drops a BENCH_numeric.json envelope (CI uploads it).
 bench-numeric:
 	dune exec bench/main.exe -- --json numeric

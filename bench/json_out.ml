@@ -67,9 +67,10 @@ let rec emit buf = function
    fast-path tallies over the experiment's slice); v5 scoped the [trace] /
    [rat] deltas to the experiment proper ([mark] at experiment start, so
    work done between two [write]s no longer leaks into the next
-   envelope); v6 dropped the [solver] field (one LP engine ships). *)
+   envelope); v6 dropped the [solver] field (one LP engine ships); v7
+   added [rat_small_ops] / [rat_big_ops] to every [serve] row. *)
 let schema = "dlsched-bench"
-let version = 6
+let version = 7
 
 (* Trace summary attached to every envelope: spans/events emitted and wall
    seconds spent inside the LP engines since the previous [write] (or

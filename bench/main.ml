@@ -475,9 +475,10 @@ let run_warmstart () =
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic fixed workload; counts exact/approx solves and pivots
-   and compares them to the checked-in ceilings in bench/solve_budget.txt.
-   A regression in warm-starting, probe caching or pivot rules that blows
-   a ceiling fails the run (and `make check` through `bench-smoke`). *)
+   and compares them to the checked-in ceilings in bench/solve_budget.txt
+   and to its [expect_<metric>] keys, which must match exactly.  A change
+   in warm-starting, probe caching or pivot rules that moves a single
+   pivot fails the run (and `make check` through `bench-smoke`). *)
 let budget_file = "bench/solve_budget.txt"
 
 let read_budget path =
@@ -532,20 +533,23 @@ let run_smoke () =
   let budget = read_budget budget_file in
   let ok = ref true in
   Printf.printf "%-24s %10s %10s %8s\n" "metric" "measured" "budget" "ok";
-  let check ~ceiling (key, v) =
+  let check (rel, holds) (key, v) =
     match Hashtbl.find_opt budget key with
     | None ->
       ok := false;
       Printf.printf "%-24s %10d %10s %8s\n" key v "missing" "FAIL"
     | Some b ->
-      let pass = if ceiling then v <= b else v >= b in
+      let pass = holds v b in
       if not pass then ok := false;
       Printf.printf "%-24s %10d %10s %8s\n" key v
-        ((if ceiling then "<= " else ">= ") ^ string_of_int b)
+        (rel ^ string_of_int b)
         (if pass then "ok" else "FAIL")
   in
-  List.iter (check ~ceiling:true) measured;
-  List.iter (check ~ceiling:false) floors;
+  List.iter (check ("<= ", ( <= ))) measured;
+  List.iter (check (">= ", ( >= ))) floors;
+  List.iter
+    (fun (key, v) -> check ("== ", ( = )) ("expect_" ^ key, v))
+    (measured @ floors);
   Json_out.write ~experiment:"smoke"
     (Json_out.Obj
        (("passed", Json_out.Bool !ok)
@@ -563,7 +567,9 @@ let run_smoke () =
    budget uses.  The checked-in floors/ceilings in
    bench/numeric_budget.txt turn the hit rate into a regression gate: a
    change that silently sends solver arithmetic to the limb path fails
-   `make check` here even if it stays value-correct. *)
+   `make check` here even if it stays value-correct, and so does one
+   that makes the solver do markedly more rational operations (the
+   [max_small_ops] ceiling), such as a dense B⁻¹ update. *)
 let numeric_budget_file = "bench/numeric_budget.txt"
 
 let run_numeric () =
@@ -634,7 +640,11 @@ let run_numeric () =
   let hit_pct = int_of_float (Float.round (hit_rate *. 10_000.)) in
   let measured =
     (* basis-point floor so the text file stays integer-only *)
-    [ ("min_hit_rate_bp", hit_pct, false); ("exact_pivots", Lp.Instrument.total_pivots d_ex, true) ]
+    [
+      ("min_hit_rate_bp", hit_pct, false);
+      ("exact_pivots", Lp.Instrument.total_pivots d_ex, true);
+      ("max_small_ops", small, true);
+    ]
   in
   let ok = ref true in
   Printf.printf "%-24s %10s %10s %8s\n" "metric" "measured" "budget" "ok";
@@ -842,8 +852,8 @@ let run_serve () =
   Printf.printf
     "Diurnal GriPPS traces (4 machines, 3 banks); engine + incremental\n\
      validation end to end, batch window 0.\n";
-  Printf.printf "%6s %-12s %10s %10s %8s %8s %12s %10s %9s\n" "reqs" "policy" "decisions"
-    "slices" "lp" "lp warm" "req/s" "time (ms)" "us/req";
+  Printf.printf "%6s %-12s %10s %10s %8s %8s %12s %10s %9s %11s %9s\n" "reqs" "policy"
+    "decisions" "slices" "lp" "lp warm" "req/s" "time (ms)" "us/req" "rat small" "rat big";
   let json_rows = ref [] in
   List.iter
     (fun count ->
@@ -860,9 +870,15 @@ let run_serve () =
       in
       List.iter
         (fun (module P : Online.Sim.POLICY) ->
+          let small0 = Numeric.Counters.small_ops () in
+          let big0 = Numeric.Counters.big_ops () in
           let engine, elapsed =
             time_it (fun () -> Serve.Engine.replay ~policy:(module P) trace)
           in
+          (* Rational operations on the machine-word and limb paths: where
+             the exact LP's time goes once pivots are cheap. *)
+          let rat_small = Numeric.Counters.small_ops () - small0 in
+          let rat_big = Numeric.Counters.big_ops () - big0 in
           let m = Serve.Engine.metrics engine in
           let count_of name = Obs.Registry.count (Obs.Registry.counter m name) in
           let decisions = count_of "decisions" in
@@ -872,10 +888,10 @@ let run_serve () =
           (* Per-request cost: flat across trace sizes when the engine's
              work per event tracks the live jobs, not the history. *)
           let us_per_request = elapsed *. 1e6 /. float_of_int count in
-          Printf.printf "%6d %-12s %10d %10d %8d %8d %12.0f %10.1f %9.1f\n" count P.name
-            decisions slices lp_solves lp_warm
+          Printf.printf "%6d %-12s %10d %10d %8d %8d %12.0f %10.1f %9.1f %11d %9d\n" count
+            P.name decisions slices lp_solves lp_warm
             (float_of_int count /. Float.max 1e-9 elapsed)
-            (elapsed *. 1000.0) us_per_request;
+            (elapsed *. 1000.0) us_per_request rat_small rat_big;
           json_rows :=
             Json_out.Obj
               [
@@ -890,6 +906,8 @@ let run_serve () =
                 ("lp_pivots_dual", Json_out.Int (count_of "lp_pivots_dual"));
                 ("seconds", Json_out.Float elapsed);
                 ("us_per_request", Json_out.Float us_per_request);
+                ("rat_small_ops", Json_out.Int rat_small);
+                ("rat_big_ops", Json_out.Int rat_big);
               ]
             :: !json_rows)
         policies)

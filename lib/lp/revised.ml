@@ -5,9 +5,16 @@
    Where the dense tableau rewrites all m×(n+m) entries per pivot, this
    engine keeps only the basis inverse B⁻¹ (m×m) and the basic solution
    x_B, prices candidate columns against the sparse matrix (y = c_B·B⁻¹,
-   d_j = c_j − y·A_j), and updates B⁻¹ in O(m²) per pivot — the win grows
-   with the number of variables, and the scheduling formulations have one
-   variable per machine×interval.
+   d_j = c_j − y·A_j), and updates B⁻¹ by touching only the nonzero
+   columns of the pivot row — O(m · nnz(pivot row)) per pivot rather than
+   the tableau's m×(n+m).  The win grows with the number of variables, and
+   the scheduling formulations have one variable per machine×interval.
+
+   Support, not tolerance: the kernels that skip zeros ([pivot],
+   [refactor], the exact multiplier update) test for an *exact* zero — a
+   [Rat] zero, a literal [0.0] float — because skipping x − f·0 leaves
+   every value unchanged, so each engine's pivot sequence is the one the
+   dense update would give.  [F.is_zero]'s float tolerance would not.
 
    Pivot-rule parity: cold solves use exactly the rules of the dense
    tableau oracle ([Oracle.Simplex.Make], lib/oracle) — Dantzig entering
@@ -171,6 +178,22 @@ module Make (F : Linalg.Field.S) = struct
       shape = Buffer.contents shape_buf;
     }
 
+  (* Exact-zero test (see the header): a tolerance here would change float
+     results, an exact test changes none. *)
+  let exactly_zero x = if F.exact then F.is_zero x else F.to_float x = 0.0
+
+  (* Indices of the entries of [row] that are not exactly zero. *)
+  let support row =
+    let idx = Array.make (Array.length row) 0 and n = ref 0 in
+    Array.iteri
+      (fun k v ->
+        if not (exactly_zero v) then begin
+          idx.(!n) <- k;
+          incr n
+        end)
+      row;
+    Array.sub idx 0 !n
+
   (* The initial basic column of each normalized row: the slack for Le,
      the artificial for Ge/Eq — i.e. exactly [dual_col]. *)
   let initial_basis prep = Array.copy prep.dual_col
@@ -242,16 +265,13 @@ module Make (F : Linalg.Field.S) = struct
                aug.(c) <- aug.(!pr);
                aug.(!pr) <- tmp
              end;
-             let piv = aug.(c).(c) in
-             for j = 0 to (2 * m) - 1 do
-               aug.(c).(j) <- F.div aug.(c).(j) piv
-             done;
+             let piv = aug.(c).(c) and prow = aug.(c) in
+             let supp = support prow in
+             Array.iter (fun j -> prow.(j) <- F.div prow.(j) piv) supp;
              for r = 0 to m - 1 do
                if r <> c && not (F.is_zero aug.(r).(c)) then begin
-                 let f = aug.(r).(c) in
-                 for j = 0 to (2 * m) - 1 do
-                   aug.(r).(j) <- F.sub aug.(r).(j) (F.mul f aug.(c).(j))
-                 done
+                 let f = aug.(r).(c) and ar = aug.(r) in
+                 Array.iter (fun j -> ar.(j) <- F.sub ar.(j) (F.mul f prow.(j))) supp
                end
              done
            done
@@ -312,23 +332,20 @@ module Make (F : Linalg.Field.S) = struct
       cost.(j)
 
   (* Basis change: column [col] enters at row [row]; [w] = B⁻¹·A_col.
-     Updates B⁻¹ and x_B in O(m²). *)
+     Updates B⁻¹ and x_B, each row only on the pivot row's support. *)
   let pivot st ~row ~col ~w =
     let m = st.prep.m in
     let piv = w.(row) in
     let brow = st.binv.(row) in
-    for k = 0 to m - 1 do
-      brow.(k) <- F.div brow.(k) piv
-    done;
+    let supp = support brow in
+    Array.iter (fun k -> brow.(k) <- F.div brow.(k) piv) supp;
     st.xb.(row) <- F.div st.xb.(row) piv;
     for i = 0 to m - 1 do
       if i <> row then begin
         let f = w.(i) in
         if not (F.is_zero f) then begin
           let bi = st.binv.(i) in
-          for k = 0 to m - 1 do
-            bi.(k) <- F.sub bi.(k) (F.mul f brow.(k))
-          done;
+          Array.iter (fun k -> bi.(k) <- F.sub bi.(k) (F.mul f brow.(k))) supp;
           st.xb.(i) <- F.sub st.xb.(i) (F.mul f st.xb.(row))
         end
       end
@@ -366,10 +383,16 @@ module Make (F : Linalg.Field.S) = struct
     let width = st.prep.total + 1 in
     let dantzig_budget = 50 + (4 * (m + width)) in
     let iters = ref 0 in
+    (* y = c_B·B⁻¹.  Exact: computed once per call, then kept current
+       after each pivot by y += d_q · (new pivot row of B⁻¹), which is the
+       same number as a recomputation.  Float: recomputed every iteration,
+       because the update rounds differently and would move the float
+       engine's pivot sequence. *)
+    let y0 = multipliers st cost in
     let rec loop () =
       incr iters;
       if !iters > max_iters then raise Iteration_limit;
-      let y = multipliers st cost in
+      let y = if F.exact || !iters = 1 then y0 else multipliers st cost in
       let enter =
         if !iters <= dantzig_budget then begin
           (* Dantzig: most negative reduced cost, first index on ties.
@@ -385,28 +408,32 @@ module Make (F : Linalg.Field.S) = struct
                 | Some (_, bd) -> if F.compare d bd < 0 then best := Some (j, d)
             end
           done;
-          Option.map fst !best
+          !best
         end
         else begin
           (* Bland: smallest index with negative reduced cost. *)
           let rec go j =
             if j >= allowed_up_to then None
-            else if
-              (not st.in_basis.(j)) && F.sign (reduced_cost st cost y j) < 0
-            then Some j
-            else go (j + 1)
+            else if st.in_basis.(j) then go (j + 1)
+            else
+              let d = reduced_cost st cost y j in
+              if F.sign d < 0 then Some (j, d) else go (j + 1)
           in
           go 0
         end
       in
       match enter with
       | None -> `Optimal
-      | Some j -> (
+      | Some (j, d) -> (
         let w = column st j in
         match leaving st w with
         | None -> `Unbounded
         | Some i ->
           pivot st ~row:i ~col:j ~w;
+          if F.exact then
+            Array.iteri
+              (fun k v -> if not (exactly_zero v) then y0.(k) <- F.add y0.(k) (F.mul d v))
+              st.binv.(i);
           incr count;
           loop ())
     in

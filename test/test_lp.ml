@@ -551,6 +551,74 @@ let prop_revised_approx_agrees =
       | Sf.Infeasible, Sf.Infeasible | Sf.Unbounded, Sf.Unbounded -> true
       | _ -> false)
 
+(* The basis invariants of a revised-simplex state, checked exactly and
+   independently of the engine's kernels: B⁻¹·A_j is the unit vector e_k
+   for the column j basic in row k, and x_B = B⁻¹·b.  [pivot] and
+   [refactor] update B⁻¹ only on the pivot row's nonzero columns, so a
+   stale or skipped entry there breaks one of the two. *)
+let basis_invariants_hold (st : Rv.state) =
+  let prep = st.Rv.prep in
+  let cols = Rv.matrix prep in
+  let dot_col i j =
+    Linalg.Sparse.fold_col cols j
+      (fun acc r a -> R.add acc (R.mul st.Rv.binv.(i).(r) a))
+      R.zero
+  in
+  let row_ok i =
+    let unit_ok = ref true in
+    Array.iteri
+      (fun k j ->
+        if not (R.equal (dot_col i j) (if i = k then R.one else R.zero)) then
+          unit_ok := false)
+      st.Rv.basis;
+    let x = ref R.zero in
+    Array.iteri (fun k bk -> x := R.add !x (R.mul st.Rv.binv.(i).(k) bk)) prep.Rv.b;
+    !unit_ok && R.equal !x st.Rv.xb.(i)
+  in
+  List.for_all row_ok (List.init prep.Rv.m Fun.id)
+
+(* [mixed_lp_gen]'s problems with every term split into two duplicates
+   ((c−1)·x + 1·x, so a zero coefficient becomes a pair that cancels),
+   and, on [degenerate], the witness x0 set to 0 so that every Eq row and
+   every slack-0 row has right-hand side 0. *)
+let duplicated_terms_problem ((nvars, x0, rows, obj), degenerate) =
+  let x0 = if degenerate then Array.make (Array.length x0) 0 else x0 in
+  let p = build_mixed_min (nvars, x0, rows, obj) in
+  let split (c : R.t P.constr) =
+    { c with
+      P.terms = List.concat_map (fun (v, k) -> [ (v, R.sub k R.one); (v, R.one) ]) c.P.terms }
+  in
+  { p with P.constraints = List.map split p.P.constraints }
+
+let prop_basis_invariants =
+  QCheck.Test.make ~name:"revised state: binv·B = I and xb = binv·b, cold and warm"
+    ~count:300
+    (QCheck.triple
+       (QCheck.pair (QCheck.make mixed_lp_gen) QCheck.bool)
+       (QCheck.int_range 0 8) (QCheck.int_range 0 1000))
+    (fun (spec, delta, seed) ->
+      let p = duplicated_terms_problem spec in
+      let prep = Rv.prepare p in
+      let _, cold = Rv.cold_solve prep ~count1:(ref 0) ~count2:(ref 0) in
+      (* Warm: the cold basis with one row's column replaced, on the same
+         problem with every rhs scaled by (10+delta)/10. *)
+      let hint = Array.copy cold.Rv.basis in
+      let m = Array.length hint in
+      if m > 0 then hint.(seed mod m) <- seed mod Rv.num_cols prep;
+      let scale = q (10 + delta) 10 in
+      let p' : R.t P.t =
+        { p with
+          P.constraints =
+            List.map
+              (fun (c : R.t P.constr) -> { c with P.rhs = R.mul c.P.rhs scale })
+              p.P.constraints }
+      in
+      basis_invariants_hold cold
+      &&
+      match Rv.warm_solve (Rv.prepare p') hint ~count2:(ref 0) ~countd:(ref 0) with
+      | None -> true
+      | Some (_, warm) -> basis_invariants_hold warm)
+
 (* ------------------------------------------------------------------ *)
 (* Lp.Solve: the shape-keyed basis cache and the engine seam           *)
 (* ------------------------------------------------------------------ *)
@@ -663,7 +731,7 @@ let () =
           [ prop_revised_bit_identical; prop_revised_bit_identical_ge;
             prop_revised_duality; prop_warm_equals_cold;
             prop_bogus_hint_harmless; prop_float_handoff;
-            prop_revised_approx_agrees
+            prop_revised_approx_agrees; prop_basis_invariants
           ] );
       ( "solve-cache",
         [ Alcotest.test_case "second solve through a cache is warm" `Quick
