@@ -1,6 +1,6 @@
 # Convenience targets; everything real lives in dune.
 
-.PHONY: all build test bench bench-smoke bench-numeric bench-speedup trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check fmt clean
+.PHONY: all build test bench bench-smoke bench-numeric trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check fmt clean
 
 all: build
 
@@ -26,13 +26,6 @@ bench-smoke:
 # --json drops a BENCH_numeric.json envelope (CI uploads it).
 bench-numeric:
 	dune exec bench/main.exe -- --json numeric
-
-# Fails if the parallel solver (jobs=2) diverges bitwise from the jobs=1
-# oracle on a small instance grid.  The full `speedup` experiment (jobs
-# 1/2/4/8 with timings and a BENCH_speedup.json envelope) runs under
-# plain `make bench`.
-bench-speedup:
-	dune exec bench/main.exe -- speedup-smoke
 
 # Fails if a --trace run emits anything that is not one JSON record per
 # line, or if the max-flow span tree loses its nesting or pivot counts.
@@ -84,11 +77,11 @@ perfbench-smoke:
 	  sh perfbench/run.sh --workload $$w --seed 1 --trace 1 || exit 1; \
 	done
 
-# What CI would run: full build + every test, the solve-count, parallel
-# bit-equality, admission-control, trace, crash-recovery and fuzzing
-# smoke checks, plus formatting when the formatter is installed
-# (ocamlformat is optional in the dev image).
-check: build test bench-smoke bench-numeric bench-speedup bench-admission trace-smoke crash-smoke fuzz-smoke fmt
+# What CI would run: full build + every test, the solve-count, numeric,
+# admission-control, trace, crash-recovery and fuzzing smoke checks, plus
+# formatting when the formatter is installed (ocamlformat is optional in
+# the dev image).
+check: build test bench-smoke bench-numeric bench-admission trace-smoke crash-smoke fuzz-smoke fmt
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

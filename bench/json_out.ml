@@ -68,9 +68,11 @@ let rec emit buf = function
    [rat] deltas to the experiment proper ([mark] at experiment start, so
    work done between two [write]s no longer leaks into the next
    envelope); v6 dropped the [solver] field (one LP engine ships); v7
-   added [rat_small_ops] / [rat_big_ops] to every [serve] row. *)
+   added [rat_small_ops] / [rat_big_ops] to every [serve] row; v8 dropped
+   the [jobs] field (the solver is sequential, so it was always 1) and
+   keeps [recommended_domain_count] as host info. *)
 let schema = "dlsched-bench"
-let version = 7
+let version = 8
 
 (* Trace summary attached to every envelope: spans/events emitted and wall
    seconds spent inside the LP engines since the previous [write] (or
@@ -156,7 +158,6 @@ let write ~experiment data =
           ("version", Int version);
           ("experiment", Str experiment);
           ("warm", Bool !Lp.Solve.warm);
-          ("jobs", Int (Par.Pool.jobs ()));
           ("recommended_domain_count", Int (Domain.recommended_domain_count ()));
           ("trace", trace_summary ());
           ("rat", rat_summary ());

@@ -13,7 +13,6 @@
      online     -- Conclusion: online heuristics vs offline optimum
      lp         -- ablation: exact-rational vs float simplex
      search     -- ablation: accelerated vs pure-exact milestone search
-     speedup    -- parallel search speedup + bit-equality across --jobs
      serve      -- serving engine replay throughput vs trace size
      micro      -- Bechamel micro-benchmarks of the core operations
 
@@ -177,11 +176,8 @@ let run_online () =
   List.iter
     (fun (load_name, rate, count) ->
       let per_policy = Hashtbl.create 8 in
-      (* Seeds are independent end-to-end runs, so the grid goes through
-         the domain pool; reports come back in seed order, so the
-         accumulation below matches the sequential run exactly. *)
       let reports =
-        Par.Pool.map
+        Array.map
           (fun seed ->
             let rng = Gripps.Prng.create seed in
             let platform = W.random_platform rng ~machines:4 ~banks:3 ~replication:2 in
@@ -509,15 +505,11 @@ let run_smoke () =
   in
   let b_ex = Lp.Instrument.exact_totals () in
   let b_ap = Lp.Instrument.approx_totals () in
-  (* The budget ceilings are a contract on the *sequential* search: the
-     parallel k-section deliberately probes extra speculative candidates,
-     so the smoke always measures at width 1 whatever DLSCHED_JOBS says. *)
-  Par.Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun inst ->
-          ignore (Sched_core.Max_flow.solve inst);
-          ignore (Sched_core.Makespan.solve inst))
-        insts);
+  List.iter
+    (fun inst ->
+      ignore (Sched_core.Max_flow.solve inst);
+      ignore (Sched_core.Makespan.solve inst))
+    insts;
   let d_ex = Lp.Instrument.diff ~before:b_ex (Lp.Instrument.exact_totals ()) in
   let d_ap = Lp.Instrument.diff ~before:b_ap (Lp.Instrument.approx_totals ()) in
   let measured =
@@ -600,7 +592,7 @@ let run_numeric () =
   Printf.printf "%-24s %12s\n" "micro" "ns/op";
   List.iter (fun (k, ns) -> Printf.printf "%-24s %12.1f\n" k ns) micro;
   (* Hit rate over the budget workload (same seed and instances as the
-     smoke check, sequential width). *)
+     smoke check). *)
   let rng = Gripps.Prng.create 109 in
   let insts =
     List.map
@@ -613,13 +605,12 @@ let run_numeric () =
   let b_demoted = Numeric.Counters.demotions () in
   let b_ex = Lp.Instrument.exact_totals () in
   let _, seconds =
-    Par.Pool.with_jobs 1 (fun () ->
-        time_it (fun () ->
-            List.iter
-              (fun inst ->
-                ignore (Sched_core.Max_flow.solve inst);
-                ignore (Sched_core.Makespan.solve inst))
-              insts))
+    time_it (fun () ->
+        List.iter
+          (fun inst ->
+            ignore (Sched_core.Max_flow.solve inst);
+            ignore (Sched_core.Makespan.solve inst))
+          insts)
   in
   let d_ex = Lp.Instrument.diff ~before:b_ex (Lp.Instrument.exact_totals ()) in
   let small = Numeric.Counters.small_ops () - b_small in
@@ -678,106 +669,6 @@ let run_numeric () =
        ]);
   if not !ok then failwith "numeric: fast-path budget violated (see table above)";
   Printf.printf "numeric fast-path budget respected.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search: speedup and bit-equality across pool widths        *)
-(* ------------------------------------------------------------------ *)
-
-(* Structural equality of two max-flow results, field by field on exact
-   rationals — the check behind the determinism contract: any pool width
-   must reproduce the jobs=1 solve bit for bit. *)
-let same_result (a : Sched_core.Max_flow.result) (b : Sched_core.Max_flow.result) =
-  let same_slices xs ys =
-    List.length xs = List.length ys
-    && List.for_all2
-         (fun (x : S.slice) (y : S.slice) ->
-           x.S.machine = y.S.machine && x.S.job = y.S.job
-           && R.equal x.S.start y.S.start && R.equal x.S.stop y.S.stop)
-         xs ys
-  in
-  let alo, ahi = a.Sched_core.Max_flow.search_range
-  and blo, bhi = b.Sched_core.Max_flow.search_range in
-  R.equal a.Sched_core.Max_flow.objective b.Sched_core.Max_flow.objective
-  && List.length a.Sched_core.Max_flow.milestones
-     = List.length b.Sched_core.Max_flow.milestones
-  && List.for_all2 R.equal a.Sched_core.Max_flow.milestones
-       b.Sched_core.Max_flow.milestones
-  && R.equal alo blo && R.equal ahi bhi
-  && same_slices
-       (S.slices a.Sched_core.Max_flow.schedule)
-       (S.slices b.Sched_core.Max_flow.schedule)
-
-let run_speedup () =
-  section "Parallel milestone search: speedup and bit-equality across --jobs";
-  let rec_count = Domain.recommended_domain_count () in
-  Printf.printf
-    "Probe-heavy instances, each width re-solving the same batch.  Speedup\n\
-     above 1 requires real cores: this host recommends %d domain(s).\n"
-    rec_count;
-  let rng = Gripps.Prng.create 110 in
-  let insts =
-    List.map
-      (fun (n, m) -> random_instance rng ~jobs:n ~machines:m)
-      [ (10, 4); (12, 4); (14, 5); (16, 5) ]
-  in
-  let solve_all () = List.map Sched_core.Max_flow.solve insts in
-  (* jobs=1 is the oracle: plain sequential search, no pool at all. *)
-  let base, t1 = Par.Pool.with_jobs 1 (fun () -> time_it solve_all) in
-  Printf.printf "%6s %12s %10s %10s\n" "jobs" "time (ms)" "speedup" "identical";
-  Printf.printf "%6d %12.1f %10.2f %10s\n" 1 (t1 *. 1000.) 1.0 "oracle";
-  let rows =
-    List.map
-      (fun jobs ->
-        let results, t = Par.Pool.with_jobs jobs (fun () -> time_it solve_all) in
-        let identical = List.for_all2 same_result base results in
-        Printf.printf "%6d %12.1f %10.2f %10b\n" jobs (t *. 1000.)
-          (t1 /. Float.max 1e-9 t)
-          identical;
-        (jobs, t, identical))
-      [ 2; 4; 8 ]
-  in
-  Par.Pool.shutdown ();
-  let all_identical = List.for_all (fun (_, _, id) -> id) rows in
-  Json_out.write ~experiment:"speedup"
-    (Json_out.Obj
-       [
-         ("recommended_domain_count", Json_out.Int rec_count);
-         ("jobs_1_seconds", Json_out.Float t1);
-         ( "widths",
-           Json_out.List
-             (List.map
-                (fun (jobs, t, id) ->
-                  Json_out.Obj
-                    [
-                      ("jobs", Json_out.Int jobs);
-                      ("seconds", Json_out.Float t);
-                      ("speedup_vs_jobs1", Json_out.Float (t1 /. Float.max 1e-9 t));
-                      ("identical_to_jobs1", Json_out.Bool id);
-                    ])
-                rows) );
-         ("all_identical", Json_out.Bool all_identical);
-       ]);
-  if not all_identical then
-    failwith "speedup: parallel result diverged from the jobs=1 oracle";
-  Printf.printf "parallel solves bit-identical to jobs=1 at every width.\n"
-
-(* Small jobs=1-vs-jobs=2 equality check, fast enough for `make check`. *)
-let run_speedup_smoke () =
-  section "Speedup smoke: jobs=1 vs jobs=2 bit-equality";
-  let rng = Gripps.Prng.create 111 in
-  let insts =
-    List.map
-      (fun (n, m) -> random_instance rng ~jobs:n ~machines:m)
-      [ (8, 3); (10, 4) ]
-  in
-  let solve_all () = List.map Sched_core.Max_flow.solve insts in
-  let seq = Par.Pool.with_jobs 1 solve_all in
-  let par = Par.Pool.with_jobs 2 solve_all in
-  Par.Pool.shutdown ();
-  if not (List.for_all2 same_result seq par) then
-    failwith "speedup-smoke: jobs=2 result diverged from the jobs=1 oracle";
-  Printf.printf "jobs=2 bit-identical to jobs=1 on %d instances.\n"
-    (List.length insts)
 
 (* ------------------------------------------------------------------ *)
 (* Section 2, third experiment: communication overheads are negligible *)
@@ -1357,8 +1248,6 @@ let experiments =
     ("warmstart", run_warmstart);
     ("smoke", run_smoke);
     ("numeric", run_numeric);
-    ("speedup", run_speedup);
-    ("speedup-smoke", run_speedup_smoke);
     ("uniform", run_uniform);
     ("serve", run_serve);
     ("faults", run_faults);
@@ -1370,9 +1259,7 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* Flags: --json enables BENCH_*.json emission; --jobs=N fixes the
-     domain-pool width (overriding DLSCHED_JOBS; the smoke and speedup
-     experiments pin their own widths regardless); --trace=FILE streams a
+  (* Flags: --json enables BENCH_*.json emission; --trace=FILE streams a
      JSON-lines trace of every span and event the experiments emit (the
      warmstart ablation briefly shadows it with its own in-process sink
      while it measures). *)
@@ -1391,15 +1278,6 @@ let () =
              at_exit Obs.Sink.uninstall
            | exception Sys_error msg ->
              Printf.eprintf "--trace: %s\n" msg;
-             exit 1);
-          false
-        end
-        else if String.length a > 7 && String.sub a 0 7 = "--jobs=" then begin
-          let v = String.sub a 7 (String.length a - 7) in
-          (match int_of_string_opt v with
-           | Some n when n >= 1 -> Par.Pool.set_jobs n
-           | Some _ | None ->
-             Printf.eprintf "--jobs: expected a positive integer, got %S\n" v;
              exit 1);
           false
         end

@@ -94,9 +94,9 @@ module Flags = struct
   let requests default = mk [ "requests"; "n" ] "Number of requests." Arg.int default
   let rate ~doc default = mk [ "rate" ] doc Arg.float default
 
-  (* Shared by every command that solves LPs.  Evaluates to (), setting the
-     domain-pool width and (with [--trace]) installing the trace sink as
-     side effects before the command runs. *)
+  (* Shared by every command that solves LPs.  Evaluates to (), installing
+     the trace sink (with [--trace]) as a side effect before the command
+     runs. *)
   let setup =
     let trace =
       mk [ "trace" ] ~docv:"FILE"
@@ -105,23 +105,7 @@ module Flags = struct
          milestone searches) and instant events."
         Arg.(some string) None
     in
-    let jobs =
-      mk [ "jobs"; "j" ] ~docv:"N"
-        "Width of the domain pool used for speculative feasibility probing \
-         (and for serving concurrent clients): $(docv) domains work in \
-         parallel, with results bit-identical at every width.  Defaults to \
-         the $(b,DLSCHED_JOBS) environment variable, else the hardware's \
-         recommended domain count.  $(b,--jobs 1) disables parallelism \
-         entirely."
-        Arg.(some int) None
-    in
-    let setup trace jobs =
-      (match jobs with
-       | None -> ()
-       | Some n when n >= 1 -> Par.Pool.set_jobs n
-       | Some n ->
-         Format.eprintf "dlsched: --jobs %d: width must be >= 1@." n;
-         exit 2);
+    let setup trace =
       match trace with
       | None -> ()
       | Some path ->
@@ -129,7 +113,7 @@ module Flags = struct
         (* Flush and close the file even on [exit 1/2] paths. *)
         at_exit Obs.Sink.uninstall
     in
-    Term.(const setup $ trace $ jobs)
+    Term.(const setup $ trace)
 
   let policy =
     let keyed =

@@ -59,11 +59,6 @@ let dense_vs_sparse ~aux:_ inst =
 let exact_vs_accelerated ~aux:_ inst =
   same_maxflow (MF.solve_total ~accelerate:false inst) (MF.solve_total ~accelerate:true inst)
 
-let jobs_1_vs_4 ~aux:_ inst =
-  same_maxflow
-    (Par.Pool.with_jobs 1 (fun () -> MF.solve_total inst))
-    (Par.Pool.with_jobs 4 (fun () -> MF.solve_total inst))
-
 let preemptive_vs_divisible ~aux:_ inst =
   match (Sched_core.Preemptive.solve_total inst, MF.solve_total inst) with
   | `Trivial _, `Trivial _ -> Pass
@@ -305,7 +300,6 @@ let all =
   [ Offline ("validator", validator);
     Offline ("dense-vs-sparse", dense_vs_sparse);
     Offline ("exact-vs-accelerated", exact_vs_accelerated);
-    Offline ("jobs-1-vs-4", jobs_1_vs_4);
     Offline ("preemptive-vs-divisible", preemptive_vs_divisible);
     Offline ("makespan", makespan_oracle);
     Offline ("online-vs-offline", online_vs_offline);

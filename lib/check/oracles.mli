@@ -2,9 +2,9 @@
 
     Each oracle runs one generated case through two independent paths of
     the codebase and demands bit-identical answers (different simplex
-    engines, float-guided vs exact probing, parallel vs serial, live vs
-    crash-resumed) or dominance-consistent ones (preemptive vs divisible
-    relaxation, online policies vs the offline optimum).  [aux] is a
+    engines, float-guided vs exact probing, live vs crash-resumed) or
+    dominance-consistent ones (preemptive vs divisible relaxation, online
+    policies vs the offline optimum).  [aux] is a
     deterministic per-case integer the driver supplies; oracles use it to
     pick secondary knobs (crash index, snapshot cadence, cache arming) so
     a case replays identically during shrinking. *)

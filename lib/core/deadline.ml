@@ -47,16 +47,13 @@ let flow_deadlines inst ~objective =
      objective's schedule is decoded without another solve
      ([schedule_at]).
 
-   One prober may be shared by concurrent probes (Par.Pool runs the
-   k-section's candidates on worker domains): [p_lock] guards every
-   memo table.  The tables are caches of deterministic functions of the
-   objective, so whichever domain populates an entry first, later
-   readers see the same value the sequential run would have computed. *)
+   A prober is used by one domain at a time (the solver is sequential;
+   the server reaches it only under its engine lock), so the memo
+   tables take no lock. *)
 type prober = {
   p_inst : Instance.t;
   p_divisible : bool;
   p_cache : Lp.Solve.cache;
-  p_lock : Mutex.t;
   p_forms : (string, Formulations.deadline_form) Hashtbl.t;
   p_bases : (string, int array) Hashtbl.t; (* float bases, keyed by objective *)
   p_solutions : (string, Rat.t array) Hashtbl.t; (* feasible exact solutions *)
@@ -67,7 +64,6 @@ let prober ?(divisible = true) ?cache inst =
     p_inst = inst;
     p_divisible = divisible;
     p_cache = (match cache with Some c -> c | None -> Lp.Solve.cache ());
-    p_lock = Mutex.create ();
     p_forms = Hashtbl.create 16;
     p_bases = Hashtbl.create 16;
     p_solutions = Hashtbl.create 8;
@@ -77,25 +73,17 @@ let obj_key f = Format.asprintf "%a" Rat.pp f
 
 let form_at pr ~objective =
   let key = obj_key objective in
-  match Mutex.protect pr.p_lock (fun () -> Hashtbl.find_opt pr.p_forms key) with
+  match Hashtbl.find_opt pr.p_forms key with
   | Some form -> form
   | None ->
-    (* Built outside the lock — formulation assembly is the expensive
-       part and holding [p_lock] across it would serialize the probes.
-       Two domains may race to build the same form; both build the same
-       value, and the first store wins. *)
     let form =
       Obs.Span.with_span "deadline.form" (fun () ->
           let deadlines = flow_deadlines pr.p_inst ~objective in
           Formulations.deadline_system ~divisible:pr.p_divisible pr.p_inst
             ~deadlines)
     in
-    Mutex.protect pr.p_lock (fun () ->
-        match Hashtbl.find_opt pr.p_forms key with
-        | Some earlier -> earlier
-        | None ->
-          Hashtbl.replace pr.p_forms key form;
-          form)
+    Hashtbl.replace pr.p_forms key form;
+    form
 
 let probe_approx pr ~objective =
   let body () =
@@ -103,11 +91,7 @@ let probe_approx pr ~objective =
     let outcome, basis =
       Lp.Solve.approx_basis (Lp.Problem.map Rat.to_float form.dl_problem)
     in
-    Option.iter
-      (fun b ->
-        Mutex.protect pr.p_lock (fun () ->
-            Hashtbl.replace pr.p_bases (obj_key objective) b))
-      basis;
+    Option.iter (Hashtbl.replace pr.p_bases (obj_key objective)) basis;
     match outcome with
     | Lp.Solution.Optimal _ -> true
     | Lp.Solution.Infeasible -> false
@@ -125,15 +109,11 @@ let probe_approx pr ~objective =
 let probe_exact pr ~objective =
   let body () =
     let form = form_at pr ~objective in
-    let hint =
-      Mutex.protect pr.p_lock (fun () ->
-          Hashtbl.find_opt pr.p_bases (obj_key objective))
-    in
+    let hint = Hashtbl.find_opt pr.p_bases (obj_key objective) in
     Obs.Span.set_bool "float_basis_hint" (hint <> None);
     match Lp.Solve.exact ~cache:pr.p_cache ?hint form.dl_problem with
     | Lp.Solution.Optimal sol ->
-      Mutex.protect pr.p_lock (fun () ->
-          Hashtbl.replace pr.p_solutions (obj_key objective) sol.values);
+      Hashtbl.replace pr.p_solutions (obj_key objective) sol.values;
       true
     | Lp.Solution.Infeasible -> false
     | Lp.Solution.Unbounded -> assert false
@@ -149,9 +129,7 @@ let probe_exact pr ~objective =
 
 let schedule_at pr ~objective =
   let key = obj_key objective in
-  let lookup () =
-    Mutex.protect pr.p_lock (fun () -> Hashtbl.find_opt pr.p_solutions key)
-  in
+  let lookup () = Hashtbl.find_opt pr.p_solutions key in
   let values =
     match lookup () with
     | Some v -> Some v

@@ -1,58 +1,16 @@
 module Rat = Numeric.Rat
 
-let binary_search ~feasible candidates lo hi =
-  (* invariant: candidates.(hi) feasible, everything below lo infeasible *)
+(* Smallest index in [lo, hi] satisfying the monotone index predicate
+   [feasible], assuming [hi] does; [hi] itself is never tested. *)
+let binary_search ~feasible lo hi =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if feasible candidates.(mid) then hi := mid else lo := mid + 1
+    if feasible mid then hi := mid else lo := mid + 1
   done;
   !lo
 
-(* k-section: the batched generalization of the bisection above.  Each
-   round picks up to [width] interior points of the unknown range
-   [lo, hi), probes them all at once ([probe] maps an index array to a
-   verdict array), and re-brackets on the outcome: the smallest feasible
-   probed point becomes [hi], everything up to the largest infeasible
-   point below it is discarded.  With [width = 1] the single probe point
-   [lo + u/2] is exactly the bisection midpoint, and for a monotone
-   [probe] any width returns the same boundary index — which is what
-   makes the parallel search bit-compatible with the sequential one. *)
-let ksection ~width ~probe lo0 hi0 =
-  let lo = ref lo0 and hi = ref hi0 in
-  while !lo < !hi do
-    let u = !hi - !lo in
-    let k = min width u in
-    let points = Array.init k (fun t -> !lo + (u * (t + 1) / (k + 1))) in
-    (* Probe points are nondecreasing; drop duplicates (small ranges map
-       several t onto the same index). *)
-    let points =
-      if k = 1 then points
-      else begin
-        let uniq = ref [] in
-        Array.iter
-          (fun p -> match !uniq with q :: _ when q = p -> () | _ -> uniq := p :: !uniq)
-          points;
-        Array.of_list (List.rev !uniq)
-      end
-    in
-    let verdicts = probe points in
-    let n = Array.length points in
-    let first_feasible = ref n in
-    (let t = ref 0 in
-     while !t < n && !first_feasible = n do
-       if verdicts.(!t) then first_feasible := !t;
-       incr t
-     done);
-    if !first_feasible < n then hi := points.(!first_feasible);
-    (* Largest probed infeasible point below the new [hi] advances [lo]. *)
-    let t = !first_feasible - 1 in
-    if !first_feasible = n then lo := points.(n - 1) + 1
-    else if t >= 0 then lo := points.(t) + 1
-  done;
-  !lo
-
-let first_feasible_seq ~exact ~approx candidates =
+let first_feasible_untraced ~exact ~approx candidates =
   let last = Array.length candidates - 1 in
   (* Cache each exact probe's payload so the winning candidate's LP
      solution is returned instead of being solved a second time. *)
@@ -64,26 +22,18 @@ let first_feasible_seq ~exact ~approx candidates =
       true
     | None -> false
   in
-  let exact_search lo hi =
-    let lo = ref lo and hi = ref hi in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if exact_idx mid then hi := mid else lo := mid + 1
-    done;
-    !lo
-  in
-  let guess = binary_search ~feasible:approx candidates 0 last in
+  let guess = binary_search ~feasible:(fun i -> approx candidates.(i)) 0 last in
   (* Certify the float answer with exact tests at the boundary. *)
   let idx =
     if exact_idx guess then begin
       if guess = 0 || not (exact_idx (guess - 1)) then guess
       else
         (* Float search overshot: the exact boundary is at or below guess-1. *)
-        exact_search 0 (guess - 1)
+        binary_search ~feasible:exact_idx 0 (guess - 1)
     end
     else
       (* Float search undershot: the exact boundary is above guess. *)
-      exact_search (guess + 1) last
+      binary_search ~feasible:exact_idx (guess + 1) last
   in
   let payload =
     match Hashtbl.find_opt payloads idx with
@@ -98,94 +48,12 @@ let first_feasible_seq ~exact ~approx candidates =
   in
   (idx, payload)
 
-(* Parallel variant: the same certify-the-float-guess plan, with every
-   probe round batched through the domain pool.  The float k-section may
-   bracket a different guess than the float bisection would (float
-   verdicts need not be monotone near the boundary), but certification
-   always lands on the unique exact-monotone boundary, so index and
-   payload match the sequential result for any width.  Payloads are
-   recorded on the submitting domain after each batch returns — the
-   probe closures themselves never touch shared state of this module. *)
-let first_feasible_par ~width ~exact ~approx candidates =
-  let last = Array.length candidates - 1 in
-  let payloads = Hashtbl.create 8 in
-  let probe_approx points =
-    Par.Pool.map (fun i -> approx candidates.(i)) points
-  in
-  let probe_exact points =
-    let results = Par.Pool.map (fun i -> exact candidates.(i)) points in
-    Array.iteri
-      (fun t r ->
-        match r with
-        | Some payload -> Hashtbl.replace payloads points.(t) payload
-        | None -> ())
-      results;
-    Array.map Option.is_some results
-  in
-  let exact_idx i = (probe_exact [| i |]).(0) in
-  let guess = ksection ~width ~probe:probe_approx 0 last in
-  let idx =
-    (* One batch certifies both boundary candidates at once. *)
-    if guess = 0 then
-      if exact_idx 0 then 0 else ksection ~width ~probe:probe_exact 1 last
-    else begin
-      let v = probe_exact [| guess - 1; guess |] in
-      match (v.(0), v.(1)) with
-      | false, true -> guess
-      | true, _ ->
-        (* Float search overshot: the exact boundary is at or below guess-1. *)
-        ksection ~width ~probe:probe_exact 0 (guess - 1)
-      | false, false ->
-        (* Float search undershot: the exact boundary is above guess. *)
-        ksection ~width ~probe:probe_exact (guess + 1) last
-    end
-  in
-  let payload =
-    match Hashtbl.find_opt payloads idx with
-    | Some p -> p
-    | None -> (
-      match exact candidates.(idx) with
-      | Some p -> p
-      | None ->
-        invalid_arg "Flow_search.first_feasible: last candidate not feasible")
-  in
-  (idx, payload)
-
-let first_feasible_untraced ~exact ~approx candidates =
-  let n = Array.length candidates in
-  let width = Par.Pool.jobs () in
-  if
-    width <= 1
-    || Par.Pool.in_parallel_task ()
-    || n <= 2
-    (* [task_ns:infinity] asks only the width question: can this host
-       run more than one probe at a time at all?  False on any
-       single-core machine, whatever [--jobs] says, without measuring
-       anything. *)
-    || not (Par.Pool.worthwhile ~tasks:n ~task_ns:Float.infinity)
-  then first_feasible_seq ~exact ~approx candidates
-  else begin
-    (* Time one float probe (the bisection's first midpoint; probes are
-       pure, so the verdict can be discarded) and batch the search only
-       when a probe amortizes the pool's dispatch cost. *)
-    let t0 = Obs.Sink.elapsed () in
-    ignore (approx candidates.((n - 1) / 2));
-    let t1 = Obs.Sink.elapsed () in
-    if Par.Pool.worthwhile ~tasks:n ~task_ns:((t1 -. t0) *. 1e9) then
-      first_feasible_par ~width ~exact ~approx candidates
-    else first_feasible_seq ~exact ~approx candidates
-  end
-
 let first_feasible ~exact ~approx candidates =
   if not (Obs.Sink.enabled ()) then
     first_feasible_untraced ~exact ~approx candidates
   else
     Obs.Span.with_span "flow.search"
-      ~attrs:
-        [
-          ("candidates", Obs.Sink.Int (Array.length candidates));
-          ("jobs", Obs.Sink.Int (Par.Pool.jobs ()));
-        ]
+      ~attrs:[ ("candidates", Obs.Sink.Int (Array.length candidates)) ]
       (fun () ->
         let idx, payload = first_feasible_untraced ~exact ~approx candidates in
         Obs.Span.set_int "index" idx;

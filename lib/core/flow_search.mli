@@ -11,25 +11,9 @@
 
     Exact probes return a payload (typically the probe's LP solution or
     schedule), and [first_feasible] returns the winning candidate's payload
-    along with its index — so the winner's LP is never solved twice.
-
-    {b Parallel probing.}  When the ambient pool width ([Par.Pool.jobs])
-    is above 1, the bisection generalizes to a k-section: each round
-    probes up to [jobs] interior candidates concurrently (float rounds
-    and exact fallback rounds alike), and the certification batch tests
-    both boundary candidates at once.  Because exact feasibility is
-    monotone, the boundary index — and hence the payload — is identical
-    at every width; only wall-clock and the number of speculative probes
-    change.  Width 1, a call from inside a pool task, or a candidate
-    array too small to split all take the sequential path unchanged. *)
+    along with its index — so the winner's LP is never solved twice. *)
 
 module Rat = Numeric.Rat
-
-val binary_search :
-  feasible:(Rat.t -> bool) -> Rat.t array -> int -> int -> int
-(** [binary_search ~feasible candidates lo hi] is the underlying monotone
-    search: smallest index in [\[lo, hi\]] that is feasible, assuming
-    [candidates.(hi)] is. *)
 
 val first_feasible :
   exact:(Rat.t -> 'a option) ->

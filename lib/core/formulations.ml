@@ -132,33 +132,6 @@ let deadline_system ?(divisible = true) inst ~deadlines =
     let lo, hi = intervals.(t) in
     Rat.compare lo (Instance.release inst j) >= 0 && Rat.compare hi deadlines.(j) <= 0
   in
-  (* The admissibility grid is the formulation's rational-comparison hot
-     spot (intervals × jobs cells, two Rat comparisons each); on large
-     systems the per-interval rows are tabulated on the domain pool.  The
-     table is a pure function of the instance and deadlines, so the
-     builder below consumes identical bits at every pool width. *)
-  let admissible =
-    let nt = Array.length intervals in
-    if nt * n < 512 || not (Par.Pool.worthwhile ~tasks:nt ~task_ns:Float.infinity)
-    then admissible
-    else begin
-      let row t = Array.init n (fun j -> admissible t j) in
-      (* Time one interval row; tabulate on the pool only when a row
-         amortizes its dispatch cost, otherwise evaluate cells lazily as
-         before (identical bits either way). *)
-      let t0 = Obs.Sink.elapsed () in
-      let r0 = row 0 in
-      let t1 = Obs.Sink.elapsed () in
-      if Par.Pool.worthwhile ~tasks:(nt - 1) ~task_ns:((t1 -. t0) *. 1e9) then begin
-        let rows =
-          Array.append [| r0 |]
-            (Par.Pool.map_or_seq row (Array.init (nt - 1) (fun t -> t + 1)))
-        in
-        fun t j -> rows.(t).(j)
-      end
-      else admissible
-    end
-  in
   let vars = alpha_variables st inst ~num_intervals:(Array.length intervals) ~admissible in
   let add_capacity_constraints ~key ~name_of =
     Hashtbl.iter

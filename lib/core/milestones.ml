@@ -6,11 +6,6 @@ module Rat = Numeric.Rat
    F = (o_k − o_j) / (1/w_j − 1/w_k). *)
 let compute inst =
   let n = Instance.num_jobs inst in
-  (* One row of the (j, k) candidate grid; rows are independent, so large
-     instances generate them on the domain pool.  The final [sort_uniq]
-     makes the result insensitive to row order — the parallel and
-     sequential runs build the same candidate multiset and hence the same
-     sorted list. *)
   let row j =
     let acc = ref [] in
     let push f = if Rat.sign f > 0 then acc := f :: !acc in
@@ -26,22 +21,7 @@ let compute inst =
     done;
     !acc
   in
-  let rows =
-    if n < 8 || not (Par.Pool.worthwhile ~tasks:n ~task_ns:Float.infinity) then
-      Array.init n row
-    else begin
-      (* Time row 0 on the calling domain; pool the remaining rows only
-         if a row amortizes the pool's per-task dispatch cost.  The
-         timed row is reused, so no work is repeated either way. *)
-      let t0 = Obs.Sink.elapsed () in
-      let r0 = row 0 in
-      let t1 = Obs.Sink.elapsed () in
-      if Par.Pool.worthwhile ~tasks:(n - 1) ~task_ns:((t1 -. t0) *. 1e9) then
-        Array.append [| r0 |]
-          (Par.Pool.map_or_seq row (Array.init (n - 1) (fun i -> i + 1)))
-      else Array.init n (fun j -> if j = 0 then r0 else row j)
-    end
-  in
+  let rows = Array.init n row in
   let candidates = Array.fold_left (fun acc r -> List.rev_append r acc) [] rows in
   let ms = List.sort_uniq Rat.compare candidates in
   if Obs.Sink.enabled () then

@@ -35,32 +35,27 @@ let warm = ref true
 
 (* A basis cache keyed by the problem's structural shape.  Bounded: when
    full, the whole table is dropped (shape families in one search are few,
-   so eviction is rare in practice).  The lock makes lookups and stores
-   domain-safe — a deadline prober shared by concurrent feasibility
-   probes (Par.Pool) reaches this table from several domains at once. *)
-type cache = { tbl : (string, int array) Hashtbl.t; lock : Mutex.t }
+   so eviction is rare in practice).  Used by one domain at a time, so
+   it takes no lock. *)
+type cache = (string, int array) Hashtbl.t
 
 let cache_capacity = 64
-let cache () : cache = { tbl = Hashtbl.create 16; lock = Mutex.create () }
+let cache () : cache = Hashtbl.create 16
 
 (* Drop every stored basis.  Callers invalidate when the *problem family*
    changes shape-incompatibly — e.g. a machine failure rewrites the cost
    matrix, so bases keyed by the old columns would only mislead the
    crash-recovery logic of the first warm solve after the change. *)
 let cache_clear (c : cache) =
-  let bases = Mutex.protect c.lock (fun () ->
-      let n = Hashtbl.length c.tbl in
-      Hashtbl.reset c.tbl;
-      n)
-  in
+  let bases = Hashtbl.length c in
+  Hashtbl.reset c;
   if Obs.Sink.enabled () then
     Obs.Event.emit "lp.cache.cleared" ~attrs:[ ("bases", Obs.Sink.Int bases) ]
 
 let cache_store (c : cache) shape basis =
-  Mutex.protect c.lock (fun () ->
-      if Hashtbl.length c.tbl >= cache_capacity && not (Hashtbl.mem c.tbl shape)
-      then Hashtbl.reset c.tbl;
-      Hashtbl.replace c.tbl shape basis)
+  if Hashtbl.length c >= cache_capacity && not (Hashtbl.mem c shape) then
+    Hashtbl.reset c;
+  Hashtbl.replace c shape basis
 
 let pick_hint ?cache ?hint shape =
   if not !warm then None
@@ -68,8 +63,7 @@ let pick_hint ?cache ?hint shape =
     match hint with
     | Some _ -> hint
     | None ->
-      Option.bind cache (fun c ->
-          Mutex.protect c.lock (fun () -> Hashtbl.find_opt c.tbl shape))
+      Option.bind cache (fun c -> Hashtbl.find_opt c shape)
 
 (* Exact (rational) solve.  [exact_basis] additionally returns the final
    basis, for callers that hand bases across arithmetics (e.g. float probe

@@ -2,11 +2,12 @@
 
    Plain (non-atomic) increments: a counter bump sits on the hottest
    arithmetic path in the process, where even an atomic fetch-and-add
-   would cost a measurable fraction of a small-word operation.  Under
-   parallel domains concurrent bumps may occasionally lose an update —
-   counts are best-effort telemetry, never torn and never used for
-   control flow.  The instruments are published into [Obs.Registry] by
-   [Lp.Instrument] (the numeric library itself stays dependency-free). *)
+   would cost a measurable fraction of a small-word operation.  Rational
+   arithmetic runs on one domain at a time (the solver is sequential and
+   the server serializes every command under its engine lock), so the
+   counts are exact; they are telemetry, never used for control flow.
+   The instruments are published into [Obs.Registry] by [Lp.Instrument]
+   (the numeric library itself stays dependency-free). *)
 
 let small = ref 0
 let big = ref 0

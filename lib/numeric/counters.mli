@@ -3,12 +3,12 @@
     the native-int fast path, how many had to use the limb
     representation, and how many values crossed between the two.
 
-    Counts are best-effort under parallel domains (plain increments, so
-    concurrent bumps may lose an update; they are never torn).  The
-    [lp] layer mirrors them into [Obs.Registry.global] as the
-    [rat.small_ops] / [rat.big_ops] / [rat.promotions] /
-    [rat.demotions] counters after every solve, and the bench harness
-    embeds them in every [BENCH_*.json] envelope. *)
+    Rational arithmetic runs on one domain at a time, so the plain
+    increments behind these counts are exact.  The [lp] layer mirrors
+    them into [Obs.Registry.global] as the [rat.small_ops] /
+    [rat.big_ops] / [rat.promotions] / [rat.demotions] counters after
+    every solve, and the bench harness embeds them in every
+    [BENCH_*.json] envelope. *)
 
 val small_ops : unit -> int
 (** Rational operations completed on the native-int fast path. *)

@@ -13,7 +13,7 @@
     compatibility.
 
     Every operation is domain-safe: mutations and reports are serialized
-    by one module-wide lock, so concurrent pool workers may record into
+    by one module-wide lock, so concurrent server sessions may record into
     the same instruments and a report rendered mid-run is a consistent
     snapshot. *)
 

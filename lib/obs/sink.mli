@@ -15,7 +15,7 @@
       in-process consumers such as the bench harness.
 
     Emission is domain-safe: the write to a non-null sink happens under a
-    process-wide lock, so records from concurrent pool workers never
+    process-wide lock, so records from concurrent server sessions never
     interleave mid-line.  A {!callback} runs under that lock and
     therefore must not itself emit spans or events. *)
 

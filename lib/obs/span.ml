@@ -4,12 +4,8 @@
    onto the calling domain's stack (domain-local storage), runs the body,
    pops and emits.  Span ids come from one process-wide atomic counter,
    so ids stay unique when several domains trace concurrently, and every
-   span records the domain that opened it as a [domain] attribute.
-
-   A worker domain starts with an empty stack; [with_context] lets a
-   fork/join layer (Par.Pool) graft the tasks it runs onto the
-   submitter's innermost span, so a parallel probe's spans land inside
-   the search's span tree instead of floating as extra roots.
+   span records the domain that opened it as a [domain] attribute (the
+   server opens spans from its per-session domains).
 
    When no sink is installed [with_span] is just [f ()] and the stacks
    stay empty, which makes every [set_*] helper a no-op that allocates
@@ -20,23 +16,12 @@ let next_id = Atomic.make 0
 let stack_key : Sink.span list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-(* Inherited parent for spans opened while this domain's own stack is
-   empty (set by Par.Pool around each task). *)
-let ambient_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
 let stack () = Domain.DLS.get stack_key
 
 let current_id () =
   match !(stack ()) with
-  | [] -> Domain.DLS.get ambient_key
+  | [] -> None
   | s :: _ -> Some s.Sink.id
-
-let context = current_id
-
-let with_context parent f =
-  let saved = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key parent;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key saved) f
 
 let set_attr name v =
   match !(stack ()) with

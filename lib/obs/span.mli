@@ -20,27 +20,11 @@ val with_span : ?attrs:(string * Sink.value) list -> string -> (unit -> 'a) -> '
     attribute.  With no sink installed this is exactly [f ()]. *)
 
 val current_id : unit -> int option
-(** Id of the innermost open span on the calling domain's stack, falling
-    back to the inherited {!with_context} parent when the stack is empty
-    (used by {!Event} and as the parent of new spans). *)
-
-(** {1 Cross-domain context}
-
-    Span stacks are domain-local (each domain nests its own spans), and
-    span ids are allocated from one process-wide atomic counter, so
-    concurrent domains can trace simultaneously.  A fork/join layer that
-    ships tasks to worker domains captures {!context} at submission and
-    wraps each task in {!with_context}, so the spans a task opens attach
-    to the submitting domain's span tree. *)
-
-val context : unit -> int option
-(** The id a span opened right now would take as parent (alias of
-    {!current_id}, named for capture-and-ship call sites). *)
-
-val with_context : int option -> (unit -> 'a) -> 'a
-(** Run the thunk with the given span id as the ambient parent for spans
-    (and events) emitted while the calling domain's own stack is empty;
-    restores the previous ambient parent on exit. *)
+(** Id of the innermost open span on the calling domain's stack, [None]
+    when it is empty (used by {!Event} and as the parent of new spans).
+    Span stacks are domain-local and span ids come from one process-wide
+    atomic counter, so server sessions on different domains can trace
+    concurrently. *)
 
 val set_attr : string -> Sink.value -> unit
 (** Attach an attribute to the innermost open span; no-op when no span is

@@ -1,276 +1,5 @@
-(* Fixed-size domain pool with deterministic fork/join combinators.
-
-   Work distribution is an atomic index counter: workers (and the
-   submitting domain, which participates) grab the next unclaimed input
-   index, run the task, and commit the result into a slot owned by that
-   index.  Completion order is therefore free to vary with scheduling,
-   but the *observable* result — the result array, the fold order of
-   [map_reduce], which exception wins — depends only on input order.
-
-   The pool is a monitor: [m] guards the published job and the generation
-   counter; [work] wakes idle workers when a job is published (or the
-   pool shuts down); [idle] wakes the submitter when the last task of the
-   current job completes.  Tasks themselves run outside the lock. *)
-
-let in_task_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let in_parallel_task () = Domain.DLS.get in_task_key
-
-let enter_task ctx body =
-  Domain.DLS.set in_task_key true;
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set in_task_key false)
-    (fun () -> Obs.Span.with_context ctx body)
-
-(* One published [map]: [run i] computes input [i] and stores its result
-   (or exception) into the slot for [i]; it never raises. *)
-type job = {
-  run : int -> unit;
-  length : int;
-  next : int Atomic.t;
-  completed : int Atomic.t;
-}
-
-type pool = {
-  size : int;
-  m : Mutex.t;
-  work : Condition.t; (* a job was published, or [stop] was set *)
-  idle : Condition.t; (* the current job's last task completed *)
-  mutable generation : int; (* bumped once per published job *)
-  mutable job : job option;
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-}
-
-let run_tasks job =
-  let rec grab () =
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i < job.length then begin
-      job.run i;
-      ignore (Atomic.fetch_and_add job.completed 1);
-      grab ()
-    end
-  in
-  grab ()
-
-(* Whoever completes the job's last task broadcasts [idle]; a worker that
-   merely finds the index space exhausted skips the wakeup. *)
-let finish_if_last pool job =
-  if Atomic.get job.completed = job.length then begin
-    Mutex.lock pool.m;
-    Condition.broadcast pool.idle;
-    Mutex.unlock pool.m
-  end
-
-let worker pool =
-  let seen = ref 0 in
-  let rec loop () =
-    Mutex.lock pool.m;
-    while pool.generation = !seen && not pool.stop do
-      Condition.wait pool.work pool.m
-    done;
-    let stop = pool.stop in
-    let generation = pool.generation in
-    let job = pool.job in
-    Mutex.unlock pool.m;
-    if not stop then begin
-      seen := generation;
-      (match job with
-       | Some j ->
-         run_tasks j;
-         finish_if_last pool j
-       | None -> ());
-      loop ()
-    end
-  in
-  loop ()
-
-let create size =
-  let pool =
-    {
-      size;
-      m = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      generation = 0;
-      job = None;
-      stop = false;
-      workers = [];
-    }
-  in
-  pool.workers <-
-    List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
-  pool
-
-let shutdown_pool pool =
-  Mutex.lock pool.m;
-  pool.stop <- true;
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.m;
-  List.iter Domain.join pool.workers;
-  pool.workers <- []
-
-(* --- result slots ---------------------------------------------------- *)
-
-type 'b slot =
-  | Pending
-  | Done of 'b
-  | Raised of exn * Printexc.raw_backtrace
-
-(* Distinct tasks write distinct indices, so the slot array needs no
-   lock; the completion count (read under [m] by the submitter) orders
-   the writes before the collection scan. *)
-let collect slots =
-  let n = Array.length slots in
-  (* The smallest-index exception wins, deterministically. *)
-  let rec scan i =
-    if i < n then
-      match slots.(i) with
-      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Pending -> assert false (* all tasks completed before collection *)
-      | Done _ -> scan (i + 1)
-  in
-  scan 0;
-  Array.map (function Done v -> v | Pending | Raised _ -> assert false) slots
-
-let exec pool f input =
-  let n = Array.length input in
-  let slots = Array.make n Pending in
-  let ctx = Obs.Span.context () in
-  let job =
-    {
-      run =
-        (fun i ->
-          slots.(i) <-
-            (match enter_task ctx (fun () -> f input.(i)) with
-             | v -> Done v
-             | exception e -> Raised (e, Printexc.get_raw_backtrace ())));
-      length = n;
-      next = Atomic.make 0;
-      completed = Atomic.make 0;
-    }
-  in
-  Mutex.lock pool.m;
-  pool.job <- Some job;
-  pool.generation <- pool.generation + 1;
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.m;
-  (* The submitter works too: a width-k pool is k computing domains. *)
-  run_tasks job;
-  Mutex.lock pool.m;
-  while Atomic.get job.completed < job.length do
-    Condition.wait pool.idle pool.m
-  done;
-  pool.job <- None;
-  Mutex.unlock pool.m;
-  collect slots
-
-(* --- ambient configuration ------------------------------------------- *)
-
-let default_jobs () =
-  match Option.bind (Sys.getenv_opt "DLSCHED_JOBS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> Domain.recommended_domain_count ()
-
-let requested = ref None
-let live : pool option ref = ref None
-
-let jobs () =
-  match !requested with Some n -> n | None -> default_jobs ()
-
-let shutdown () =
-  match !live with
-  | Some pool ->
-    shutdown_pool pool;
-    live := None
-  | None -> ()
+(* The solver runs on one domain by construction, so 1 is the only width. *)
+let jobs () = 1
 
 let set_jobs n =
-  if n < 1 then invalid_arg "Par.Pool.set_jobs: width must be >= 1";
-  if jobs () <> n then shutdown ();
-  requested := Some n
-
-let with_jobs n f =
-  if in_parallel_task () then
-    invalid_arg "Par.Pool.with_jobs: not available inside a pool task";
-  let saved = !requested in
-  set_jobs n;
-  Fun.protect
-    ~finally:(fun () ->
-      (* The mismatched pool (if any) is torn down lazily by the next
-         [map]; only the configuration is restored here. *)
-      requested := saved)
-    f
-
-let ambient () =
-  let width = jobs () in
-  match !live with
-  | Some pool when pool.size = width -> pool
-  | Some _ | None ->
-    shutdown ();
-    let pool = create width in
-    live := Some pool;
-    pool
-
-(* --- combinators ----------------------------------------------------- *)
-
-let seq_map f input =
-  (* Same nesting semantics as the parallel path: [f] observes itself
-     inside a task, so code guarded by [in_parallel_task] behaves
-     identically at every width. *)
-  let ctx = Obs.Span.context () in
-  Array.map (fun x -> enter_task ctx (fun () -> f x)) input
-
-(* The pool holds one published job at a time, so independent top-level
-   submitters (e.g. two socket sessions that both reach a solver) take
-   turns.  No deadlock is possible through this lock: code running inside
-   a task never reaches [exec] (nested [map] raises first, [map_or_seq]
-   goes sequential). *)
-let submit_lock = Mutex.create ()
-
-let map f input =
-  if in_parallel_task () then
-    invalid_arg "Par.Pool.map: nested parallel map (use map_or_seq)";
-  if jobs () <= 1 || Array.length input <= 1 then seq_map f input
-  else Mutex.protect submit_lock (fun () -> exec (ambient ()) f input)
-
-let map_or_seq f input =
-  if in_parallel_task () then Array.map f input else map f input
-
-let map_reduce ~map:fm ~reduce ~init input =
-  Array.fold_left reduce init (map fm input)
-
-(* --- dispatch-overhead gate ------------------------------------------ *)
-
-(* Per-task dispatch cost of the live pool, measured once per width and
-   cached.  (width, nanoseconds per task.) *)
-let measured_overhead : (int * float) option ref = ref None
-
-let overhead_ns () =
-  let width = jobs () in
-  match !measured_overhead with
-  | Some (w, ns) when w = width -> ns
-  | _ ->
-    (* Publish a batch of no-op tasks and average the wall time: that is
-       exactly the cost a caller pays per task before any useful work
-       happens (index handoff, slot commit, condition-variable traffic).
-       Width <= 1 runs the sequential path and measures (near) zero. *)
-    let tasks = 256 in
-    let input = Array.init tasks Fun.id in
-    let t0 = Obs.Sink.elapsed () in
-    ignore (map ignore input);
-    let t1 = Obs.Sink.elapsed () in
-    let ns = Float.max 1.0 ((t1 -. t0) *. 1e9 /. float_of_int tasks) in
-    measured_overhead := Some (width, ns);
-    ns
-
-let worthwhile ~tasks ~task_ns =
-  tasks > 1
-  && (not (in_parallel_task ()))
-  (* More configured jobs than cores is pure oversubscription: the
-     effective width is what the hardware can actually run. *)
-  && Stdlib.min (jobs ()) (Domain.recommended_domain_count ()) > 1
-  (* A task must amortize its own dispatch several times over before
-     splitting can win; below that the sequential path is faster even
-     with idle cores available. *)
-  && task_ns >= 4.0 *. overhead_ns ()
+  if n <> 1 then invalid_arg "Par.Pool.set_jobs: the solver is sequential (width 1)"

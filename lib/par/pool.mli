@@ -1,95 +1,9 @@
-(** Deterministic fork/join execution over a fixed-size domain pool.
-
-    One pool serves the whole process.  Its width is decided, in order of
-    precedence, by {!set_jobs} / {!with_jobs} (the CLI's [--jobs N]), the
-    [DLSCHED_JOBS] environment variable, and
-    [Domain.recommended_domain_count ()].  Width 1 bypasses domains
-    entirely — no pool is ever created, every combinator degenerates to
-    its sequential meaning — and is the bit-identity oracle the parallel
-    paths are tested against.
-
-    {b Determinism contract.}  {!map} commits results by {e input index},
-    never by completion order, and {!map_reduce} folds the mapped values
-    left to right in index order; for a pure [f] every width produces the
-    same value, bit for bit (including the order of float rounding in a
-    reduction).  Exceptions follow the same rule: if several tasks raise,
-    the exception re-raised in the caller is the one from the {e
-    smallest} input index, whatever finished first.
-
-    {b Nesting.}  Worker tasks must not themselves call {!map} — the pool
-    has a fixed width and a nested fork/join from inside a task would
-    deadlock it under load, so {!map} raises [Invalid_argument] instead.
-    Library layers that can legitimately run either at top level or
-    inside someone else's task (LP formulation assembly, milestone
-    generation) use {!map_or_seq}, which degrades to the sequential path
-    when called from a task.
-
-    {b Tracing.}  Tasks inherit the submitting domain's innermost open
-    [Obs] span as their ambient parent, so spans opened inside worker
-    domains attach to the caller's span tree instead of floating as
-    roots; every span carries a [domain] attribute (see [Obs.Span]). *)
-
-val default_jobs : unit -> int
-(** [DLSCHED_JOBS] when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+(** Solver width.  The solver is sequential; these two calls remain for
+    benchmark harnesses that pin and report the width. *)
 
 val jobs : unit -> int
-(** The width the next {!map} will use. *)
+(** Always 1. *)
 
 val set_jobs : int -> unit
-(** Fix the pool width, overriding the environment and the hardware
-    default.  Shuts the live pool down first when the width changes.
-    @raise Invalid_argument on a width < 1. *)
-
-val with_jobs : int -> (unit -> 'a) -> 'a
-(** Run the thunk under a temporary width, restoring the previous
-    configuration (and tearing down any mismatched pool lazily) on exit.
-    Used by the oracle checks (jobs=1 vs jobs=N) and the speedup bench.
-    Not reentrant from worker tasks. *)
-
-val in_parallel_task : unit -> bool
-(** Whether the calling domain is currently executing a pool task (also
-    true inside the sequential fallback of a width-1 [map], so nesting
-    behavior does not depend on the width). *)
-
-val map : ('a -> 'b) -> 'a array -> 'b array
-(** [map f a] is [Array.map f a], evaluated by the pool.  Results are
-    committed by input index; see the determinism contract above.
-    @raise Invalid_argument when called from inside a pool task. *)
-
-val map_or_seq : ('a -> 'b) -> 'a array -> 'b array
-(** {!map}, except that from inside a pool task it quietly runs
-    sequentially instead of raising — for layers that are reached both
-    from top level and from within parallel probes. *)
-
-val map_reduce :
-  map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-(** [map_reduce ~map ~reduce ~init a]: map through the pool, then fold
-    the results left to right in index order on the calling domain. *)
-
-val overhead_ns : unit -> float
-(** Measured per-task dispatch cost of the pool at the current width, in
-    nanoseconds — the price of handing one task to the pool and
-    committing its result, before any useful work.  Measured once per
-    width (a short batch of no-op tasks) and cached; at width 1 it
-    measures the sequential path, i.e. (near) zero.  The first call at a
-    given width creates the pool. *)
-
-val worthwhile : tasks:int -> task_ns:float -> bool
-(** [worthwhile ~tasks ~task_ns] decides whether handing [tasks] pieces
-    of work of roughly [task_ns] nanoseconds each to the pool can beat
-    running them sequentially.  False when the effective width
-    [min (jobs ()) (Domain.recommended_domain_count ())] is 1 (notably:
-    any single-core host, regardless of [--jobs]) — checked {e before}
-    any measurement, so gated callers never create a pool there — when
-    called from inside a pool task, or when [task_ns] does not amortize
-    the measured {!overhead_ns} several times over.  Callers time one
-    representative task sequentially and gate the rest on the answer;
-    both branches are bit-identical by the determinism contract, so the
-    gate affects time only. *)
-
-val shutdown : unit -> unit
-(** Join and discard the live pool, if any.  The next {!map} recreates
-    one on demand; width configuration is unaffected.  Tests use this to
-    check teardown; normal programs never need it (an idle pool's workers
-    block on a condition variable and cost nothing). *)
+(** [set_jobs 1] is a no-op.
+    @raise Invalid_argument on any other width. *)

@@ -149,6 +149,28 @@ let test_span_nesting () =
                 17)))
   in
   Alcotest.(check int) "with_span returns the thunk's value" 17 result;
+  (* Stacks are per domain: a span opened on another domain (as a server
+     session does) is a root there, keeps a process-unique id, and records
+     the domain that opened it. *)
+  let side = ref [] in
+  Obs.Sink.with_sink
+    (Obs.Sink.callback (function
+      | Obs.Sink.Span s -> side := s :: !side
+      | Obs.Sink.Event _ -> ()))
+    (fun () ->
+      Obs.Span.with_span "main" (fun () ->
+          Domain.join (Domain.spawn (fun () -> Obs.Span.with_span "session" ignore))));
+  (match List.rev !side with
+   | [ session; main ] ->
+     Alcotest.(check bool) "other domain's span is a root" true
+       (session.Obs.Sink.parent = None);
+     Alcotest.(check bool) "span ids unique across domains" true
+       (session.Obs.Sink.id <> main.Obs.Sink.id);
+     Alcotest.(check bool) "spans record distinct opening domains" true
+       (match (Obs.Sink.attr session "domain", Obs.Sink.attr main "domain") with
+        | Some (Obs.Sink.Int a), Some (Obs.Sink.Int b) -> a <> b
+        | _ -> false)
+   | rs -> Alcotest.failf "expected 2 spans, got %d records" (List.length rs));
   (* Emission order is close order: the event fires inside [inner], then
      [inner] closes, then [outer]. *)
   match List.rev !records with

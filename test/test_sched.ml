@@ -586,21 +586,30 @@ let prop_flow_origin_dominates =
 (* ------------------------------------------------------------------ *)
 
 let prop_flow_search_certified =
-  (* The float oracle may lie arbitrarily near the boundary; the search
+  (* The float oracle may lie arbitrarily near the boundary, and need not
+     even be monotone: it answers "feasible from [approx_idx] on", except
+     at the [flips] indices where its verdict is inverted.  The search
      must still return the exact first-feasible index. *)
   QCheck.Test.make ~name:"flow search immune to approx-oracle lies" ~count:300
     (QCheck.make
+       ~print:(fun (len, e, a, flips) ->
+         Printf.sprintf "len=%d exact=%d approx=%d flips=[%s]" len e a
+           (String.concat ";" (List.map string_of_int flips)))
        QCheck.Gen.(
-         let* len = int_range 1 20 in
+         let* len = int_range 1 40 in
          let* exact_idx = int_range 0 (len - 1) in
          let* approx_idx = int_range 0 (len - 1) in
-         return (len, exact_idx, approx_idx)))
-    (fun (len, exact_idx, approx_idx) ->
+         let* flips = list_size (int_range 0 8) (int_range 0 (len - 1)) in
+         return (len, exact_idx, approx_idx, flips)))
+    (fun (len, exact_idx, approx_idx, flips) ->
       let candidates = Array.init len (fun i -> R.of_int i) in
       let exact f =
         if R.compare f (R.of_int exact_idx) >= 0 then Some f else None
       in
-      let approx f = R.compare f (R.of_int approx_idx) >= 0 in
+      let approx f =
+        let flipped = List.exists (fun i -> R.equal f (R.of_int i)) flips in
+        (R.compare f (R.of_int approx_idx) >= 0) <> flipped
+      in
       let idx, payload =
         Sched_core.Flow_search.first_feasible ~exact ~approx candidates
       in
