@@ -586,35 +586,57 @@ let prop_flow_origin_dominates =
 (* ------------------------------------------------------------------ *)
 
 let prop_flow_search_certified =
-  (* The float oracle may lie arbitrarily near the boundary, and need not
-     even be monotone: it answers "feasible from [approx_idx] on", except
-     at the [flips] indices where its verdict is inverted.  The search
+  (* The float oracle may lie arbitrarily near the boundary; the search
      must still return the exact first-feasible index. *)
   QCheck.Test.make ~name:"flow search immune to approx-oracle lies" ~count:300
     (QCheck.make
-       ~print:(fun (len, e, a, flips) ->
-         Printf.sprintf "len=%d exact=%d approx=%d flips=[%s]" len e a
-           (String.concat ";" (List.map string_of_int flips)))
        QCheck.Gen.(
-         let* len = int_range 1 40 in
+         let* len = int_range 1 20 in
          let* exact_idx = int_range 0 (len - 1) in
          let* approx_idx = int_range 0 (len - 1) in
-         let* flips = list_size (int_range 0 8) (int_range 0 (len - 1)) in
-         return (len, exact_idx, approx_idx, flips)))
-    (fun (len, exact_idx, approx_idx, flips) ->
+         return (len, exact_idx, approx_idx)))
+    (fun (len, exact_idx, approx_idx) ->
       let candidates = Array.init len (fun i -> R.of_int i) in
       let exact f =
         if R.compare f (R.of_int exact_idx) >= 0 then Some f else None
       in
-      let approx f =
-        let flipped = List.exists (fun i -> R.equal f (R.of_int i)) flips in
-        (R.compare f (R.of_int approx_idx) >= 0) <> flipped
-      in
+      let approx f = R.compare f (R.of_int approx_idx) >= 0 in
       let idx, payload =
         Sched_core.Flow_search.first_feasible ~exact ~approx candidates
       in
       (* The payload must be the winning probe's, not a stale one. *)
       idx = exact_idx && R.equal payload candidates.(idx))
+
+let prop_flow_search_noisy_approx =
+  (* The approximation need not even be monotone: it is right everywhere
+     except at the [flips] indices, where its verdict is inverted.  The
+     search must land on the exact boundary and return that probe's
+     payload. *)
+  QCheck.Test.make ~name:"noisy approx: index and payload" ~count:60
+    (QCheck.make
+       ~print:(fun (n, b, flips) ->
+         Printf.sprintf "n=%d boundary=%d flips=[%s]" n b
+           (String.concat ";" (List.map string_of_int flips)))
+       QCheck.Gen.(
+         let* n = int_range 2 40 in
+         let* boundary = int_range 0 (n - 1) in
+         let* flips = list_size (int_range 0 8) (int_range 0 (n - 1)) in
+         return (n, boundary, flips)))
+    (fun (n, boundary, flips) ->
+      let candidates = Array.init n (fun i -> ri (i + 1)) in
+      let index_of v = int_of_float (R.to_float v) - 1 in
+      let exact v =
+        if index_of v >= boundary then Some ("pay:" ^ R.to_string v) else None
+      in
+      let approx v =
+        let i = index_of v in
+        (i >= boundary) <> List.mem i flips
+      in
+      let idx, payload =
+        Sched_core.Flow_search.first_feasible ~exact ~approx candidates
+      in
+      idx = boundary
+      && String.equal payload ("pay:" ^ R.to_string candidates.(boundary)))
 
 (* ------------------------------------------------------------------ *)
 (* Open-shop decomposition                                             *)
@@ -1077,7 +1099,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_flow_origin_validation;
           Alcotest.test_case "own-release milestone" `Quick test_flow_origin_milestone;
           QCheck_alcotest.to_alcotest prop_flow_origin_dominates;
-          QCheck_alcotest.to_alcotest prop_flow_search_certified
+          QCheck_alcotest.to_alcotest prop_flow_search_certified;
+          QCheck_alcotest.to_alcotest prop_flow_search_noisy_approx
         ] );
       ( "openshop",
         [ Alcotest.test_case "diagonal" `Quick test_openshop_identity;
