@@ -357,17 +357,18 @@ let run_search () =
     [ (4, 2); (6, 3); (8, 3); (10, 4); (12, 4); (16, 5) ]
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start ablation: basis reuse across the milestone search         *)
+(* Warm-start ablation: basis reuse across the bisection's exact probes  *)
 (* ------------------------------------------------------------------ *)
 
-(* One milestone search, with per-solve records captured from the
-   ["lp.solve"] trace spans via a scoped callback sink.  The last exact
-   solve is the final parametric LP — always cold by design (see
-   Max_flow.solve), so it is reported separately from the search-phase
-   feasibility probes that warm-starting targets. *)
+(* One bisection search (Max_flow.solve_bisection), with per-solve records
+   captured from the exact ["lp.solve"] trace spans via a scoped callback
+   sink.  Every exact solve there is a feasibility probe of one shared
+   Deadline.prober, whose shape-keyed basis cache is the warm start being
+   measured.  (The milestone search's exact solves are cold by design:
+   one parametric LP per certified bracket.) *)
 type solve_rec = { went_warm : bool; pivots : int }
 
-let measure_search ~warm inst =
+let measure_bisection ~warm inst =
   let saved = !Lp.Solve.warm in
   Lp.Solve.warm := warm;
   Fun.protect
@@ -394,18 +395,16 @@ let measure_search ~warm inst =
               :: !recs
           | _ -> ())
       in
-      let r = Obs.Sink.with_sink sink (fun () -> Sched_core.Max_flow.solve inst) in
-      (* Spans close in solve-completion order, so the final parametric LP
-         is the head of the (reversed) list. *)
-      match !recs with
-      | final :: probes_rev -> (r, List.rev probes_rev, final)
-      | [] -> assert false)
+      let r =
+        Obs.Sink.with_sink sink (fun () -> Sched_core.Max_flow.solve_bisection inst)
+      in
+      (r, List.rev !recs))
 
 let run_warmstart () =
-  section "Warm-start ablation: exact probe pivots, cold vs basis reuse";
+  section "Warm-start ablation: bisection exact-probe pivots, cold vs basis reuse";
   Printf.printf
-    "Milestone search feasibility probes (final parametric solve excluded;\n\
-     it is cold under both configurations and identical by construction).\n";
+    "Max_flow.solve_bisection feasibility probes (every exact solve of the\n\
+     search; the answers, and so the result, are identical by construction).\n";
   Printf.printf "%4s %4s %7s | %12s | %12s %6s | %7s\n" "n" "m" "probes"
     "cold pivots" "warm pivots" "hits" "ratio";
   let rng = Gripps.Prng.create 108 in
@@ -413,15 +412,15 @@ let run_warmstart () =
     List.map
       (fun (n, m) ->
         let inst = random_instance rng ~jobs:n ~machines:m in
-        let rc, probes_c, final_c = measure_search ~warm:false inst in
-        let rw, probes_w, final_w = measure_search ~warm:true inst in
+        let rc, probes_c = measure_bisection ~warm:false inst in
+        let rw, probes_w = measure_bisection ~warm:true inst in
         if
           not
             (R.equal rc.Sched_core.Max_flow.objective
                rw.Sched_core.Max_flow.objective)
         then failwith "warmstart: objectives diverge between configurations";
-        if final_c.pivots <> final_w.pivots then
-          failwith "warmstart: final parametric solve was not cold-identical";
+        if List.length probes_c <> List.length probes_w then
+          failwith "warmstart: probe sequences diverge between configurations";
         let sum l = List.fold_left (fun a i -> a + i.pivots) 0 l in
         let cold = sum probes_c and warmp = sum probes_w in
         let hits =
@@ -520,7 +519,9 @@ let run_smoke () =
       ("approx_pivots", Lp.Instrument.total_pivots d_ap);
     ]
   in
-  (* Warm solves are a floor, not a ceiling: losing them is the regression. *)
+  (* Warm solves are a floor, not a ceiling: losing them is the regression.
+     The milestone search solves cold today, so the floor is 0 and only
+     its expect_ key bites. *)
   let floors = [ ("exact_warm_solves", d_ex.Lp.Instrument.warm_solves) ] in
   let budget = read_budget budget_file in
   let ok = ref true in

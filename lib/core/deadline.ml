@@ -18,13 +18,6 @@ let is_feasible ?divisible inst ~deadlines =
   | Lp.Solution.Infeasible -> false
   | Lp.Solution.Unbounded -> assert false
 
-let is_feasible_approx ?divisible inst ~deadlines =
-  let form = Formulations.deadline_system ?divisible inst ~deadlines in
-  match Lp.Solve.approx (Lp.Problem.map Rat.to_float form.dl_problem) with
-  | Lp.Solution.Optimal _ -> true
-  | Lp.Solution.Infeasible -> false
-  | Lp.Solution.Unbounded -> assert false
-
 let flow_deadlines inst ~objective =
   Array.init (Instance.num_jobs inst) (fun j ->
       Rat.add (Instance.flow_origin inst j)
@@ -35,14 +28,13 @@ let flow_deadlines inst ~objective =
 (* ------------------------------------------------------------------ *)
 
 (* A prober amortizes a family of flow-deadline feasibility questions on
-   one instance (the milestone binary search, online re-solves):
-   - formulations are memoized per objective, so the approx pre-check and
-     the exact certification of the same F build the LP once;
-   - the float probe's final basis seeds the exact solve of the same
-     system (verified warm start — see [Lp.Revised]);
+   one instance (the milestone search's float probes, bisection's exact
+   probes):
+   - formulations are memoized per objective, so [schedule_at] decodes
+     with the LP its probe built;
    - exact bases are kept in a shape-keyed [Lp.Solve.cache], warm-starting
-     later probes whose interval structure coincides (pass [?cache] to
-     share it across probers, e.g. across online arrivals);
+     later probes whose interval structure coincides (verified warm start
+     — see [Lp.Revised]);
    - feasible exact probes keep their LP solution, so the winning
      objective's schedule is decoded without another solve
      ([schedule_at]).
@@ -55,17 +47,15 @@ type prober = {
   p_divisible : bool;
   p_cache : Lp.Solve.cache;
   p_forms : (string, Formulations.deadline_form) Hashtbl.t;
-  p_bases : (string, int array) Hashtbl.t; (* float bases, keyed by objective *)
   p_solutions : (string, Rat.t array) Hashtbl.t; (* feasible exact solutions *)
 }
 
-let prober ?(divisible = true) ?cache inst =
+let prober ?(divisible = true) inst =
   {
     p_inst = inst;
     p_divisible = divisible;
-    p_cache = (match cache with Some c -> c | None -> Lp.Solve.cache ());
+    p_cache = Lp.Solve.cache ();
     p_forms = Hashtbl.create 16;
-    p_bases = Hashtbl.create 16;
     p_solutions = Hashtbl.create 8;
   }
 
@@ -88,11 +78,7 @@ let form_at pr ~objective =
 let probe_approx pr ~objective =
   let body () =
     let form = form_at pr ~objective in
-    let outcome, basis =
-      Lp.Solve.approx_basis (Lp.Problem.map Rat.to_float form.dl_problem)
-    in
-    Option.iter (Hashtbl.replace pr.p_bases (obj_key objective)) basis;
-    match outcome with
+    match Lp.Solve.approx (Lp.Problem.map Rat.to_float form.dl_problem) with
     | Lp.Solution.Optimal _ -> true
     | Lp.Solution.Infeasible -> false
     | Lp.Solution.Unbounded -> assert false
@@ -109,9 +95,7 @@ let probe_approx pr ~objective =
 let probe_exact pr ~objective =
   let body () =
     let form = form_at pr ~objective in
-    let hint = Hashtbl.find_opt pr.p_bases (obj_key objective) in
-    Obs.Span.set_bool "float_basis_hint" (hint <> None);
-    match Lp.Solve.exact ~cache:pr.p_cache ?hint form.dl_problem with
+    match Lp.Solve.exact ~cache:pr.p_cache form.dl_problem with
     | Lp.Solution.Optimal sol ->
       Hashtbl.replace pr.p_solutions (obj_key objective) sol.values;
       true

@@ -14,41 +14,36 @@ val is_feasible : ?divisible:bool -> Instance.t -> deadlines:Rat.t array -> bool
     [true]) selects system (2) or, when [false], system (5) at a fixed
     objective (the preemptive model of Section 4.4). *)
 
-val is_feasible_approx : ?divisible:bool -> Instance.t -> deadlines:Rat.t array -> bool
-(** Same question answered with the float simplex: much faster, possibly
-    wrong near the feasibility boundary.  The milestone search uses it as a
-    pre-check and verifies the answer exactly at the decision points. *)
-
 val flow_deadlines : Instance.t -> objective:Rat.t -> Rat.t array
 (** The deadlines [d̄_j(F) = r_j + F/w_j] induced by a maximum weighted
     flow objective [F] (Section 4.3.1). *)
 
-(** {2 Warm-started feasibility probes}
+(** {2 Feasibility probes}
 
     A prober answers a family of "is objective [F] feasible?" questions on
-    one instance, reusing work across probes: memoized formulations, the
-    float probe's basis seeding the exact solve of the same system, a
-    shape-keyed basis cache across objectives, and cached solutions so the
-    winning probe's schedule needs no extra solve.  Every reuse is
-    verified by the solver (see [Lp.Revised] warm starts), so answers are identical
-    to cold solves — only cheaper. *)
+    one instance: the float probes that steer {!Max_flow.search}, and the
+    exact probes of {!Max_flow.solve_bisection}.  It memoizes formulations
+    per objective, warm-starts exact probes from a shape-keyed basis cache
+    of earlier exact probes, and keeps feasible exact solutions so the
+    winning probe's schedule needs no extra solve.  Every warm start is
+    verified by the solver (see [Lp.Revised]), so answers are identical to
+    cold solves — only cheaper. *)
 
 type prober
 
-val prober : ?divisible:bool -> ?cache:Lp.Solve.cache -> Instance.t -> prober
+val prober : ?divisible:bool -> Instance.t -> prober
 (** [divisible] defaults to [true] (system (2)); [false] selects the
-    preemptive system (5) at fixed objective.  Pass [?cache] to share a
-    basis cache across probers (e.g. across online re-solves). *)
+    preemptive system (5) at fixed objective. *)
 
 val probe_approx : prober -> objective:Rat.t -> bool
-(** Float feasibility pre-check at [objective]; records the float basis
-    for {!probe_exact} to warm-start from. *)
+(** Float feasibility at [objective]: cold, fast, possibly wrong near the
+    feasibility boundary. *)
 
 val probe_exact : prober -> objective:Rat.t -> bool
-(** Exact feasibility at [objective], warm-started when a float basis or
-    a shape-compatible cached basis is available. *)
+(** Exact feasibility at [objective], warm-started when an earlier exact
+    probe of this prober left a shape-compatible basis. *)
 
 val schedule_at : prober -> objective:Rat.t -> Schedule.t option
 (** The schedule of the (divisible) deadline system at [objective],
     decoded from the cached probe solution when [probe_exact] already ran
-    there — the winning milestone's LP is not solved twice. *)
+    there — the winning objective's LP is not solved twice. *)

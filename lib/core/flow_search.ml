@@ -1,5 +1,7 @@
 module Rat = Numeric.Rat
 
+type 'a verdict = Found of 'a | Lower | Higher
+
 (* Smallest index in [lo, hi] satisfying the monotone index predicate
    [feasible], assuming [hi] does; [hi] itself is never tested. *)
 let binary_search ~feasible lo hi =
@@ -10,52 +12,40 @@ let binary_search ~feasible lo hi =
   done;
   !lo
 
-let first_feasible_untraced ~exact ~approx candidates =
-  let last = Array.length candidates - 1 in
-  (* Cache each exact probe's payload so the winning candidate's LP
-     solution is returned instead of being solved a second time. *)
-  let payloads = Hashtbl.create 8 in
-  let exact_idx i =
-    match exact candidates.(i) with
-    | Some payload ->
-      Hashtbl.replace payloads i payload;
-      true
-    | None -> false
-  in
-  let guess = binary_search ~feasible:(fun i -> approx candidates.(i)) 0 last in
-  (* Certify the float answer with exact tests at the boundary. *)
-  let idx =
-    if exact_idx guess then begin
-      if guess = 0 || not (exact_idx (guess - 1)) then guess
-      else
-        (* Float search overshot: the exact boundary is at or below guess-1. *)
-        binary_search ~feasible:exact_idx 0 (guess - 1)
-    end
-    else
-      (* Float search undershot: the exact boundary is above guess. *)
-      binary_search ~feasible:exact_idx (guess + 1) last
-  in
-  let payload =
-    match Hashtbl.find_opt payloads idx with
-    | Some p -> p
-    | None -> (
-      (* Only reachable when the winner was never probed (the search
-         collapsed onto the unprobed sentinel): probe it now. *)
-      match exact candidates.(idx) with
-      | Some p -> p
-      | None ->
-        invalid_arg "Flow_search.first_feasible: last candidate not feasible")
-  in
-  (idx, payload)
+(* The first feasible index lies in [lo, hi]; certify [i] there and
+   narrow the range by its verdict.  Each step either finds the index or
+   shrinks the range, so a consistent [certify] ends before it empties. *)
+let rec search ~certify ~calls lo hi i =
+  if lo > hi then
+    invalid_arg "Flow_search.first_feasible: no bracket certified (last candidate infeasible?)";
+  incr calls;
+  match certify i with
+  | Found payload -> (i, payload)
+  | Higher -> search ~certify ~calls (i + 1) hi ((i + 1 + hi) / 2)
+  | Lower -> search ~certify ~calls lo (i - 1) ((lo + i - 1) / 2)
 
-let first_feasible ~exact ~approx candidates =
+let first_feasible_untraced ~certify ?approx ~calls candidates =
+  let last = Array.length candidates - 1 in
+  let guess =
+    match approx with
+    | Some approx -> binary_search ~feasible:(fun i -> approx candidates.(i)) 0 last
+    | None -> last / 2
+  in
+  (guess, search ~certify ~calls 0 last guess)
+
+let first_feasible ~certify ?approx candidates =
+  let calls = ref 0 in
   if not (Obs.Sink.enabled ()) then
-    first_feasible_untraced ~exact ~approx candidates
+    snd (first_feasible_untraced ~certify ?approx ~calls candidates)
   else
     Obs.Span.with_span "flow.search"
       ~attrs:[ ("candidates", Obs.Sink.Int (Array.length candidates)) ]
       (fun () ->
-        let idx, payload = first_feasible_untraced ~exact ~approx candidates in
+        let guess, (idx, payload) =
+          first_feasible_untraced ~certify ?approx ~calls candidates
+        in
+        Obs.Span.set_int "guess" guess;
         Obs.Span.set_int "index" idx;
+        Obs.Span.set_int "certify_solves" !calls;
         Obs.Event.emit "search.bracketed" ~attrs:[ ("index", Obs.Sink.Int idx) ];
         (idx, payload))

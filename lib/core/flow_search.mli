@@ -1,28 +1,38 @@
-(** Verified accelerated binary search over milestone candidates.
+(** Float-guided search for the milestone bracket that holds [F*].
 
-    Feasibility of a flow objective is monotone (a larger [F] only loosens
-    deadlines), so the optimal objective lies between the last infeasible
-    and the first feasible candidate.  The exact LP feasibility test is
-    expensive; this module drives the binary search with the float LP and
-    then certifies the answer with at most two exact tests — falling back
-    to a fully exact binary search in the (rare) case the float search was
-    fooled by a near-boundary instance.  The result is therefore exactly
-    the one a purely exact search would produce.
+    Candidates [c_0 < c_1 < … < c_last] are objective values; feasibility
+    is monotone in the objective (a larger [F] only loosens deadlines) and
+    [c_last] is known feasible.  The optimum lies in the bracket
+    [\[c_{i-1}, c_i\]] of the first feasible index [i] (with [0] standing
+    in for [c_{-1}]).
 
-    Exact probes return a payload (typically the probe's LP solution or
-    schedule), and [first_feasible] returns the winning candidate's payload
-    along with its index — so the winner's LP is never solved twice. *)
+    The exact question is asked of the bracket itself: [certify i] solves
+    the parametric LP on [\[c_{i-1}, c_i\]], which decides both ends at
+    once — infeasible iff [c_i] is infeasible, optimum at [c_{i-1}] iff
+    [c_{i-1}] is feasible — and otherwise yields the winning LP's solution.
+    The float search only picks which bracket to certify first; a wrong
+    guess is corrected by an exact binary search driven by the same
+    verdicts.  The result therefore never depends on float rounding. *)
 
 module Rat = Numeric.Rat
 
+(** The exact verdict on one bracket [\[c_{i-1}, c_i\]]. *)
+type 'a verdict =
+  | Found of 'a  (** [i] is the first feasible index; the bracket's payload *)
+  | Lower  (** [c_{i-1}] is already feasible: the first feasible index is below [i] *)
+  | Higher  (** [c_i] is infeasible: the first feasible index is above [i] *)
+
 val first_feasible :
-  exact:(Rat.t -> 'a option) ->
-  approx:(Rat.t -> bool) ->
+  certify:(int -> 'a verdict) ->
+  ?approx:(Rat.t -> bool) ->
   Rat.t array ->
   int * 'a
-(** [first_feasible ~exact ~approx candidates] returns the smallest index
-    [i] with [exact candidates.(i) <> None] together with that probe's
-    payload, given that feasibility is monotone increasing and the last
-    candidate is feasible.  [approx] must answer the same question
-    approximately.  Raises [Invalid_argument] if the last candidate turns
-    out infeasible (broken contract). *)
+(** [first_feasible ~certify ?approx candidates] returns the first
+    feasible index [i] and the payload of [certify i = Found _].  With
+    [approx] (an approximate feasibility test of one candidate), the float
+    binary search picks the first bracket to certify, so a truthful
+    [approx] costs exactly one [certify] call; without it the exact search
+    starts at the middle.  [certify] must answer [Found] exactly at the
+    first feasible index, [Lower] above it and [Higher] below it.
+    Raises [Invalid_argument] if the verdicts are inconsistent (e.g. the
+    last candidate turns out infeasible). *)

@@ -30,61 +30,73 @@ let feasible_upper_bound inst =
     order;
   !worst
 
-(* Smallest index [i] in [candidates] (sorted increasing, last one known
-   feasible) such that the objective [candidates.(i)] is feasible.
-   Feasibility is monotone in F: larger F only loosens every deadline.
-   The search is float-driven and exactly certified (see {!Flow_search});
-   probes share a {!Deadline.prober} so exact certifications warm-start
-   from the float bases. *)
-let first_feasible ~accelerate ?cache inst candidates =
-  let pr = Deadline.prober ?cache inst in
-  let exact f = if Deadline.probe_exact pr ~objective:f then Some () else None in
-  let approx =
-    if accelerate then fun f -> Deadline.probe_approx pr ~objective:f
-    else fun f -> Deadline.probe_exact pr ~objective:f
-  in
-  fst (Flow_search.first_feasible ~exact ~approx candidates)
+type optimum = {
+  f_star : Rat.t;
+  intervals : (Rat.t * Rat.t) array;
+  fractions : Formulations.alloc;
+}
 
-let solve_untraced ?(accelerate = true) ?cache inst =
+(* Candidate [i]'s bracket: the previous candidate (0 below the first)
+   and [i] itself. *)
+let bracket candidates i =
+  ((if i = 0 then Rat.zero else candidates.(i - 1)), candidates.(i))
+
+(* Solve LP (3) (or (5), non-divisible) cold on candidate [i]'s closed
+   bracket.  At an end of the range that LP is the deadline system there
+   (DESIGN §5), so one solve decides both ends: infeasible iff c_i is,
+   optimum at c_{i-1} iff c_{i-1} is feasible, and otherwise [i] is the
+   first feasible index.  Cold solves follow the dense oracle's pivot
+   rules, so the returned schedule never depends on the search path. *)
+let certify ~divisible inst candidates i =
+  let f_lo, f_hi = bracket candidates i in
+  Obs.Span.with_span "parametric.solve" (fun () ->
+      let form = Formulations.parametric_system ~divisible inst ~f_lo ~f_hi in
+      match Lp.Solve.exact form.pf_problem with
+      | Lp.Solution.Optimal sol ->
+        let f_star, fractions = form.pf_decode sol.values in
+        if i > 0 && Rat.equal f_star f_lo then Flow_search.Lower
+        else
+          let intervals =
+            Array.init
+              (Array.length form.pf_bounds - 1)
+              (fun t ->
+                ( Numeric.Affine.eval form.pf_bounds.(t) f_star,
+                  Numeric.Affine.eval form.pf_bounds.(t + 1) f_star ))
+          in
+          Flow_search.Found { f_star; intervals; fractions }
+      | Lp.Solution.Infeasible -> Flow_search.Higher
+      | Lp.Solution.Unbounded -> assert false (* F is bounded below by f_lo ≥ 0 *))
+
+(* The float probes only pick which bracket to certify first. *)
+let search ?(accelerate = true) ~divisible inst candidates =
+  let approx =
+    if accelerate then
+      let pr = Deadline.prober ~divisible inst in
+      Some (fun f -> Deadline.probe_approx pr ~objective:f)
+    else None
+  in
+  let idx, optimum =
+    Flow_search.first_feasible ~certify:(certify ~divisible inst candidates) ?approx
+      candidates
+  in
+  (optimum, bracket candidates idx)
+
+let solve_untraced ?accelerate inst =
   if Instance.num_jobs inst = 0 then invalid_arg "Max_flow.solve: empty instance";
   let f_ub = feasible_upper_bound inst in
   let milestones = Milestones.compute inst in
   (* Only milestones at most [f_ub] matter: the optimum is ≤ f_ub, and
-     [f_ub] itself is appended as a feasible sentinel so the binary search
-     is always well-defined. *)
+     [f_ub] itself is appended as a feasible sentinel so the search is
+     always well-defined. *)
   let candidates = Milestones.candidates ~milestones inst ~upper:f_ub in
-  let idx = first_feasible ~accelerate ?cache inst candidates in
-  let f_hi = candidates.(idx) in
-  let f_lo = if idx = 0 then Rat.zero else candidates.(idx - 1) in
-  (* The open range (f_lo, f_hi) contains no milestone; minimize F there.
-     This final parametric solve intentionally takes no warm-start hint:
-     cold solves are bit-identical to the dense oracle's, so the returned
-     schedule never depends on probe history. *)
-  let outcome =
-    Obs.Span.with_span "parametric.solve" (fun () ->
-        let form = Formulations.parametric_system ~divisible:true inst ~f_lo ~f_hi in
-        match Lp.Solve.exact form.pf_problem with
-        | Lp.Solution.Optimal sol -> Some (form, sol)
-        | Lp.Solution.Infeasible ->
-          assert false (* f_hi is feasible, so the range contains a solution *)
-        | Lp.Solution.Unbounded -> assert false (* F is bounded below by f_lo ≥ 0 *))
+  let { f_star; intervals; fractions }, search_range =
+    search ?accelerate ~divisible:true inst candidates
   in
-  match outcome with
-  | Some (form, sol) ->
-    let f_star, fractions = form.pf_decode sol.values in
-    let intervals =
-      Array.init
-        (Array.length form.pf_bounds - 1)
-        (fun t ->
-          ( Numeric.Affine.eval form.pf_bounds.(t) f_star,
-            Numeric.Affine.eval form.pf_bounds.(t + 1) f_star ))
-    in
-    let schedule = Schedule.pack inst ~intervals ~fractions in
-    { objective = f_star; schedule; milestones; search_range = (f_lo, f_hi) }
-  | None -> assert false
+  let schedule = Schedule.pack inst ~intervals ~fractions in
+  { objective = f_star; schedule; milestones; search_range }
 
-let solve ?accelerate ?cache inst =
-  if not (Obs.Sink.enabled ()) then solve_untraced ?accelerate ?cache inst
+let solve ?accelerate inst =
+  if not (Obs.Sink.enabled ()) then solve_untraced ?accelerate inst
   else
     Obs.Span.with_span "maxflow.solve"
       ~attrs:
@@ -93,7 +105,7 @@ let solve ?accelerate ?cache inst =
           ("machines", Obs.Sink.Int (Instance.num_machines inst));
         ]
       (fun () ->
-        let r = solve_untraced ?accelerate ?cache inst in
+        let r = solve_untraced ?accelerate inst in
         let f_lo, f_hi = r.search_range in
         Obs.Span.set_str "f_star" (Format.asprintf "%a" Rat.pp r.objective);
         Obs.Span.set_str "f_lo" (Format.asprintf "%a" Rat.pp f_lo);
@@ -104,9 +116,9 @@ let solve ?accelerate ?cache inst =
    optimum (no jobs, objective 0, empty schedule) rather than an
    exception.  Degenerate *construction* inputs never reach here — they
    are typed out by [Instance.make_checked]. *)
-let solve_total ?accelerate ?cache inst =
+let solve_total ?accelerate inst =
   if Instance.num_jobs inst = 0 then `Trivial (Schedule.make inst [])
-  else `Solved (solve ?accelerate ?cache inst)
+  else `Solved (solve ?accelerate inst)
 
 let solve_max_stretch inst = solve (Instance.stretch_weights inst)
 

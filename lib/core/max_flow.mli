@@ -6,8 +6,11 @@
     deadlines changes), binary-search for the first feasible one using the
     deadline-scheduling LP of Lemma 1, then solve the parametric system (3)
     on the bracketing milestone-free range, with the objective [F] itself as
-    an LP variable.  Everything runs on exact rationals, so the returned
-    objective is the exact optimum. *)
+    an LP variable.  Here the float deadline LP steers the search and the
+    parametric LP of a bracket is the exact test: it is infeasible iff the
+    bracket's upper milestone is, and its optimum sits at the lower
+    milestone iff that one is already feasible.  Everything exact runs on
+    rationals, so the returned objective is the exact optimum. *)
 
 module Rat = Numeric.Rat
 
@@ -19,23 +22,53 @@ type result = {
       (** the milestone-free range on which the parametric LP found [F*] *)
 }
 
-val solve : ?accelerate:bool -> ?cache:Lp.Solve.cache -> Instance.t -> result
-(** [accelerate] (default [true]) drives the milestone binary search with
-    the float LP, certified exactly ({!Flow_search}); [false] uses exact
-    feasibility tests throughout.  [cache] shares a warm-start basis cache
-    across calls (see {!Deadline.prober}); probes are warm-started either
-    way, but the final parametric solve is always cold.  The result is
-    identical in all configurations.
+val solve : ?accelerate:bool -> Instance.t -> result
+(** [accelerate] (default [true]) lets the float LP guess which milestone
+    bracket holds [F*], so that normally one exact LP — the parametric
+    solve on that bracket — both certifies the guess and yields the
+    optimum ({!search}); [false] drives the bracket search with exact
+    solves alone, starting at the middle candidate.  Every exact solve is
+    cold, so the result is identical in both configurations.
     @raise Invalid_argument on an empty instance. *)
 
 val solve_total :
-  ?accelerate:bool ->
-  ?cache:Lp.Solve.cache ->
-  Instance.t ->
-  [ `Solved of result | `Trivial of Schedule.t ]
+  ?accelerate:bool -> Instance.t -> [ `Solved of result | `Trivial of Schedule.t ]
 (** Total variant of {!solve}: the empty instance (no jobs) yields
     [`Trivial] with an empty schedule instead of raising.  Never raises on
     a well-formed {!Instance.t}. *)
+
+(** {2 The bracket search}
+
+    Shared by {!solve} ([divisible:true], system (3)) and
+    {!Preemptive.solve} ([divisible:false], system (5)).  [candidates] is
+    sorted increasing with a feasible last element
+    ({!Milestones.candidates}); candidate [i]'s bracket is
+    [\[c_{i-1}, c_i\]], with [0] in place of [c_{-1}]. *)
+
+type optimum = {
+  f_star : Rat.t;  (** the minimum of [F] on the bracket *)
+  intervals : (Rat.t * Rat.t) array;  (** the epochal intervals at [f_star] *)
+  fractions : Formulations.alloc;  (** the optimal fractions *)
+}
+
+val certify :
+  divisible:bool -> Instance.t -> Rat.t array -> int -> optimum Flow_search.verdict
+(** [certify ~divisible inst candidates i] solves the parametric LP cold
+    on candidate [i]'s bracket.  It is [Higher] iff [c_i] is infeasible,
+    [Lower] iff [i > 0] and [c_{i-1}] is feasible, and otherwise [Found]
+    with the bracket's optimum — so [Found] marks exactly the first
+    feasible index, and its optimum is [F*]. *)
+
+val search :
+  ?accelerate:bool ->
+  divisible:bool ->
+  Instance.t ->
+  Rat.t array ->
+  optimum * (Rat.t * Rat.t)
+(** The optimum [F*] and its bracket [(f_lo, f_hi)]:
+    {!Flow_search.first_feasible} over {!certify}, with the float
+    deadline LP picking the first bracket when [accelerate] (default
+    [true]) holds. *)
 
 val solve_max_stretch : Instance.t -> result
 (** Maximum stretch as the particular case of maximum weighted flow with

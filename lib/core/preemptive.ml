@@ -8,19 +8,6 @@ type result = {
   preemption_slots : int;
 }
 
-(* Feasibility of objective [f] in the preemptive model: system (5) at a
-   fixed F is the deadline system (2) plus the per-job constraint (5b).
-   Probes share a non-divisible {!Deadline.prober}, so the exact
-   certifications warm-start from the float probes' bases. *)
-let first_feasible inst candidates =
-  let pr = Deadline.prober ~divisible:false inst in
-  fst
-    (Flow_search.first_feasible
-       ~exact:(fun f ->
-         if Deadline.probe_exact pr ~objective:f then Some () else None)
-       ~approx:(fun f -> Deadline.probe_approx pr ~objective:f)
-       candidates)
-
 (* Rebuild a preemptive schedule from interval fractions: per interval,
    decompose the processing-time matrix into synchronized slots. *)
 let reconstruct inst ~intervals ~fractions =
@@ -73,26 +60,13 @@ let solve inst =
   let f_ub = Max_flow.feasible_upper_bound inst in
   let milestones = Milestones.compute inst in
   let candidates = Milestones.candidates ~milestones inst ~upper:f_ub in
-  let idx = first_feasible inst candidates in
-  let f_hi = candidates.(idx) in
-  let f_lo = if idx = 0 then Rat.zero else candidates.(idx - 1) in
-  (* Cold final solve, as in {!Max_flow.solve}: schedules stay independent
-     of probe history and identical to the dense oracle's. *)
-  let form = Formulations.parametric_system ~divisible:false inst ~f_lo ~f_hi in
-  match Lp.Solve.exact form.pf_problem with
-  | Lp.Solution.Optimal sol ->
-    let f_star, fractions = form.pf_decode sol.values in
-    let intervals =
-      Array.init
-        (Array.length form.pf_bounds - 1)
-        (fun t ->
-          ( Numeric.Affine.eval form.pf_bounds.(t) f_star,
-            Numeric.Affine.eval form.pf_bounds.(t + 1) f_star ))
-    in
-    let schedule, preemption_slots = reconstruct inst ~intervals ~fractions in
-    { objective = f_star; schedule; milestones; search_range = (f_lo, f_hi); preemption_slots }
-  | Lp.Solution.Infeasible -> assert false
-  | Lp.Solution.Unbounded -> assert false
+  (* The bracket search of {!Max_flow.search} on system (5): system (3)
+     plus the per-job capacity constraint (5b). *)
+  let { Max_flow.f_star; intervals; fractions }, search_range =
+    Max_flow.search ~divisible:false inst candidates
+  in
+  let schedule, preemption_slots = reconstruct inst ~intervals ~fractions in
+  { objective = f_star; schedule; milestones; search_range; preemption_slots }
 
 let solve_total inst =
   if Instance.num_jobs inst = 0 then `Trivial (Schedule.make inst [])

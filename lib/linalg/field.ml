@@ -4,7 +4,7 @@
      returned, so that the paper's exactness claims actually hold;
    - [Approx]: IEEE doubles with an epsilon tolerance, used by the float
      feasibility probes that guide the milestone search before the exact
-     certification. *)
+     parametric solve certifies its bracket. *)
 
 module type S = sig
   type t

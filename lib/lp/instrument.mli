@@ -4,7 +4,7 @@
     instrument family (counters for solves, warm solves and pivots per
     phase; a histogram of per-solve wall seconds).  The milestone
     searches drive both families: float probes land under [lp.approx],
-    their exact certifications under [lp.exact].
+    the certifying parametric solves under [lp.exact].
 
     This module replaces the old [Lp.Stats] accumulators and its hook.
     Aggregate consumers snapshot {!totals} before and after the work of

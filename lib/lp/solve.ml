@@ -1,9 +1,8 @@
 (* Solver dispatch: one entry point for the rest of the codebase.
 
    Every solve runs on the revised simplex over CSC columns ([Revised]).
-   Warm-start hints are honored only when the caller supplies them
-   ([?hint] for a one-shot basis, [?cache] for a shape-keyed basis
-   store); paths that pass neither get cold solves, whose pivot rules
+   An exact solve warm-starts only when the caller passes a shape-keyed
+   basis store ([?cache]); every other solve is cold, and cold pivot rules
    follow the dense tableau oracle exactly.
 
    [with_engine] is the one test seam: it swaps in another engine (the
@@ -21,14 +20,13 @@ type engine = {
 (* The installed test engine, [None] for the revised simplex. *)
 let override : engine option ref = ref None
 
-(* While [e] is installed, [?hint] and [?cache] are ignored and no basis
-   is returned. *)
+(* While [e] is installed, [?cache] is ignored and no basis is returned. *)
 let with_engine e f =
   let saved = !override in
   override := Some e;
   Fun.protect ~finally:(fun () -> override := saved) f
 
-(* Global warm-start enable: flipping this off makes even hinted solves
+(* Global warm-start enable: flipping this off makes even cached solves
    run cold.  The bench uses it to measure the warm-start payoff with
    everything else held fixed. *)
 let warm = ref true
@@ -57,42 +55,26 @@ let cache_store (c : cache) shape basis =
     Hashtbl.reset c;
   Hashtbl.replace c shape basis
 
-let pick_hint ?cache ?hint shape =
-  if not !warm then None
-  else
-    match hint with
-    | Some _ -> hint
-    | None ->
-      Option.bind cache (fun c -> Hashtbl.find_opt c shape)
-
 (* Exact (rational) solve.  [exact_basis] additionally returns the final
-   basis, for callers that hand bases across arithmetics (e.g. float probe
-   → exact certification). *)
-let exact_basis ?cache ?hint (p : R.t Problem.t) :
+   basis. *)
+let exact_basis ?cache (p : R.t Problem.t) :
     R.t Solution.outcome * int array option =
   match !override with
   | Some e -> (e.exact p, None)
   | None ->
     let prep = Revised.Exact.prepare p in
     let shape = Revised.Exact.shape prep in
-    let warm = pick_hint ?cache ?hint shape in
-    let outcome, basis = Revised.Exact.solve_prepared ?warm prep in
+    let hint =
+      if !warm then Option.bind cache (fun c -> Hashtbl.find_opt c shape) else None
+    in
+    let outcome, basis = Revised.Exact.solve_prepared ?warm:hint prep in
     Option.iter (fun c -> cache_store c shape basis) cache;
     (outcome, Some basis)
 
-let exact ?cache ?hint p = fst (exact_basis ?cache ?hint p)
+let exact ?cache p = fst (exact_basis ?cache p)
 
-(* Approximate (float) solve, same dispatch. *)
-let approx_basis ?cache ?hint (p : float Problem.t) :
-    float Solution.outcome * int array option =
+(* Approximate (float) solve, always cold. *)
+let approx (p : float Problem.t) : float Solution.outcome =
   match !override with
-  | Some e -> (e.approx p, None)
-  | None ->
-    let prep = Revised.Approx.prepare p in
-    let shape = Revised.Approx.shape prep in
-    let warm = pick_hint ?cache ?hint shape in
-    let outcome, basis = Revised.Approx.solve_prepared ?warm prep in
-    Option.iter (fun c -> cache_store c shape basis) cache;
-    (outcome, Some basis)
-
-let approx ?cache ?hint p = fst (approx_basis ?cache ?hint p)
+  | Some e -> e.approx p
+  | None -> fst (Revised.Approx.solve_prepared (Revised.Approx.prepare p))

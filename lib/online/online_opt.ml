@@ -22,15 +22,12 @@ let sub_instance inst ~now ~active =
   (jobs, I.make ~flow_origins ~releases ~weights cost)
 
 (* Re-solve the offline problem on the remaining work and extract the
-   machine shares of the plan's first epochal interval, plus its horizon.
-   [cache] carries warm-start bases across arrivals: successive re-solves
-   see structurally identical deadline systems (same active-job count),
-   so their feasibility probes resume from the previous plan's bases. *)
-let compute_plan ?cache inst ~now ~active =
+   machine shares of the plan's first epochal interval, plus its horizon. *)
+let compute_plan inst ~now ~active =
   Obs.Span.with_span "online_opt.plan" (fun () ->
   Obs.Span.set_int "active_jobs" (List.length active);
   let jobs, sub = sub_instance inst ~now ~active in
-  let r = Mf.solve ?cache sub in
+  let r = Mf.solve sub in
   (* First epochal boundary after [now]: the earliest deadline at F*. *)
   let horizon =
     Array.fold_left
@@ -70,27 +67,20 @@ let compute_plan ?cache inst ~now ~active =
   end)
 
 module Divisible = struct
-  (* The solver session outlives any single decision: the basis cache is
-     part of the policy state, so each re-solve warm-starts from the last. *)
-  type state = { mutable inst : I.t; cache : Lp.Solve.cache }
+  type state = { mutable inst : I.t }
 
   let name = "online-opt"
-  let init inst = { inst; cache = Lp.Solve.cache () }
+  let init inst = { inst }
   let on_arrival _ ~now:_ ~job:_ = ()
   let on_completion _ ~now:_ ~job:_ = ()
-
-  (* An availability change rewrites whole cost columns, so every cached
-     basis describes a system that no longer exists; re-solves after the
-     change must run cold rather than chase a stale vertex. *)
   let on_batch_arrival state ~now ~jobs = Sim.announce_each on_arrival state ~now ~jobs
+
   let on_platform_change st ~now:_ ~inst =
     st.inst <- inst;
-    Obs.Event.emit "basis.cache.cleared";
-    Lp.Solve.cache_clear st.cache;
     `Adapted
 
   let decide st ~now ~active =
-    let shares, review_at = compute_plan ~cache:st.cache st.inst ~now ~active in
+    let shares, review_at = compute_plan st.inst ~now ~active in
     { Sim.shares; review_at }
 end
 
@@ -103,23 +93,20 @@ module Lazy_divisible = struct
      trade. *)
   type state = {
     mutable inst : I.t;
-    cache : Lp.Solve.cache;
     mutable cached : (Sim.share list * Rat.t) option;  (* shares, horizon *)
     mutable dirty : bool;
   }
 
   let name = "online-opt-lazy"
-  let init inst = { inst; cache = Lp.Solve.cache (); cached = None; dirty = true }
+  let init inst = { inst; cached = None; dirty = true }
   let on_arrival st ~now:_ ~job:_ = st.dirty <- true
   let on_completion _ ~now:_ ~job:_ = ()
 
-  (* Same invalidation as {!Divisible}, plus the cached plan itself: its
-     shares may sit on machines that just went down. *)
   let on_batch_arrival state ~now ~jobs = Sim.announce_each on_arrival state ~now ~jobs
+
+  (* The cached plan's shares may sit on machines that just went down. *)
   let on_platform_change st ~now:_ ~inst =
     st.inst <- inst;
-    Obs.Event.emit "basis.cache.cleared";
-    Lp.Solve.cache_clear st.cache;
     st.cached <- None;
     st.dirty <- true;
     `Adapted
@@ -129,7 +116,7 @@ module Lazy_divisible = struct
       List.exists (fun (v : Sim.job_view) -> v.id = s.job) active
     in
     let refresh () =
-      match compute_plan ~cache:st.cache st.inst ~now ~active with
+      match compute_plan st.inst ~now ~active with
       | shares, Some horizon ->
         st.cached <- Some (shares, horizon);
         st.dirty <- false;

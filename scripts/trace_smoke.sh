@@ -37,8 +37,8 @@ for path in sys.argv[1:]:
             sys.exit(f"{path}:{i}: not JSON: {e}")
 
 # The max-flow trace must be one tree: a single root span whose subtree
-# holds the milestone search, the feasibility probes, and LP solves with
-# pivot counts.
+# holds the milestone search, its float probes and certifying parametric
+# solves, and LP solves with pivot counts.
 records = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 spans = {r["id"]: r for r in records if r["type"] == "span"}
 events = [r for r in records if r["type"] == "event"]
@@ -56,6 +56,15 @@ names = {s["name"] for s in spans.values()}
 for needed in ("maxflow.solve", "flow.search", "lp.solve"):
     assert needed in names, f"missing {needed} span"
 assert any(n.startswith("probe.") for n in names), "no probe spans"
+# The bracket search counts its certifying parametric solves, and each of
+# those solves runs inside it.
+search = [s for s in spans.values() if s["name"] == "flow.search"]
+assert all(s["attrs"].get("certify_solves", 0) >= 1 for s in search), \
+    "flow.search missing certify_solves"
+par = [s for s in spans.values() if s["name"] == "parametric.solve"]
+assert par, "missing parametric.solve span"
+assert all(spans[s["parent"]]["name"] == "flow.search" for s in par), \
+    "parametric.solve not under flow.search"
 lp = [s for s in spans.values() if s["name"] == "lp.solve"]
 assert all("pivots_phase1" in s["attrs"] for s in lp), "lp.solve missing pivots"
 assert all(depth(s) >= 2 for s in lp), "lp.solve not nested under the solve tree"

@@ -522,9 +522,8 @@ let prop_bogus_hint_harmless =
       | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
       | _ -> false)
 
-(* Float probe → exact certification: warm-starting the exact solve from
-   the float engine's final basis is the handoff the milestone search
-   uses; it must agree with a cold exact solve. *)
+(* A basis from the other arithmetic: warm-starting the exact solve from
+   the float engine's final basis must agree with a cold exact solve. *)
 let prop_float_handoff =
   QCheck.Test.make ~name:"approx-basis handoff ≡ cold exact solve" ~count:200
     (QCheck.make mixed_lp_gen) (fun spec ->

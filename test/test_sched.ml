@@ -582,12 +582,27 @@ let prop_flow_origin_dominates =
       R.compare (Mf.solve inst).Mf.objective (Mf.solve shifted).Mf.objective <= 0)
 
 (* ------------------------------------------------------------------ *)
-(* Flow_search: certified accelerated binary search                    *)
+(* Flow_search: float-guided, bracket-certified search                  *)
 (* ------------------------------------------------------------------ *)
+
+module Fs = Sched_core.Flow_search
+
+(* A truthful [certify] for first feasible index [boundary], counting its
+   calls; [Found] carries [payload i]. *)
+let counted_certify ~boundary payload =
+  let calls = ref 0 in
+  let certify i =
+    incr calls;
+    if i < boundary then Fs.Higher
+    else if i > boundary then Fs.Lower
+    else Fs.Found (payload i)
+  in
+  (certify, calls)
 
 let prop_flow_search_certified =
   (* The float oracle may lie arbitrarily near the boundary; the search
-     must still return the exact first-feasible index. *)
+     must still return the exact first-feasible index, from one [certify]
+     call exactly when the float guess is right. *)
   QCheck.Test.make ~name:"flow search immune to approx-oracle lies" ~count:300
     (QCheck.make
        QCheck.Gen.(
@@ -597,21 +612,23 @@ let prop_flow_search_certified =
          return (len, exact_idx, approx_idx)))
     (fun (len, exact_idx, approx_idx) ->
       let candidates = Array.init len (fun i -> R.of_int i) in
-      let exact f =
-        if R.compare f (R.of_int exact_idx) >= 0 then Some f else None
+      let certify, calls =
+        counted_certify ~boundary:exact_idx (fun i -> candidates.(i))
       in
       let approx f = R.compare f (R.of_int approx_idx) >= 0 in
-      let idx, payload =
-        Sched_core.Flow_search.first_feasible ~exact ~approx candidates
-      in
-      (* The payload must be the winning probe's, not a stale one. *)
-      idx = exact_idx && R.equal payload candidates.(idx))
+      let idx, payload = Fs.first_feasible ~certify ~approx candidates in
+      let guided_calls = !calls in
+      (* Without a float guess the exact search alone finds it too. *)
+      let plain_idx, _ = Fs.first_feasible ~certify candidates in
+      (* The payload must be the winning bracket's, not a stale one. *)
+      idx = exact_idx && R.equal payload candidates.(idx) && plain_idx = exact_idx
+      && (guided_calls = 1) = (approx_idx = exact_idx))
 
 let prop_flow_search_noisy_approx =
   (* The approximation need not even be monotone: it is right everywhere
      except at the [flips] indices, where its verdict is inverted.  The
-     search must land on the exact boundary and return that probe's
-     payload. *)
+     search must land on the exact boundary and return that bracket's
+     payload; with no flips the guess is right and one call suffices. *)
   QCheck.Test.make ~name:"noisy approx: index and payload" ~count:60
     (QCheck.make
        ~print:(fun (n, b, flips) ->
@@ -625,18 +642,47 @@ let prop_flow_search_noisy_approx =
     (fun (n, boundary, flips) ->
       let candidates = Array.init n (fun i -> ri (i + 1)) in
       let index_of v = int_of_float (R.to_float v) - 1 in
-      let exact v =
-        if index_of v >= boundary then Some ("pay:" ^ R.to_string v) else None
+      let certify, calls =
+        counted_certify ~boundary (fun i -> "pay:" ^ R.to_string candidates.(i))
       in
       let approx v =
         let i = index_of v in
         (i >= boundary) <> List.mem i flips
       in
-      let idx, payload =
-        Sched_core.Flow_search.first_feasible ~exact ~approx candidates
-      in
+      let idx, payload = Fs.first_feasible ~certify ~approx candidates in
       idx = boundary
-      && String.equal payload ("pay:" ^ R.to_string candidates.(boundary)))
+      && String.equal payload ("pay:" ^ R.to_string candidates.(boundary))
+      && (flips <> [] || !calls = 1))
+
+(* The certificate itself: on every bracket of a generated instance, the
+   parametric LP's verdict is what exact deadline probes at both ends
+   imply, and a [Found] optimum lies inside its bracket. *)
+let prop_certify_matches_probes ~divisible =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "%s certify = probes at both ends"
+         (if divisible then "divisible" else "preemptive"))
+    ~count:150 (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let inst = Check.Gen.instance (Gripps.Prng.create seed) in
+      I.num_jobs inst = 0
+      ||
+      let candidates = Ms.candidates inst ~upper:(Mf.feasible_upper_bound inst) in
+      let feasible f =
+        Dl.is_feasible ~divisible inst ~deadlines:(Dl.flow_deadlines inst ~objective:f)
+      in
+      let ok i =
+        let lo_feasible = i > 0 && feasible candidates.(i - 1) in
+        match (Mf.certify ~divisible inst candidates i, feasible candidates.(i)) with
+        | Fs.Higher, false -> true
+        | Fs.Lower, true -> lo_feasible
+        | Fs.Found { Mf.f_star; _ }, true ->
+          (not lo_feasible)
+          && R.compare f_star (if i = 0 then R.zero else candidates.(i - 1)) > 0
+          && R.compare f_star candidates.(i) <= 0
+        | _ -> false
+      in
+      List.for_all ok (List.init (Array.length candidates) Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Open-shop decomposition                                             *)
@@ -1100,7 +1146,9 @@ let () =
           Alcotest.test_case "own-release milestone" `Quick test_flow_origin_milestone;
           QCheck_alcotest.to_alcotest prop_flow_origin_dominates;
           QCheck_alcotest.to_alcotest prop_flow_search_certified;
-          QCheck_alcotest.to_alcotest prop_flow_search_noisy_approx
+          QCheck_alcotest.to_alcotest prop_flow_search_noisy_approx;
+          QCheck_alcotest.to_alcotest (prop_certify_matches_probes ~divisible:true);
+          QCheck_alcotest.to_alcotest (prop_certify_matches_probes ~divisible:false)
         ] );
       ( "openshop",
         [ Alcotest.test_case "diagonal" `Quick test_openshop_identity;
