@@ -619,6 +619,207 @@ let prop_basis_invariants =
       | Some (_, warm) -> basis_invariants_hold warm)
 
 (* ------------------------------------------------------------------ *)
+(* Bit-identity fixture: every solve of a fixed corpus, to the bit      *)
+(* ------------------------------------------------------------------ *)
+
+(* The corpus: the deadline systems (2)/(5) at every milestone candidate
+   and the parametric systems (3)/(5) on every bracket of 100
+   [Check.Gen] instances, plus the random LP generators above.  Each LP
+   is solved cold by both revised instances, and the deadline systems of
+   consecutive candidates are also chained through warm starts (the
+   refactorization and dual-simplex paths).  A record holds the outcome
+   tag, the phase pivot counts, the final basis, the prepared CSC matrix
+   and shape, and every value, the objective and every dual — floats as
+   their IEEE bit patterns, rationals as [R.to_string].  The committed
+   fixture is one MD5 per corpus group and field; the ≈1e-6 agreement
+   properties above cannot see a reordered rounding, this can.
+
+   To re-record after an intended change of results: run the test, then
+   copy _build/default/test/lp_bits.actual over
+   test/fixtures/lp_bits.digest. *)
+
+module I = Sched_core.Instance
+module Fm = Sched_core.Formulations
+
+let corpus_seeds = List.init 100 Fun.id
+
+(* [(label, problems)] groups, in a fixed order. *)
+let corpus () =
+  let gen_groups =
+    List.concat_map
+      (fun seed ->
+        let inst = Check.Gen.instance (Gripps.Prng.create seed) in
+        if I.num_jobs inst = 0 then []
+        else
+          let candidates =
+            Sched_core.Milestones.candidates inst
+              ~upper:(Sched_core.Max_flow.feasible_upper_bound inst)
+          in
+          List.map
+            (fun divisible ->
+              let deadline f =
+                (Fm.deadline_system ~divisible inst
+                   ~deadlines:(Sched_core.Deadline.flow_deadlines inst ~objective:f))
+                  .Fm.dl_problem
+              in
+              let parametric i =
+                let f_lo = if i = 0 then R.zero else candidates.(i - 1) in
+                (Fm.parametric_system ~divisible inst ~f_lo ~f_hi:candidates.(i))
+                  .Fm.pf_problem
+              in
+              ( Printf.sprintf "gen%03d-%s" seed (if divisible then "div" else "pre"),
+                Array.to_list (Array.map deadline candidates)
+                @ List.init (Array.length candidates) parametric ))
+            [ true; false ])
+      corpus_seeds
+  in
+  let generated name gen build n seed =
+    ( name,
+      List.map build (QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n gen) )
+  in
+  gen_groups
+  @ [ generated "random-ge" random_lp_gen build_random_min 150 1;
+      generated "mixed" mixed_lp_gen build_mixed_min 150 2;
+      generated "duplicated"
+        (QCheck.Gen.pair mixed_lp_gen QCheck.Gen.bool)
+        duplicated_terms_problem 150 3
+    ]
+
+(* One engine's record of a solve, written to [buf]. *)
+module Record (E : sig
+  type f
+
+  val bits : f -> string
+
+  type prepared
+
+  type state = {
+    prep : prepared;
+    basis : int array;
+    in_basis : bool array;
+    binv : f array array;
+    xb : f array;
+  }
+
+  val prepare : f P.t -> prepared
+  val shape : prepared -> string
+  val matrix : prepared -> f Linalg.Sparse.t
+
+  val cold_solve :
+    prepared -> count1:int ref -> count2:int ref -> f Lp.Solution.outcome * state
+
+  val warm_solve :
+    prepared ->
+    int array ->
+    count2:int ref ->
+    countd:int ref ->
+    (f Lp.Solution.outcome * state) option
+end) =
+struct
+  let add_list buf f xs =
+    Buffer.add_char buf '[';
+    List.iter (fun x -> Buffer.add_string buf (f x); Buffer.add_char buf ' ') xs;
+    Buffer.add_char buf ']'
+
+  let add_outcome buf (outcome : E.f Lp.Solution.outcome) (st : E.state) counts =
+    add_list buf string_of_int counts;
+    add_list buf string_of_int (Array.to_list st.E.basis);
+    (match outcome with
+     | Lp.Solution.Infeasible -> Buffer.add_string buf "infeasible"
+     | Lp.Solution.Unbounded -> Buffer.add_string buf "unbounded"
+     | Lp.Solution.Optimal s ->
+       Buffer.add_string buf "optimal";
+       add_list buf E.bits (Array.to_list s.Lp.Solution.values);
+       Buffer.add_string buf (E.bits s.Lp.Solution.objective);
+       add_list buf E.bits (Array.to_list s.Lp.Solution.duals));
+    Buffer.add_char buf '\n'
+
+  let add_matrix buf prep =
+    let cols = E.matrix prep in
+    Buffer.add_string buf (E.shape prep);
+    for j = 0 to Linalg.Sparse.ncols cols - 1 do
+      Linalg.Sparse.iter_col cols j (fun r v ->
+          Buffer.add_string buf (Printf.sprintf " %d,%d:%s" j r (E.bits v)))
+    done;
+    Buffer.add_char buf '\n'
+
+  (* Cold solve of each problem, then the chain of warm starts from each
+     problem's cold basis to the next problem. *)
+  let record buf problems =
+    let preps = List.map E.prepare problems in
+    let cold =
+      List.map
+        (fun prep ->
+          add_matrix buf prep;
+          let p1 = ref 0 and p2 = ref 0 in
+          let outcome, st = E.cold_solve prep ~count1:p1 ~count2:p2 in
+          add_outcome buf outcome st [ !p1; !p2 ];
+          Array.copy st.E.basis)
+        preps
+    in
+    List.iteri
+      (fun k prep ->
+        if k > 0 then begin
+          let p2 = ref 0 and pd = ref 0 in
+          match E.warm_solve prep (List.nth cold (k - 1)) ~count2:p2 ~countd:pd with
+          | None -> Buffer.add_string buf "warm fallback\n"
+          | Some (outcome, st) -> add_outcome buf outcome st [ !p2; !pd ]
+        end)
+      preps
+end
+
+module Record_exact = Record (struct
+  type f = R.t
+
+  let bits = R.to_string
+
+  include Rv
+end)
+
+module Record_approx = Record (struct
+  type f = float
+
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+
+  include Rva
+end)
+
+let corpus_digest () =
+  List.concat_map
+    (fun (label, problems) ->
+      let line field record =
+        let buf = Buffer.create 4096 in
+        record buf;
+        Printf.sprintf "%s %s %d %s" label field (List.length problems)
+          (Digest.to_hex (Digest.string (Buffer.contents buf)))
+      in
+      [ line "exact" (fun buf -> Record_exact.record buf problems);
+        line "approx" (fun buf ->
+            Record_approx.record buf (List.map to_float_problem problems))
+      ])
+    (corpus ())
+
+let test_bit_identity_fixture () =
+  let actual = corpus_digest () in
+  let expected =
+    In_channel.with_open_text "fixtures/lp_bits.digest" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_text "lp_bits.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff = function
+      | a :: at, e :: et -> if a = e then first_diff (at, et) else Printf.sprintf "%s\n  expected %s" a e
+      | a :: _, [] -> a ^ " (not in the fixture)"
+      | [], e :: _ -> "missing " ^ e
+      | [], [] -> assert false
+    in
+    Alcotest.failf "solver records differ from test/fixtures/lp_bits.digest:\n  got %s"
+      (first_diff (actual, expected))
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Lp.Solve: the shape-keyed basis cache and the engine seam           *)
 (* ------------------------------------------------------------------ *)
 
@@ -740,5 +941,9 @@ let () =
           Alcotest.test_case "cache_clear forces a cold solve" `Quick test_cache_clear;
           Alcotest.test_case "with_engine restores on raise" `Quick
             test_with_engine_restores
+        ] );
+      ( "bit-identity",
+        [ Alcotest.test_case "corpus records match the fixture" `Quick
+            test_bit_identity_fixture
         ] )
     ]
