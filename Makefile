@@ -1,6 +1,6 @@
 # Convenience targets; everything real lives in dune.
 
-.PHONY: all build test bench bench-smoke bench-numeric trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check fmt clean
+.PHONY: all build test bench bench-smoke bench-numeric bench-lp trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check fmt clean
 
 all: build
 
@@ -26,6 +26,12 @@ bench-smoke:
 # --json drops a BENCH_numeric.json envelope (CI uploads it).
 bench-numeric:
 	dune exec bench/main.exe -- --json numeric
+
+# Fails unless the float and exact revised simplex reach the same optimum
+# (within 1e-6) on every LP of the exact-vs-float ablation: the end-to-end
+# cross-check of the per-field simplex kernels.
+bench-lp:
+	dune exec bench/main.exe -- lp
 
 # Fails if a --trace run emits anything that is not one JSON record per
 # line, or if the max-flow span tree loses its nesting or pivot counts.
@@ -78,10 +84,10 @@ perfbench-smoke:
 	done
 
 # What CI would run: full build + every test, the solve-count, numeric,
-# admission-control, trace, crash-recovery and fuzzing smoke checks, plus
-# formatting when the formatter is installed (ocamlformat is optional in
-# the dev image).
-check: build test bench-smoke bench-numeric bench-admission trace-smoke crash-smoke fuzz-smoke fmt
+# float-vs-exact LP, admission-control, trace, crash-recovery and fuzzing
+# smoke checks, plus formatting when the formatter is installed
+# (ocamlformat is optional in the dev image).
+check: build test bench-smoke bench-numeric bench-lp bench-admission trace-smoke crash-smoke fuzz-smoke fmt
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

@@ -287,11 +287,15 @@ let run_reopt () =
 (* ------------------------------------------------------------------ *)
 
 (* Cold solves on the shipping engine (the revised simplex), so the
-   columns time exactly what the schedulers run. *)
+   columns time exactly what the schedulers run.  Also a gate: every
+   problem is feasible and bounded by construction, so both instances
+   must return an optimum, with objectives within 1e-6; any other pair
+   fails the run. *)
 let run_lp () =
   section "Ablation: exact-rational vs float revised simplex (cold)";
   Printf.printf "%6s %6s %12s %12s %10s %10s\n" "vars" "cons" "rational(ms)"
     "float (ms)" "rat/float" "agree";
+  let all_agree = ref true in
   let rng = Gripps.Prng.create 104 in
   List.iter
     (fun (nv, nc) ->
@@ -320,11 +324,13 @@ let run_lp () =
           Float.abs (R.to_float a.objective -. c.objective) < 1e-6
         | _ -> false
       in
+      if not agree then all_agree := false;
       Printf.printf "%6d %6d %12.2f %12.2f %10.1f %10b\n" nv nc (t_exact *. 1000.0)
         (t_float *. 1000.0)
         (t_exact /. Float.max 1e-9 t_float)
         agree)
-    [ (5, 5); (10, 10); (15, 15); (20, 20); (25, 25); (30, 30) ]
+    [ (5, 5); (10, 10); (15, 15); (20, 20); (25, 25); (30, 30) ];
+  if not !all_agree then failwith "lp: float and exact solves disagree (see table above)"
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: accelerated vs pure-exact milestone search                *)

@@ -26,10 +26,17 @@ let rec search ~certify ~calls lo hi i =
 
 let first_feasible_untraced ~certify ?approx ~calls candidates =
   let last = Array.length candidates - 1 in
+  let unguided = last / 2 in
   let guess =
     match approx with
-    | Some approx -> binary_search ~feasible:(fun i -> approx candidates.(i)) 0 last
-    | None -> last / 2
+    | None -> unguided
+    | Some approx -> (
+      (* A float probe that hits the simplex's iteration cap has no
+         verdict.  The guess only saves exact solves, so drop it. *)
+      try binary_search ~feasible:(fun i -> approx candidates.(i)) 0 last
+      with Lp.Solve.Iteration_limit ->
+        Obs.Event.emit "search.approx_limit";
+        unguided)
   in
   (guess, search ~certify ~calls 0 last guess)
 

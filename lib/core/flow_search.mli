@@ -32,7 +32,10 @@ val first_feasible :
     [approx] (an approximate feasibility test of one candidate), the float
     binary search picks the first bracket to certify, so a truthful
     [approx] costs exactly one [certify] call; without it the exact search
-    starts at the middle.  [certify] must answer [Found] exactly at the
+    starts at the middle.  An [approx] that raises
+    {!Lp.Solve.Iteration_limit} (a float probe that hit the simplex's
+    iteration cap) abandons the float guess: the search then runs exactly
+    as without [approx].  [certify] must answer [Found] exactly at the
     first feasible index, [Lower] above it and [Higher] below it.
     Raises [Invalid_argument] if the verdicts are inconsistent (e.g. the
     last candidate turns out infeasible). *)

@@ -101,3 +101,7 @@ let fold_col t j f acc =
 let col_nnz t j =
   if j < 0 || j >= t.ncols then invalid_arg "Sparse.col_nnz";
   t.col_ptr.(j + 1) - t.col_ptr.(j)
+
+let col_ptr t = t.col_ptr
+let row_idx t = t.row_idx
+let vals t = t.vals

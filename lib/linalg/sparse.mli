@@ -31,3 +31,17 @@ val iter_col : 'f t -> int -> (int -> 'f -> unit) -> unit
 
 val fold_col : 'f t -> int -> ('a -> int -> 'f -> 'a) -> 'a -> 'a
 val col_nnz : 'f t -> int -> int
+
+(** {1 Raw storage}
+
+    For inner loops that must not allocate a closure per column (the
+    simplex kernels of {!Field.Kernels}): column [j]'s entries are
+    [(row_idx t).(k), (vals t).(k)] for [k] from [(col_ptr t).(j)] to
+    [(col_ptr t).(j+1) - 1], in increasing row order.  These are the
+    matrix's own arrays: read them, never write them. *)
+
+val col_ptr : 'f t -> int array
+(** Length [ncols + 1]. *)
+
+val row_idx : 'f t -> int array
+val vals : 'f t -> 'f array

@@ -10,11 +10,17 @@
    the tableau's m×(n+m).  The win grows with the number of variables, and
    the scheduling formulations have one variable per machine×interval.
 
-   Support, not tolerance: the kernels that skip zeros ([pivot],
-   [refactor], the exact multiplier update) test for an *exact* zero — a
-   [Rat] zero, a literal [0.0] float — because skipping x − f·0 leaves
-   every value unchanged, so each engine's pivot sequence is the one the
-   dense update would give.  [F.is_zero]'s float tolerance would not.
+   Rules here, loops in the field: every pivoting rule below is written
+   once, and the O(m·nnz) arithmetic it drives is the field's kernels
+   ([Linalg.Field.Kernels]), implemented over [Rat] and over unboxed
+   [float array]s with the same operations in the same order (DESIGN
+   §6).
+
+   Support, not tolerance: the row updates of [pivot] and [refactor] run
+   on [F.support], which drops only *exact* zeros — a [Rat] zero, a
+   literal [0.0] float — because skipping x − f·0 leaves every value
+   unchanged, so each engine's pivot sequence is the one the dense update
+   would give.  [F.is_zero]'s float tolerance would not.
 
    Pivot-rule parity: cold solves use exactly the rules of the dense
    tableau oracle ([Oracle.Simplex.Make], lib/oracle) — Dantzig entering
@@ -39,7 +45,12 @@
 
 module Sp = Linalg.Sparse
 
-module Make (F : Linalg.Field.S) = struct
+(* Raised by a solve whose primal simplex exceeds its iteration cap; one
+   exception for both instances, so callers can catch it without naming
+   a field. *)
+exception Iteration_limit
+
+module Make (F : Linalg.Field.With_kernels) = struct
   type 'f poly_solution = 'f Solution.solution = {
     values : 'f array;
     objective : 'f;
@@ -70,10 +81,12 @@ module Make (F : Linalg.Field.S) = struct
     negate : bool; (* original problem was a maximization *)
     dual_col : int array; (* unit column used to read each row's dual *)
     flipped : bool array; (* rows whose rhs sign was flipped *)
-    shape : string; (* structural signature; see [shape] *)
+    shape : string Lazy.t;
+        (* structural signature: sizes and row relations; only the exact
+           basis cache of [Solve.exact_basis] reads it *)
   }
 
-  let shape prep = prep.shape
+  let shape prep = Lazy.force prep.shape
   let num_cols prep = prep.total
   let matrix prep = prep.cols
 
@@ -112,47 +125,46 @@ module Make (F : Linalg.Field.S) = struct
       Array.map (fun (c : F.t Problem.constr) -> F.sign c.rhs < 0) constrs
     in
     (* Scratch row for combining duplicate terms; [touched] lists the
-       columns written, in first-touch order. *)
+       columns written, each once ([marked] flags them). *)
     let scratch = Array.make (max n 1) F.zero in
+    let marked = Array.make (max n 1) false in
     let next_slack = ref n and next_art = ref art_start in
-    let shape_buf = Buffer.create (m + 32) in
-    Buffer.add_string shape_buf (Printf.sprintf "%d/%d/%d/%d:" m n total art_start);
     Array.iteri
       (fun i (terms, rel, rhs) ->
         let touched = ref [] in
         List.iter
           (fun (v, k) ->
-            if not (List.mem v !touched) then touched := v :: !touched;
+            if not marked.(v) then begin
+              marked.(v) <- true;
+              touched := v :: !touched
+            end;
             scratch.(v) <- F.add scratch.(v) k)
           terms;
         (* Columns must be fed in increasing order within the row so that
            CSC columns come out row-sorted; sort the touched set. *)
-        let cols_touched = List.sort_uniq compare !touched in
         List.iter
           (fun v ->
             if not (F.is_zero scratch.(v)) then
               Sp.Builder.add builder ~row:i ~col:v scratch.(v);
-            scratch.(v) <- F.zero)
-          cols_touched;
+            scratch.(v) <- F.zero;
+            marked.(v) <- false)
+          (List.sort compare !touched);
         b.(i) <- rhs;
         (match rel with
          | Problem.Le ->
            Sp.Builder.add builder ~row:i ~col:!next_slack F.one;
            dual_col.(i) <- !next_slack;
-           incr next_slack;
-           Buffer.add_char shape_buf 'l'
+           incr next_slack
          | Problem.Ge ->
            Sp.Builder.add builder ~row:i ~col:!next_slack (F.neg F.one);
            incr next_slack;
            Sp.Builder.add builder ~row:i ~col:!next_art F.one;
            dual_col.(i) <- !next_art;
-           incr next_art;
-           Buffer.add_char shape_buf 'g'
+           incr next_art
          | Problem.Eq ->
            Sp.Builder.add builder ~row:i ~col:!next_art F.one;
            dual_col.(i) <- !next_art;
-           incr next_art;
-           Buffer.add_char shape_buf 'e'))
+           incr next_art))
       normalized;
     let cols = Sp.Builder.finish builder in
     let negate = p.Problem.direction = Problem.Maximize in
@@ -175,24 +187,17 @@ module Make (F : Linalg.Field.S) = struct
       negate;
       dual_col;
       flipped;
-      shape = Buffer.contents shape_buf;
+      shape =
+        lazy
+          (let buf = Buffer.create (m + 32) in
+           Buffer.add_string buf (Printf.sprintf "%d/%d/%d/%d:" m n total art_start);
+           Array.iter
+             (fun (_, rel, _) ->
+               Buffer.add_char buf
+                 (match rel with Problem.Le -> 'l' | Ge -> 'g' | Eq -> 'e'))
+             normalized;
+           Buffer.contents buf);
     }
-
-  (* Exact-zero test (see the header): a tolerance here would change float
-     results, an exact test changes none. *)
-  let exactly_zero x = if F.exact then F.is_zero x else F.to_float x = 0.0
-
-  (* Indices of the entries of [row] that are not exactly zero. *)
-  let support row =
-    let idx = Array.make (Array.length row) 0 and n = ref 0 in
-    Array.iteri
-      (fun k v ->
-        if not (exactly_zero v) then begin
-          idx.(!n) <- k;
-          incr n
-        end)
-      row;
-    Array.sub idx 0 !n
 
   (* The initial basic column of each normalized row: the slack for Le,
      the artificial for Ge/Eq — i.e. exactly [dual_col]. *)
@@ -265,15 +270,7 @@ module Make (F : Linalg.Field.S) = struct
                aug.(c) <- aug.(!pr);
                aug.(!pr) <- tmp
              end;
-             let piv = aug.(c).(c) and prow = aug.(c) in
-             let supp = support prow in
-             Array.iter (fun j -> prow.(j) <- F.div prow.(j) piv) supp;
-             for r = 0 to m - 1 do
-               if r <> c && not (F.is_zero aug.(r).(c)) then begin
-                 let f = aug.(r).(c) and ar = aug.(r) in
-                 Array.iter (fun j -> ar.(j) <- F.sub ar.(j) (F.mul f prow.(j))) supp
-               end
-             done
+             F.eliminate aug c (Array.map (fun row -> row.(c)) aug)
            done
          with Exit -> singular := true);
         if !singular then None
@@ -296,84 +293,44 @@ module Make (F : Linalg.Field.S) = struct
 
   (* w = B⁻¹ · A_j, the entering column expressed in the current basis. *)
   let column st j =
-    let m = st.prep.m in
-    let w = Array.make m F.zero in
-    Sp.iter_col st.prep.cols j (fun r v ->
-        for i = 0 to m - 1 do
-          let c = st.binv.(i).(r) in
-          if not (F.is_zero c) then w.(i) <- F.add w.(i) (F.mul c v)
-        done);
+    let w = Array.make st.prep.m F.zero in
+    F.col_accum st.prep.cols j st.binv w;
     w
 
   (* Row r of B⁻¹·A at column j (used by the dual ratio test). *)
-  let row_entry st r j =
-    Sp.fold_col st.prep.cols j
-      (fun acc row v -> F.add acc (F.mul st.binv.(r).(row) v))
-      F.zero
+  let row_entry st r j = F.dot_add st.prep.cols j st.binv.(r)
 
   (* Simplex multipliers y = c_B · B⁻¹ for cost vector [cost]. *)
-  let multipliers st cost =
-    let m = st.prep.m in
-    let y = Array.make m F.zero in
-    for i = 0 to m - 1 do
-      let cb = cost.(st.basis.(i)) in
-      if not (F.is_zero cb) then begin
-        let bi = st.binv.(i) in
-        for k = 0 to m - 1 do
-          if not (F.is_zero bi.(k)) then y.(k) <- F.add y.(k) (F.mul cb bi.(k))
-        done
-      end
-    done;
-    y
+  let multipliers st cost = F.multipliers cost st.basis st.binv
 
-  let reduced_cost st cost y j =
-    Sp.fold_col st.prep.cols j
-      (fun acc r v -> F.sub acc (F.mul y.(r) v))
-      cost.(j)
+  let reduced_cost st cost y j = F.dot_sub st.prep.cols j y cost.(j)
 
   (* Basis change: column [col] enters at row [row]; [w] = B⁻¹·A_col.
      Updates B⁻¹ and x_B, each row only on the pivot row's support. *)
   let pivot st ~row ~col ~w =
-    let m = st.prep.m in
-    let piv = w.(row) in
-    let brow = st.binv.(row) in
-    let supp = support brow in
-    Array.iter (fun k -> brow.(k) <- F.div brow.(k) piv) supp;
-    st.xb.(row) <- F.div st.xb.(row) piv;
-    for i = 0 to m - 1 do
-      if i <> row then begin
-        let f = w.(i) in
-        if not (F.is_zero f) then begin
-          let bi = st.binv.(i) in
-          Array.iter (fun k -> bi.(k) <- F.sub bi.(k) (F.mul f brow.(k))) supp;
-          st.xb.(i) <- F.sub st.xb.(i) (F.mul f st.xb.(row))
-        end
-      end
-    done;
+    F.eliminate st.binv row w;
+    F.eliminate_vec st.xb row w;
     st.in_basis.(st.basis.(row)) <- false;
     st.basis.(row) <- col;
     st.in_basis.(col) <- true
 
   (* Leaving row: minimum ratio x_B / w over positive w entries, ties
      broken by smallest basic variable index — identical to the dense
-     solvers' rule. *)
-  let leaving st w =
-    let m = st.prep.m in
-    let best = ref None in
-    for i = 0 to m - 1 do
-      if F.sign w.(i) > 0 then begin
-        let ratio = F.div st.xb.(i) w.(i) in
-        match !best with
-        | None -> best := Some (ratio, i)
-        | Some (r, i') ->
-          let c = F.compare ratio r in
-          if c < 0 || (c = 0 && st.basis.(i) < st.basis.(i')) then
-            best := Some (ratio, i)
-      end
+     solvers' rule.  [ratio] is scratch of length m. *)
+  let leaving st w ~ratio =
+    F.ratios st.xb w ratio;
+    let best = ref (-1) in
+    for i = 0 to st.prep.m - 1 do
+      if F.sign_at w i > 0 then
+        if !best < 0 then best := i
+        else begin
+          let c = F.compare_at ratio i !best in
+          if c < 0 || (c = 0 && st.basis.(i) < st.basis.(!best)) then best := i
+        end
     done;
-    Option.map snd !best
+    if !best < 0 then None else Some !best
 
-  exception Iteration_limit
+  exception Iteration_limit = Iteration_limit
 
   (* Primal simplex from the current (primal-feasible) state.  Entering
      rules and the Dantzig budget mirror [Oracle.Simplex.optimize] so that cold
@@ -383,6 +340,9 @@ module Make (F : Linalg.Field.S) = struct
     let width = st.prep.total + 1 in
     let dantzig_budget = 50 + (4 * (m + width)) in
     let iters = ref 0 in
+    (* Scratch for the reduced costs and the ratio test, reused by every
+       iteration so no pivot allocates an array of the matrix's width. *)
+    let d = Array.make allowed_up_to F.zero and ratio = Array.make m F.zero in
     (* y = c_B·B⁻¹.  Exact: computed once per call, then kept current
        after each pivot by y += d_q · (new pivot row of B⁻¹), which is the
        same number as a recomputation.  Float: recomputed every iteration,
@@ -398,17 +358,16 @@ module Make (F : Linalg.Field.S) = struct
           (* Dantzig: most negative reduced cost, first index on ties.
              Basic columns have reduced cost exactly zero, so skipping
              them matches the dense scan. *)
-          let best = ref None in
+          F.price st.prep.cols cost y st.in_basis d;
+          let best = ref (-1) in
           for j = 0 to allowed_up_to - 1 do
-            if not st.in_basis.(j) then begin
-              let d = reduced_cost st cost y j in
-              if F.sign d < 0 then
-                match !best with
-                | None -> best := Some (j, d)
-                | Some (_, bd) -> if F.compare d bd < 0 then best := Some (j, d)
-            end
+            if
+              (not st.in_basis.(j))
+              && F.sign_at d j < 0
+              && (!best < 0 || F.compare_at d j !best < 0)
+            then best := j
           done;
-          !best
+          if !best < 0 then None else Some (!best, d.(!best))
         end
         else begin
           (* Bland: smallest index with negative reduced cost. *)
@@ -426,14 +385,12 @@ module Make (F : Linalg.Field.S) = struct
       | None -> `Optimal
       | Some (j, d) -> (
         let w = column st j in
-        match leaving st w with
+        match leaving st w ~ratio with
         | None -> `Unbounded
         | Some i ->
           pivot st ~row:i ~col:j ~w;
-          if F.exact then
-            Array.iteri
-              (fun k v -> if not (exactly_zero v) then y0.(k) <- F.add y0.(k) (F.mul d v))
-              st.binv.(i);
+          (* Exact fields only, where nz is exactly nonzero. *)
+          if F.exact then F.add_scaled_nz y0 d st.binv.(i);
           incr count;
           loop ())
     in

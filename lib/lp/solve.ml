@@ -12,6 +12,10 @@
 
 module R = Numeric.Rat
 
+(* A cold solve that exceeds the simplex's iteration cap
+   ([Revised.max_iters_for]) raises this instead of returning. *)
+exception Iteration_limit = Revised.Iteration_limit
+
 type engine = {
   exact : R.t Problem.t -> R.t Solution.outcome;
   approx : float Problem.t -> float Solution.outcome;

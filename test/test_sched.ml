@@ -654,6 +654,39 @@ let prop_flow_search_noisy_approx =
       && String.equal payload ("pay:" ^ R.to_string candidates.(boundary))
       && (flips <> [] || !calls = 1))
 
+let prop_flow_search_approx_limit =
+  (* A float probe that hits the simplex's iteration cap — after [ok]
+     truthful answers — must not escape: the search falls back to the
+     unguided one and returns its index and payload from the same
+     sequence of [certify] calls. *)
+  QCheck.Test.make ~name:"approx hitting the iteration cap = unguided search" ~count:200
+    (QCheck.make
+       ~print:(fun (n, b, ok) -> Printf.sprintf "n=%d boundary=%d ok=%d" n b ok)
+       QCheck.Gen.(
+         let* n = int_range 1 40 in
+         let* boundary = int_range 0 (n - 1) in
+         let* ok = int_range 0 6 in
+         return (n, boundary, ok)))
+    (fun (n, boundary, ok) ->
+      let candidates = Array.init n (fun i -> ri (i + 1)) in
+      let payload i = "pay:" ^ R.to_string candidates.(i) in
+      let certify, calls = counted_certify ~boundary payload in
+      let answered = ref 0 and raised = ref false in
+      let approx v =
+        if !answered >= ok then begin
+          raised := true;
+          raise Lp.Solve.Iteration_limit
+        end;
+        incr answered;
+        int_of_float (R.to_float v) - 1 >= boundary
+      in
+      let idx, pay = Fs.first_feasible ~certify ~approx candidates in
+      let guided_calls = !calls in
+      calls := 0;
+      let plain_idx, plain_pay = Fs.first_feasible ~certify candidates in
+      idx = boundary && plain_idx = boundary && String.equal pay plain_pay
+      && ((not !raised) || guided_calls = !calls))
+
 (* The certificate itself: on every bracket of a generated instance, the
    parametric LP's verdict is what exact deadline probes at both ends
    imply, and a [Found] optimum lies inside its bracket. *)
@@ -1147,6 +1180,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_flow_origin_dominates;
           QCheck_alcotest.to_alcotest prop_flow_search_certified;
           QCheck_alcotest.to_alcotest prop_flow_search_noisy_approx;
+          QCheck_alcotest.to_alcotest prop_flow_search_approx_limit;
           QCheck_alcotest.to_alcotest (prop_certify_matches_probes ~divisible:true);
           QCheck_alcotest.to_alcotest (prop_certify_matches_probes ~divisible:false)
         ] );
