@@ -12,7 +12,7 @@
 
 module R = Numeric.Rat
 
-(* A cold solve that exceeds the simplex's iteration cap
+(* A solve whose primal simplex exceeds its iteration cap
    ([Revised.max_iters_for]) raises this instead of returning. *)
 exception Iteration_limit = Revised.Iteration_limit
 

@@ -746,9 +746,9 @@ struct
   (* Cold solve of each problem, then the chain of warm starts from each
      problem's cold basis to the next problem. *)
   let record buf problems =
-    let preps = List.map E.prepare problems in
+    let preps = Array.of_list (List.map E.prepare problems) in
     let cold =
-      List.map
+      Array.map
         (fun prep ->
           add_matrix buf prep;
           let p1 = ref 0 and p2 = ref 0 in
@@ -757,15 +757,12 @@ struct
           Array.copy st.E.basis)
         preps
     in
-    List.iteri
-      (fun k prep ->
-        if k > 0 then begin
-          let p2 = ref 0 and pd = ref 0 in
-          match E.warm_solve prep (List.nth cold (k - 1)) ~count2:p2 ~countd:pd with
-          | None -> Buffer.add_string buf "warm fallback\n"
-          | Some (outcome, st) -> add_outcome buf outcome st [ !p2; !pd ]
-        end)
-      preps
+    for k = 1 to Array.length preps - 1 do
+      let p2 = ref 0 and pd = ref 0 in
+      match E.warm_solve preps.(k) cold.(k - 1) ~count2:p2 ~countd:pd with
+      | None -> Buffer.add_string buf "warm fallback\n"
+      | Some (outcome, st) -> add_outcome buf outcome st [ !p2; !pd ]
+    done
 end
 
 module Record_exact = Record (struct
