@@ -91,24 +91,23 @@ module type Kernels = sig
   (** [dot_sub mat j x init = init − x.(r₁)·v₁ − x.(r₂)·v₂ − …] over
       column [j]. *)
 
-  val price : t Sparse.t -> t array -> t array -> bool array -> t array -> unit
-  (** [price mat cost y skip d]: [d.(j) <- dot_sub mat j y cost.(j)] for
-      each [j < Array.length d] in order with [skip.(j)] false; the other
-      entries of [d] are left as they are. *)
+  val price : t Sparse.t -> t array -> t array -> bool array -> t array -> int array -> int
+  (** [price mat cost y skip d cand]: [d.(j) <- dot_sub mat j y cost.(j)]
+      for each [j < Array.length d] in order with [skip.(j)] false; the
+      [j] with [sign d.(j) < 0] are written to [cand] in increasing
+      order and their number is returned.  Other entries of [d] and
+      [cand] are left as they are. *)
 
-  val ratios : t array -> t array -> t array -> unit
-  (** [ratios xb w r]: [r.(i) <- xb.(i) / w.(i)] for each [i] in order
-      where [w.(i)] is positive beyond the tolerance ([sign w.(i) > 0]);
-      the other entries of [r] are left as they are. *)
-
-  (* Element tests that read an array in place, so the generic rules
-     scanning [price]'s and [ratios]' results box nothing. *)
-
-  val sign_at : t array -> int -> int
-  (** [sign_at a i = sign a.(i)]. *)
+  val ratios : t array -> t array -> t array -> int array -> int
+  (** [ratios xb w r cand]: for each [i] in order with [sign w.(i) > 0]
+      ([w.(i)] positive beyond the tolerance), [r.(i) <- xb.(i) / w.(i)]
+      and [i] is written to [cand]; returns their number.  Other entries
+      of [r] and [cand] are left as they are. *)
 
   val compare_at : t array -> int -> int -> int
-  (** [compare_at a i j = compare a.(i) a.(j)]. *)
+  (** [compare_at a i j = compare a.(i) a.(j)], read in place so the
+      generic rules scanning [price]'s and [ratios]' results box
+      nothing. *)
 end
 
 module type With_kernels = sig
@@ -195,13 +194,30 @@ module Rational : With_kernels with type t = Numeric.Rat.t = struct
     done;
     !acc
 
-  let price mat cost y skip d =
+  let price mat cost y skip d cand =
+    let n = ref 0 in
     for j = 0 to Array.length d - 1 do
-      if not skip.(j) then d.(j) <- dot_sub mat j y cost.(j)
-    done
+      if not skip.(j) then begin
+        d.(j) <- dot_sub mat j y cost.(j);
+        if R.sign d.(j) < 0 then begin
+          cand.(!n) <- j;
+          incr n
+        end
+      end
+    done;
+    !n
 
-  let ratios xb w r = Array.iteri (fun i wi -> if R.sign wi > 0 then r.(i) <- R.div xb.(i) wi) w
-  let sign_at a i = R.sign a.(i)
+  let ratios xb w r cand =
+    let n = ref 0 in
+    Array.iteri
+      (fun i wi ->
+        if R.sign wi > 0 then begin
+          r.(i) <- R.div xb.(i) wi;
+          cand.(!n) <- i;
+          incr n
+        end)
+      w;
+    !n
   let compare_at a i j = R.compare a.(i) a.(j)
 end
 
@@ -311,25 +327,35 @@ module Approx : With_kernels with type t = float = struct
     done;
     !acc
 
-  let price mat (cost : float array) (y : float array) skip (d : float array) =
+  let price mat (cost : float array) (y : float array) skip (d : float array) cand =
     let ptr = Sparse.col_ptr mat and ri = Sparse.row_idx mat in
     let vals : float array = Sparse.vals mat in
+    let n = ref 0 in
     for j = 0 to Array.length d - 1 do
       if not skip.(j) then begin
         let acc = ref cost.(j) in
         for e = ptr.(j) to ptr.(j + 1) - 1 do
           acc := !acc -. (y.(ri.(e)) *. vals.(e))
         done;
-        d.(j) <- !acc
+        d.(j) <- !acc;
+        if sign !acc < 0 then begin
+          cand.(!n) <- j;
+          incr n
+        end
       end
-    done
+    done;
+    !n
 
-  let ratios (xb : float array) (w : float array) (r : float array) =
+  let ratios (xb : float array) (w : float array) (r : float array) cand =
+    let n = ref 0 in
     for i = 0 to Array.length w - 1 do
       let wi = w.(i) in
-      if sign wi > 0 then r.(i) <- xb.(i) /. wi
-    done
-
-  let sign_at (a : float array) i = sign a.(i)
+      if sign wi > 0 then begin
+        r.(i) <- xb.(i) /. wi;
+        cand.(!n) <- i;
+        incr n
+      end
+    done;
+    !n
   let compare_at (a : float array) i j = compare a.(i) a.(j)
 end

@@ -316,17 +316,17 @@ module Make (F : Linalg.Field.With_kernels) = struct
 
   (* Leaving row: minimum ratio x_B / w over positive w entries, ties
      broken by smallest basic variable index — identical to the dense
-     solvers' rule.  [ratio] is scratch of length m. *)
-  let leaving st w ~ratio =
-    F.ratios st.xb w ratio;
+     solvers' rule.  [ratio] and [rows] are scratch of length m. *)
+  let leaving st w ~ratio ~rows =
+    let positive = F.ratios st.xb w ratio rows in
     let best = ref (-1) in
-    for i = 0 to st.prep.m - 1 do
-      if F.sign_at w i > 0 then
-        if !best < 0 then best := i
-        else begin
-          let c = F.compare_at ratio i !best in
-          if c < 0 || (c = 0 && st.basis.(i) < st.basis.(!best)) then best := i
-        end
+    for k = 0 to positive - 1 do
+      let i = rows.(k) in
+      if !best < 0 then best := i
+      else begin
+        let c = F.compare_at ratio i !best in
+        if c < 0 || (c = 0 && st.basis.(i) < st.basis.(!best)) then best := i
+      end
     done;
     if !best < 0 then None else Some !best
 
@@ -340,9 +340,11 @@ module Make (F : Linalg.Field.With_kernels) = struct
     let width = st.prep.total + 1 in
     let dantzig_budget = 50 + (4 * (m + width)) in
     let iters = ref 0 in
-    (* Scratch for the reduced costs and the ratio test, reused by every
-       iteration so no pivot allocates an array of the matrix's width. *)
-    let d = Array.make allowed_up_to F.zero and ratio = Array.make m F.zero in
+    (* Scratch for pricing and the ratio test (values and candidate
+       indices), reused by every iteration so no pivot allocates an array
+       of the matrix's width. *)
+    let d = Array.make allowed_up_to F.zero and cols = Array.make allowed_up_to 0 in
+    let ratio = Array.make m F.zero and rows = Array.make m 0 in
     (* y = c_B·B⁻¹.  Exact: computed once per call, then kept current
        after each pivot by y += d_q · (new pivot row of B⁻¹), which is the
        same number as a recomputation.  Float: recomputed every iteration,
@@ -356,16 +358,14 @@ module Make (F : Linalg.Field.With_kernels) = struct
       let enter =
         if !iters <= dantzig_budget then begin
           (* Dantzig: most negative reduced cost, first index on ties.
-             Basic columns have reduced cost exactly zero, so skipping
-             them matches the dense scan. *)
-          F.price st.prep.cols cost y st.in_basis d;
+             [price] lists the nonbasic columns with a negative reduced
+             cost in increasing order.  Basic columns have reduced cost
+             exactly zero, so skipping them matches the dense scan. *)
+          let negative = F.price st.prep.cols cost y st.in_basis d cols in
           let best = ref (-1) in
-          for j = 0 to allowed_up_to - 1 do
-            if
-              (not st.in_basis.(j))
-              && F.sign_at d j < 0
-              && (!best < 0 || F.compare_at d j !best < 0)
-            then best := j
+          for k = 0 to negative - 1 do
+            let j = cols.(k) in
+            if !best < 0 || F.compare_at d j !best < 0 then best := j
           done;
           if !best < 0 then None else Some (!best, d.(!best))
         end
@@ -385,7 +385,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
       | None -> `Optimal
       | Some (j, d) -> (
         let w = column st j in
-        match leaving st w ~ratio with
+        match leaving st w ~ratio ~rows with
         | None -> `Unbounded
         | Some i ->
           pivot st ~row:i ~col:j ~w;
