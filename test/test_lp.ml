@@ -628,10 +628,11 @@ let prop_basis_invariants =
    is solved cold by both revised instances, and the deadline systems of
    consecutive candidates are also chained through warm starts (the
    refactorization and dual-simplex paths).  A record holds the outcome
-   tag, the phase pivot counts, the final basis, the prepared CSC matrix
-   and shape, and every value, the objective and every dual — floats as
-   their IEEE bit patterns, rationals as [R.to_string].  The committed
-   fixture is one MD5 per corpus group and field; the ≈1e-6 agreement
+   tag, the phase pivot counts, the final basis, the prepared CSC matrix,
+   and every value, the objective and every dual — floats as their IEEE
+   bit patterns, rationals as [R.to_string].  The committed fixture is
+   one MD5 per corpus group and field, with the warm chain on a line of
+   its own (field suffix [-warm]); the ≈1e-6 agreement
    properties above cannot see a reordered rounding, this can.
 
    To re-record after an intended change of results: run the test, then
@@ -702,7 +703,6 @@ module Record (E : sig
   }
 
   val prepare : f P.t -> prepared
-  val shape : prepared -> string
   val matrix : prepared -> f Linalg.Sparse.t
 
   val cold_solve :
@@ -736,16 +736,15 @@ struct
 
   let add_matrix buf prep =
     let cols = E.matrix prep in
-    Buffer.add_string buf (E.shape prep);
     for j = 0 to Linalg.Sparse.ncols cols - 1 do
       Linalg.Sparse.iter_col cols j (fun r v ->
           Buffer.add_string buf (Printf.sprintf " %d,%d:%s" j r (E.bits v)))
     done;
     Buffer.add_char buf '\n'
 
-  (* Cold solve of each problem, then the chain of warm starts from each
-     problem's cold basis to the next problem. *)
-  let record buf problems =
+  (* Cold solve of each problem into [cold], then the chain of warm starts
+     from each problem's cold basis to the next problem into [warm]. *)
+  let record ~cold:buf ~warm problems =
     let preps = Array.of_list (List.map E.prepare problems) in
     let cold =
       Array.map
@@ -760,8 +759,8 @@ struct
     for k = 1 to Array.length preps - 1 do
       let p2 = ref 0 and pd = ref 0 in
       match E.warm_solve preps.(k) cold.(k - 1) ~count2:p2 ~countd:pd with
-      | None -> Buffer.add_string buf "warm fallback\n"
-      | Some (outcome, st) -> add_outcome buf outcome st [ !p2; !pd ]
+      | None -> Buffer.add_string warm "warm fallback\n"
+      | Some (outcome, st) -> add_outcome warm outcome st [ !p2; !pd ]
     done
 end
 
@@ -784,16 +783,17 @@ end)
 let corpus_digest () =
   List.concat_map
     (fun (label, problems) ->
-      let line field record =
-        let buf = Buffer.create 4096 in
-        record buf;
-        Printf.sprintf "%s %s %d %s" label field (List.length problems)
-          (Digest.to_hex (Digest.string (Buffer.contents buf)))
+      let lines field record =
+        let cold = Buffer.create 4096 and warm = Buffer.create 4096 in
+        record ~cold ~warm;
+        let line field buf =
+          Printf.sprintf "%s %s %d %s" label field (List.length problems)
+            (Digest.to_hex (Digest.string (Buffer.contents buf)))
+        in
+        [ line field cold; line (field ^ "-warm") warm ]
       in
-      [ line "exact" (fun buf -> Record_exact.record buf problems);
-        line "approx" (fun buf ->
-            Record_approx.record buf (List.map to_float_problem problems))
-      ])
+      lines "exact" (Record_exact.record problems)
+      @ lines "approx" (Record_approx.record (List.map to_float_problem problems)))
     (corpus ())
 
 let test_bit_identity_fixture () =
