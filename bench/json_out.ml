@@ -157,7 +157,6 @@ let write ~experiment data =
           ("schema", Str schema);
           ("version", Int version);
           ("experiment", Str experiment);
-          ("warm", Bool !Lp.Solve.warm);
           ("recommended_domain_count", Int (Domain.recommended_domain_count ()));
           ("trace", trace_summary ());
           ("rat", rat_summary ());

@@ -363,122 +363,13 @@ let run_search () =
     [ (4, 2); (6, 3); (8, 3); (10, 4); (12, 4); (16, 5) ]
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start ablation: basis reuse across the bisection's exact probes  *)
-(* ------------------------------------------------------------------ *)
-
-(* One bisection search (Max_flow.solve_bisection), with per-solve records
-   captured from the exact ["lp.solve"] trace spans via a scoped callback
-   sink.  Every exact solve there is a feasibility probe of one shared
-   Deadline.prober, whose shape-keyed basis cache is the warm start being
-   measured.  (The milestone search's exact solves are cold by design:
-   one parametric LP per certified bracket.) *)
-type solve_rec = { went_warm : bool; pivots : int }
-
-let measure_bisection ~warm inst =
-  let saved = !Lp.Solve.warm in
-  Lp.Solve.warm := warm;
-  Fun.protect
-    ~finally:(fun () -> Lp.Solve.warm := saved)
-    (fun () ->
-      let attr_int sp key =
-        match Obs.Sink.attr sp key with Some (Obs.Sink.Int i) -> i | _ -> 0
-      in
-      let attr_bool sp key =
-        match Obs.Sink.attr sp key with Some (Obs.Sink.Bool b) -> b | _ -> false
-      in
-      let recs = ref [] in
-      let sink =
-        Obs.Sink.callback (function
-          | Obs.Sink.Span sp
-            when sp.Obs.Sink.name = "lp.solve" && attr_bool sp "exact" ->
-            recs :=
-              {
-                went_warm = attr_bool sp "warm";
-                pivots =
-                  attr_int sp "pivots_phase1" + attr_int sp "pivots_phase2"
-                  + attr_int sp "pivots_dual";
-              }
-              :: !recs
-          | _ -> ())
-      in
-      let r =
-        Obs.Sink.with_sink sink (fun () -> Sched_core.Max_flow.solve_bisection inst)
-      in
-      (r, List.rev !recs))
-
-let run_warmstart () =
-  section "Warm-start ablation: bisection exact-probe pivots, cold vs basis reuse";
-  Printf.printf
-    "Max_flow.solve_bisection feasibility probes (every exact solve of the\n\
-     search; the answers, and so the result, are identical by construction).\n";
-  Printf.printf "%4s %4s %7s | %12s | %12s %6s | %7s\n" "n" "m" "probes"
-    "cold pivots" "warm pivots" "hits" "ratio";
-  let rng = Gripps.Prng.create 108 in
-  let rows =
-    List.map
-      (fun (n, m) ->
-        let inst = random_instance rng ~jobs:n ~machines:m in
-        let rc, probes_c = measure_bisection ~warm:false inst in
-        let rw, probes_w = measure_bisection ~warm:true inst in
-        if
-          not
-            (R.equal rc.Sched_core.Max_flow.objective
-               rw.Sched_core.Max_flow.objective)
-        then failwith "warmstart: objectives diverge between configurations";
-        if List.length probes_c <> List.length probes_w then
-          failwith "warmstart: probe sequences diverge between configurations";
-        let sum l = List.fold_left (fun a i -> a + i.pivots) 0 l in
-        let cold = sum probes_c and warmp = sum probes_w in
-        let hits =
-          List.length (List.filter (fun i -> i.went_warm) probes_w)
-        in
-        let ratio = float_of_int cold /. Float.max 1.0 (float_of_int warmp) in
-        Printf.printf "%4d %4d %7d | %12d | %12d %6d | %6.1fx\n" n m
-          (List.length probes_w) cold warmp hits ratio;
-        (n, m, List.length probes_w, cold, warmp, hits))
-      [ (4, 2); (6, 3); (8, 3); (10, 4); (12, 4); (16, 5) ]
-  in
-  let total f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let cold = total (fun (_, _, _, c, _, _) -> c) in
-  let warmp = total (fun (_, _, _, _, w, _) -> w) in
-  let probes = total (fun (_, _, p, _, _, _) -> p) in
-  let hits = total (fun (_, _, _, _, _, h) -> h) in
-  let ratio = float_of_int cold /. Float.max 1.0 (float_of_int warmp) in
-  Printf.printf
-    "total: %d probes, %d warm hits; search pivots %d cold -> %d warm (%.1fx)\n"
-    probes hits cold warmp ratio;
-  Json_out.write ~experiment:"warmstart"
-    (Json_out.Obj
-       [
-         ( "instances",
-           Json_out.List
-             (List.map
-                (fun (n, m, p, c, w, h) ->
-                  Json_out.Obj
-                    [
-                      ("jobs", Json_out.Int n);
-                      ("machines", Json_out.Int m);
-                      ("probes", Json_out.Int p);
-                      ("cold_pivots", Json_out.Int c);
-                      ("warm_pivots", Json_out.Int w);
-                      ("warm_hits", Json_out.Int h);
-                    ])
-                rows) );
-         ("total_probes", Json_out.Int probes);
-         ("total_warm_hits", Json_out.Int hits);
-         ("total_cold_pivots", Json_out.Int cold);
-         ("total_warm_pivots", Json_out.Int warmp);
-         ("pivot_reduction", Json_out.Float ratio);
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* Solve-budget smoke check                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic fixed workload; counts exact/approx solves and pivots
    and compares them to the checked-in ceilings in bench/solve_budget.txt
    and to its [expect_<metric>] keys, which must match exactly.  A change
-   in warm-starting, probe caching or pivot rules that moves a single
+   in the search, the formulations or the pivot rules that moves a single
    pivot fails the run (and `make check` through `bench-smoke`). *)
 let budget_file = "bench/solve_budget.txt"
 
@@ -525,9 +416,8 @@ let run_smoke () =
       ("approx_pivots", Lp.Instrument.total_pivots d_ap);
     ]
   in
-  (* Warm solves are a floor, not a ceiling: losing them is the regression.
-     The milestone search solves cold today, so the floor is 0 and only
-     its expect_ key bites. *)
+  (* Warm solves are a floor, not a ceiling.  Every solve is cold, so the
+     count is 0 by construction and only its expect_ key bites. *)
   let floors = [ ("exact_warm_solves", d_ex.Lp.Instrument.warm_solves) ] in
   let budget = read_budget budget_file in
   let ok = ref true in
@@ -1252,7 +1142,6 @@ let experiments =
     ("reopt", run_reopt);
     ("lp", run_lp);
     ("search", run_search);
-    ("warmstart", run_warmstart);
     ("smoke", run_smoke);
     ("numeric", run_numeric);
     ("uniform", run_uniform);
@@ -1267,9 +1156,7 @@ let experiments =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (* Flags: --json enables BENCH_*.json emission; --trace=FILE streams a
-     JSON-lines trace of every span and event the experiments emit (the
-     warmstart ablation briefly shadows it with its own in-process sink
-     while it measures). *)
+     JSON-lines trace of every span and event the experiments emit. *)
   let names =
     List.filter
       (fun a ->

@@ -18,32 +18,8 @@ val flow_deadlines : Instance.t -> objective:Rat.t -> Rat.t array
 (** The deadlines [d̄_j(F) = r_j + F/w_j] induced by a maximum weighted
     flow objective [F] (Section 4.3.1). *)
 
-(** {2 Feasibility probes}
-
-    A prober answers a family of "is objective [F] feasible?" questions on
-    one instance: the float probes that steer {!Max_flow.search}, and the
-    exact probes of {!Max_flow.solve_bisection}.  It memoizes formulations
-    per objective, warm-starts exact probes from a shape-keyed basis cache
-    of earlier exact probes, and keeps feasible exact solutions so the
-    winning probe's schedule needs no extra solve.  Every warm start is
-    verified by the solver (see [Lp.Revised]), so answers are identical to
-    cold solves — only cheaper. *)
-
-type prober
-
-val prober : ?divisible:bool -> Instance.t -> prober
-(** [divisible] defaults to [true] (system (2)); [false] selects the
-    preemptive system (5) at fixed objective. *)
-
-val probe_approx : prober -> objective:Rat.t -> bool
-(** Float feasibility at [objective]: cold, fast, possibly wrong near the
-    feasibility boundary. *)
-
-val probe_exact : prober -> objective:Rat.t -> bool
-(** Exact feasibility at [objective], warm-started when an earlier exact
-    probe of this prober left a shape-compatible basis. *)
-
-val schedule_at : prober -> objective:Rat.t -> Schedule.t option
-(** The schedule of the (divisible) deadline system at [objective],
-    decoded from the cached probe solution when [probe_exact] already ran
-    there — the winning objective's LP is not solved twice. *)
+val probe_approx : ?divisible:bool -> Instance.t -> objective:Rat.t -> bool
+(** Float feasibility of the deadlines {!flow_deadlines} at [objective]:
+    fast, possibly wrong near the feasibility boundary.  The float probes
+    only steer {!Max_flow.search}, whose exact parametric solve certifies
+    the answer.  [divisible] is as for {!is_feasible}. *)

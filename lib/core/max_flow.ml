@@ -70,9 +70,7 @@ let certify ~divisible inst candidates i =
 (* The float probes only pick which bracket to certify first. *)
 let search ?(accelerate = true) ~divisible inst candidates =
   let approx =
-    if accelerate then
-      let pr = Deadline.prober ~divisible inst in
-      Some (fun f -> Deadline.probe_approx pr ~objective:f)
+    if accelerate then Some (fun f -> Deadline.probe_approx ~divisible inst ~objective:f)
     else None
   in
   let idx, optimum =
@@ -127,16 +125,16 @@ let default_epsilon = Rat.of_ints 1 1048576 (* 2^-20 *)
 let solve_bisection ?(epsilon = default_epsilon) inst =
   if Instance.num_jobs inst = 0 then invalid_arg "Max_flow.solve_bisection: empty instance";
   if Rat.sign epsilon <= 0 then invalid_arg "Max_flow.solve_bisection: epsilon must be positive";
-  let pr = Deadline.prober inst in
+  let at objective = Deadline.flow_deadlines inst ~objective in
   let lo = ref Rat.zero and hi = ref (feasible_upper_bound inst) in
   (* invariant: hi feasible, lo infeasible (or zero) *)
   while Rat.compare (Rat.sub !hi !lo) (Rat.mul epsilon !hi) > 0 do
     let mid = Rat.div_int (Rat.add !lo !hi) 2 in
-    if Deadline.probe_exact pr ~objective:mid then hi := mid else lo := mid
+    if Deadline.is_feasible inst ~deadlines:(at mid) then hi := mid else lo := mid
   done;
-  (* The probe at [hi] cached its LP solution, so the schedule is decoded
-     without solving the winning system a second time. *)
-  match Deadline.schedule_at pr ~objective:!hi with
+  (* One more cold solve at [hi] decodes its schedule: any vertex of the
+     deadline system there meets every deadline d̄_j(hi). *)
+  match Deadline.feasible inst ~deadlines:(at !hi) with
   | Some schedule ->
     { objective = !hi; schedule; milestones = []; search_range = (!lo, !hi) }
   | None -> assert false (* hi is feasible by the loop invariant *)

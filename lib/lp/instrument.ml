@@ -12,10 +12,8 @@ module R = Obs.Registry
 
 type handles = {
   c_solves : R.counter;
-  c_warm : R.counter;
   c_p1 : R.counter;
   c_p2 : R.counter;
-  c_dual : R.counter;
   h_seconds : R.histogram;
 }
 
@@ -23,10 +21,8 @@ let make prefix =
   let g = R.global in
   {
     c_solves = R.counter g (prefix ^ ".solves");
-    c_warm = R.counter g (prefix ^ ".solves_warm");
     c_p1 = R.counter g (prefix ^ ".pivots_phase1");
     c_p2 = R.counter g (prefix ^ ".pivots_phase2");
-    c_dual = R.counter g (prefix ^ ".pivots_dual");
     h_seconds = R.histogram g (prefix ^ ".solve_seconds");
   }
 
@@ -43,13 +39,14 @@ type totals = {
   seconds : float;
 }
 
+(* Every solve is cold, so [warm_solves] and [pivots_dual] are 0. *)
 let totals_of h =
   {
     solves = R.count h.c_solves;
-    warm_solves = R.count h.c_warm;
+    warm_solves = 0;
     pivots_phase1 = R.count h.c_p1;
     pivots_phase2 = R.count h.c_p2;
-    pivots_dual = R.count h.c_dual;
+    pivots_dual = 0;
     seconds = R.hsum h.h_seconds;
   }
 
@@ -61,26 +58,24 @@ let combined () =
   let e = exact_totals () and a = approx_totals () in
   {
     solves = e.solves + a.solves;
-    warm_solves = e.warm_solves + a.warm_solves;
+    warm_solves = 0;
     pivots_phase1 = e.pivots_phase1 + a.pivots_phase1;
     pivots_phase2 = e.pivots_phase2 + a.pivots_phase2;
-    pivots_dual = e.pivots_dual + a.pivots_dual;
+    pivots_dual = 0;
     seconds = e.seconds +. a.seconds;
   }
 
-let total_pivots t = t.pivots_phase1 + t.pivots_phase2 + t.pivots_dual
+let total_pivots t = t.pivots_phase1 + t.pivots_phase2
 
 let diff ~before after =
   {
     solves = after.solves - before.solves;
-    warm_solves = after.warm_solves - before.warm_solves;
+    warm_solves = 0;
     pivots_phase1 = after.pivots_phase1 - before.pivots_phase1;
     pivots_phase2 = after.pivots_phase2 - before.pivots_phase2;
-    pivots_dual = after.pivots_dual - before.pivots_dual;
+    pivots_dual = 0;
     seconds = after.seconds -. before.seconds;
   }
-
-let warm_solves ~exact = R.count (handles ~exact).c_warm
 
 (* Numeric fast-path telemetry.  [Numeric.Counters] keeps plain refs on
    the arithmetic hot path (the numeric library cannot depend on [obs]);
@@ -103,13 +98,11 @@ let sync_rat_counters () =
   mirror c_rat_promotions (Numeric.Counters.promotions ());
   mirror c_rat_demotions (Numeric.Counters.demotions ())
 
-let record ~exact ~warm ~pivots_phase1 ~pivots_phase2 ~pivots_dual ~seconds =
+let record ~exact ~pivots_phase1 ~pivots_phase2 ~seconds =
   let h = handles ~exact in
   R.incr h.c_solves;
-  if warm then R.incr h.c_warm;
   R.add h.c_p1 pivots_phase1;
   R.add h.c_p2 pivots_phase2;
-  R.add h.c_dual pivots_dual;
   R.observe h.h_seconds seconds;
   sync_rat_counters ()
 

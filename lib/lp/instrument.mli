@@ -1,8 +1,8 @@
 (** Solver instrumentation over [Obs.Registry.global].
 
     Each engine records one solve into the [lp.exact.*] or [lp.approx.*]
-    instrument family (counters for solves, warm solves and pivots per
-    phase; a histogram of per-solve wall seconds).  The milestone
+    instrument family (counters for solves and pivots per phase; a
+    histogram of per-solve wall seconds).  The milestone
     searches drive both families: float probes land under [lp.approx],
     the certifying parametric solves under [lp.exact].
 
@@ -14,10 +14,12 @@
 
 type totals = {
   solves : int;
-  warm_solves : int;  (** solves where a supplied basis was reused *)
+  warm_solves : int;
+      (** always 0: every solve is cold; the field stays for the readers
+          of this record *)
   pivots_phase1 : int;
   pivots_phase2 : int;
-  pivots_dual : int;  (** dual-simplex pivots (warm restarts only) *)
+  pivots_dual : int;  (** always 0, likewise: no solve runs a dual simplex *)
   seconds : float;  (** total wall seconds across the solves *)
 }
 
@@ -35,19 +37,7 @@ val total_pivots : totals -> int
 val diff : before:totals -> totals -> totals
 (** Component-wise difference of two snapshots of the same family. *)
 
-val warm_solves : exact:bool -> int
-(** Current warm-solve count for one arithmetic — a cheap single-counter
-    read for callers that only need to detect whether a solve they just
-    issued went warm. *)
-
-val record :
-  exact:bool ->
-  warm:bool ->
-  pivots_phase1:int ->
-  pivots_phase2:int ->
-  pivots_dual:int ->
-  seconds:float ->
-  unit
+val record : exact:bool -> pivots_phase1:int -> pivots_phase2:int -> seconds:float -> unit
 (** Fold one finished solve into its instrument family.  Called by the
     engines; not meant for user code. *)
 

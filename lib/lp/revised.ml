@@ -1,6 +1,6 @@
 (* Revised simplex over a sparse (CSC) constraint matrix, functorized over
-   the coefficient field, with an explicit basis object that supports warm
-   starts.
+   the coefficient field.  Every solve is cold: the two-phase method from
+   the slack/artificial basis.
 
    Where the dense tableau rewrites all m×(n+m) entries per pivot, this
    engine keeps only the basis inverse B⁻¹ (m×m) and the basic solution
@@ -16,32 +16,22 @@
    [float array]s with the same operations in the same order (DESIGN
    §6).
 
-   Support, not tolerance: the row updates of [pivot] and [refactor] run
-   on [F.support], which drops only *exact* zeros — a [Rat] zero, a
+   Support, not tolerance: the row updates of [pivot] run on
+   [F.support], which drops only *exact* zeros — a [Rat] zero, a
    literal [0.0] float — because skipping x − f·0 leaves every value
    unchanged, so each engine's pivot sequence is the one the dense update
    would give.  [F.is_zero]'s float tolerance would not.
 
-   Pivot-rule parity: cold solves use exactly the rules of the dense
-   tableau oracle ([Oracle.Simplex.Make], lib/oracle) — Dantzig entering
+   Pivot-rule parity: solves use exactly the rules of the dense tableau
+   oracle ([Oracle.Simplex.Make], lib/oracle) — Dantzig entering
    with the same budget formula and first-index tie-break, Bland fallback,
    minimum-ratio leaving with ties broken by smallest basic variable, the
    same normalization and phase-1 artificial drive-out scan order.  In
    exact arithmetic the reduced costs computed here equal the dense
-   tableau's objective row entry for entry, so a cold solve visits the
-   same sequence of bases and returns bit-identical values and duals.
-   The dense solvers are kept, outside the production libraries, as the
-   differential-testing oracle ([Oracle.with_dense]).
-
-   Warm starts ([solve_prepared ?warm]) re-solve a problem starting from a
-   previously optimal basis: refactorize B⁻¹ from scratch (so stale hints
-   are *verified*, never trusted), drive out zero-valued artificials, then
-   either resume primal phase 2 (basis still primal feasible), run the dual
-   simplex (basis dual feasible — always the case for the zero-objective
-   deadline-feasibility probes), or give up and fall back to a cold solve.
-   A warm start can change which optimal vertex is returned (the objective
-   value is unique; the argmax need not be), so callers that require
-   bit-identical schedules simply do not pass [?warm]. *)
+   tableau's objective row entry for entry, so a solve visits the same
+   sequence of bases and returns bit-identical values and duals.  The
+   dense solvers are kept, outside the production libraries, as the
+   differential-testing oracle ([Oracle.with_dense]). *)
 
 module Sp = Linalg.Sparse
 
@@ -81,13 +71,8 @@ module Make (F : Linalg.Field.With_kernels) = struct
     negate : bool; (* original problem was a maximization *)
     dual_col : int array; (* unit column used to read each row's dual *)
     flipped : bool array; (* rows whose rhs sign was flipped *)
-    shape : string Lazy.t;
-        (* structural signature: sizes and row relations; only the exact
-           basis cache of [Solve.exact_basis] reads it *)
   }
 
-  let shape prep = Lazy.force prep.shape
-  let num_cols prep = prep.total
   let matrix prep = prep.cols
 
   (* Normalize and build the CSC matrix.  The layout matches the dense
@@ -187,21 +172,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
       negate;
       dual_col;
       flipped;
-      shape =
-        lazy
-          (let buf = Buffer.create (m + 32) in
-           Buffer.add_string buf (Printf.sprintf "%d/%d/%d/%d:" m n total art_start);
-           Array.iter
-             (fun (_, rel, _) ->
-               Buffer.add_char buf
-                 (match rel with Problem.Le -> 'l' | Ge -> 'g' | Eq -> 'e'))
-             normalized;
-           Buffer.contents buf);
     }
-
-  (* The initial basic column of each normalized row: the slack for Le,
-     the artificial for Ge/Eq — i.e. exactly [dual_col]. *)
-  let initial_basis prep = Array.copy prep.dual_col
 
   type state = {
     prep : prepared;
@@ -211,85 +182,20 @@ module Make (F : Linalg.Field.With_kernels) = struct
     xb : F.t array; (* current basic values, = B⁻¹·b *)
   }
 
-  let make_in_basis prep basis =
-    let in_basis = Array.make (max prep.total 1) false in
-    Array.iter (fun j -> in_basis.(j) <- true) basis;
-    in_basis
-
+  (* The initial basis: the slack of each Le row, the artificial of each
+     Ge/Eq row — i.e. exactly [dual_col] — with B⁻¹ = I and x_B = b. *)
   let cold_state prep =
     let m = prep.m in
-    let basis = initial_basis prep in
+    let basis = Array.copy prep.dual_col in
+    let in_basis = Array.make (max prep.total 1) false in
+    Array.iter (fun j -> in_basis.(j) <- true) basis;
     {
       prep;
       basis;
-      in_basis = make_in_basis prep basis;
+      in_basis;
       binv = Array.init m (fun i -> Array.init m (fun j -> if i = j then F.one else F.zero));
       xb = Array.copy prep.b;
     }
-
-  (* Rebuild B⁻¹ and x_B for an arbitrary candidate basis by Gauss–Jordan
-     elimination with partial pivoting on [B | I].  Returns [None] when the
-     candidate columns are (numerically) singular — the warm-start caller
-     then falls back to a cold solve, so a bad hint can never produce a
-     wrong answer, only a slower one. *)
-  let refactor prep basis0 : state option =
-    let m = prep.m in
-    if Array.length basis0 <> m then None
-    else if Array.exists (fun j -> j < 0 || j >= prep.total) basis0 then None
-    else begin
-      let duplicate =
-        let seen = Array.make (max prep.total 1) false in
-        Array.exists
-          (fun j ->
-            if seen.(j) then true
-            else begin
-              seen.(j) <- true;
-              false
-            end)
-          basis0
-      in
-      if duplicate then None
-      else begin
-        let aug = Array.init m (fun _ -> Array.make (2 * m) F.zero) in
-        Array.iteri
-          (fun k j -> Sp.iter_col prep.cols j (fun r v -> aug.(r).(k) <- v))
-          basis0;
-        for i = 0 to m - 1 do
-          aug.(i).(m + i) <- F.one
-        done;
-        let singular = ref false in
-        (try
-           for c = 0 to m - 1 do
-             let pr = ref c in
-             for r = c + 1 to m - 1 do
-               if F.compare (F.abs aug.(r).(c)) (F.abs aug.(!pr).(c)) > 0 then pr := r
-             done;
-             if F.is_zero aug.(!pr).(c) then raise Exit;
-             if !pr <> c then begin
-               let tmp = aug.(c) in
-               aug.(c) <- aug.(!pr);
-               aug.(!pr) <- tmp
-             end;
-             F.eliminate aug c (Array.map (fun row -> row.(c)) aug)
-           done
-         with Exit -> singular := true);
-        if !singular then None
-        else begin
-          let binv = Array.init m (fun i -> Array.sub aug.(i) m m) in
-          let xb =
-            Array.init m (fun i ->
-                let acc = ref F.zero in
-                for k = 0 to m - 1 do
-                  if not (F.is_zero prep.b.(k)) then
-                    acc := F.add !acc (F.mul binv.(i).(k) prep.b.(k))
-                done;
-                !acc)
-          in
-          let basis = Array.copy basis0 in
-          Some { prep; basis; in_basis = make_in_basis prep basis; binv; xb }
-        end
-      end
-    end
 
   (* w = B⁻¹ · A_j, the entering column expressed in the current basis. *)
   let column st j =
@@ -297,7 +203,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
     F.col_accum st.prep.cols j st.binv w;
     w
 
-  (* Row r of B⁻¹·A at column j (used by the dual ratio test). *)
+  (* Row r of B⁻¹·A at column j (used by the artificial drive-out). *)
   let row_entry st r j = F.dot_add st.prep.cols j st.binv.(r)
 
   (* Simplex multipliers y = c_B · B⁻¹ for cost vector [cost]. *)
@@ -333,8 +239,8 @@ module Make (F : Linalg.Field.With_kernels) = struct
   exception Iteration_limit = Iteration_limit
 
   (* Primal simplex from the current (primal-feasible) state.  Entering
-     rules and the Dantzig budget mirror [Oracle.Simplex.optimize] so that cold
-     runs traverse the same bases as the dense tableau. *)
+     rules and the Dantzig budget mirror [Oracle.Simplex.optimize] so that
+     solves traverse the same bases as the dense tableau. *)
   let primal ?(count = ref 0) st ~cost ~allowed_up_to ~max_iters =
     let m = st.prep.m in
     let width = st.prep.total + 1 in
@@ -451,65 +357,6 @@ module Make (F : Linalg.Field.With_kernels) = struct
 
   let max_iters_for prep = 1000 + (100 * (prep.m + prep.total))
 
-  (* Dual simplex: restores primal feasibility while keeping all reduced
-     costs nonnegative.  Only used on warm restarts; artificial columns
-     are never eligible to enter.  Returns [`Limit] when the iteration cap
-     trips, letting the caller fall back to a cold solve — so termination
-     is guaranteed without a dedicated anti-cycling proof. *)
-  let dual_simplex ?(count = ref 0) st ~max_iters =
-    let prep = st.prep in
-    let m = prep.m in
-    let budget = 50 + (4 * (m + prep.total + 1)) in
-    let iters = ref 0 in
-    let rec loop () =
-      incr iters;
-      if !iters > max_iters then `Limit
-      else begin
-        (* Leaving row: most negative x_B (ties by smallest basic
-           variable); after the budget, smallest basic variable among the
-           negatives (Bland-style). *)
-        let leave = ref None in
-        for i = 0 to m - 1 do
-          if F.sign st.xb.(i) < 0 then
-            match !leave with
-            | None -> leave := Some i
-            | Some i' ->
-              let better =
-                if !iters <= budget then
-                  let c = F.compare st.xb.(i) st.xb.(i') in
-                  c < 0 || (c = 0 && st.basis.(i) < st.basis.(i'))
-                else st.basis.(i) < st.basis.(i')
-              in
-              if better then leave := Some i
-        done;
-        match !leave with
-        | None -> `Feasible
-        | Some r -> (
-          let y = multipliers st prep.cost2 in
-          let best = ref None in
-          for j = 0 to prep.art_start - 1 do
-            if not st.in_basis.(j) then begin
-              let alpha = row_entry st r j in
-              if F.sign alpha < 0 then begin
-                let d = reduced_cost st prep.cost2 y j in
-                let ratio = F.div d (F.neg alpha) in
-                match !best with
-                | None -> best := Some (ratio, j)
-                | Some (br, _) -> if F.compare ratio br < 0 then best := Some (ratio, j)
-              end
-            end
-          done;
-          match !best with
-          | None -> `Infeasible (* row r certifies primal infeasibility *)
-          | Some (_, j) ->
-            let w = column st j in
-            pivot st ~row:r ~col:j ~w;
-            incr count;
-            loop ())
-      end
-    in
-    loop ()
-
   (* Cold two-phase solve; returns the outcome plus the final state. *)
   let cold_solve prep ~count1 ~count2 =
     let st = cold_state prep in
@@ -541,109 +388,25 @@ module Make (F : Linalg.Field.With_kernels) = struct
       | `Unbounded -> (Unbounded, st)
       | `Optimal -> (extract st, st))
 
-  (* Attempt a warm restart from [basis0].  [None] means "fall back to a
-     cold solve"; [Some] is a fully verified outcome. *)
-  let warm_solve prep basis0 ~count2 ~countd =
-    match refactor prep basis0 with
-    | None -> None
-    | Some st ->
-      let max_iters = max_iters_for prep in
-      (* A basic artificial with nonzero value means the hinted basis does
-         not reach a feasible point of the real problem; phase 1 would be
-         needed, which a cold solve does anyway. *)
-      let bad_artificial = ref false in
-      Array.iteri
-        (fun i b ->
-          if b >= prep.art_start && not (F.is_zero st.xb.(i)) then
-            bad_artificial := true)
-        st.basis;
-      if !bad_artificial then None
-      else begin
-        drive_out_artificials st;
-        let primal_feasible =
-          Array.for_all (fun v -> F.sign v >= 0) st.xb
-        in
-        if primal_feasible then begin
-          match
-            primal ~count:count2 st ~cost:prep.cost2
-              ~allowed_up_to:prep.art_start ~max_iters
-          with
-          | `Unbounded -> Some (Unbounded, st)
-          | `Optimal -> Some (extract st, st)
-        end
-        else begin
-          (* Primal infeasible at the hint: usable only if dual feasible
-             (true by construction for zero-objective feasibility probes,
-             where every reduced cost is ≥ 0). *)
-          let y = multipliers st prep.cost2 in
-          let dual_feasible = ref true in
-          (try
-             for j = 0 to prep.art_start - 1 do
-               if
-                 (not st.in_basis.(j))
-                 && F.sign (reduced_cost st prep.cost2 y j) < 0
-               then begin
-                 dual_feasible := false;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          if not !dual_feasible then None
-          else
-            match dual_simplex ~count:countd st ~max_iters with
-            | `Limit -> None
-            | `Infeasible -> Some (Infeasible, st)
-            | `Feasible -> (
-              match
-                primal ~count:count2 st ~cost:prep.cost2
-                  ~allowed_up_to:prep.art_start ~max_iters
-              with
-              | `Unbounded -> Some (Unbounded, st)
-              | `Optimal -> Some (extract st, st))
-        end
-      end
-
-  (* Solve a prepared problem, optionally warm-starting from a previous
-     basis.  Returns the outcome together with the final basis (a plain
-     int array, safe to store and pass to a later [solve_prepared]). *)
-  let solve_prepared ?warm prep : outcome * int array =
+  (* Normalize, then the cold two-phase solve.  [prepare] runs outside the
+     [lp.solve] span and its timing, as the caller's own work. *)
+  let solve (p : F.t Problem.t) : outcome =
+    let prep = prepare p in
     let body () =
       let t_start = Instrument.now () in
-      let p1 = ref 0 and p2 = ref 0 and pd = ref 0 in
-      let warm_used = ref false in
-      let finish (outcome, st) =
-        Instrument.record ~exact:F.exact ~warm:!warm_used ~pivots_phase1:!p1
-          ~pivots_phase2:!p2 ~pivots_dual:!pd
-          ~seconds:(Instrument.now () -. t_start);
-        Obs.Span.set_bool "warm" !warm_used;
-        Obs.Span.set_int "pivots_phase1" !p1;
-        Obs.Span.set_int "pivots_phase2" !p2;
-        Obs.Span.set_int "pivots_dual" !pd;
-        (outcome, Array.copy st.basis)
-      in
-      let attempt =
-        match warm with
-        | None -> None
-        | Some basis0 ->
-          (* [warm_solve] refactorizes B⁻¹ from the hint exactly once. *)
-          Obs.Span.set_bool "warm_attempted" true;
-          Obs.Span.set_int "refactorizations" 1;
-          warm_solve prep basis0 ~count2:p2 ~countd:pd
-      in
-      match attempt with
-      | Some result ->
-        warm_used := true;
-        finish result
-      | None -> finish (cold_solve prep ~count1:p1 ~count2:p2)
+      let p1 = ref 0 and p2 = ref 0 in
+      let outcome, _ = cold_solve prep ~count1:p1 ~count2:p2 in
+      Instrument.record ~exact:F.exact ~pivots_phase1:!p1 ~pivots_phase2:!p2
+        ~seconds:(Instrument.now () -. t_start);
+      Obs.Span.set_int "pivots_phase1" !p1;
+      Obs.Span.set_int "pivots_phase2" !p2;
+      outcome
     in
     if not (Obs.Sink.enabled ()) then body ()
     else
       Obs.Span.with_span "lp.solve"
         ~attrs:[ ("exact", Obs.Sink.Bool F.exact); ("engine", Obs.Sink.Str "revised") ]
         body
-
-  let solve (p : F.t Problem.t) : outcome =
-    fst (solve_prepared (prepare p))
 end
 
 module Exact = Make (Linalg.Field.Rational)

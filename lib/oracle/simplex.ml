@@ -154,9 +154,8 @@ module Make (F : Linalg.Field.S) = struct
     let t_start = Instrument.now () in
     let pivots1 = ref 0 and pivots2 = ref 0 in
     let record () =
-      Instrument.record ~exact:F.exact ~warm:false ~pivots_phase1:!pivots1
-        ~pivots_phase2:!pivots2 ~pivots_dual:0
-        ~seconds:(Instrument.now () -. t_start);
+      Instrument.record ~exact:F.exact ~pivots_phase1:!pivots1
+        ~pivots_phase2:!pivots2 ~seconds:(Instrument.now () -. t_start);
       Obs.Span.set_int "pivots_phase1" !pivots1;
       Obs.Span.set_int "pivots_phase2" !pivots2
     in
@@ -312,7 +311,6 @@ module Make (F : Linalg.Field.S) = struct
           [
             ("exact", Obs.Sink.Bool F.exact);
             ("engine", Obs.Sink.Str "tableau");
-            ("warm", Obs.Sink.Bool false);
           ]
         (fun () -> solve_untraced p)
 

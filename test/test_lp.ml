@@ -470,74 +470,6 @@ let prop_revised_duality =
       | Sx.Optimal s -> dual_certificate_holds p s
       | Sx.Infeasible | Sx.Unbounded -> true)
 
-(* Warm-started re-solve after an rhs change: same classification and
-   objective as a cold solve, and any optimum it returns is feasible. *)
-let prop_warm_equals_cold =
-  QCheck.Test.make ~name:"warm-started resolve ≡ cold solve" ~count:300
-    (QCheck.pair (QCheck.make mixed_lp_gen) (QCheck.int_range 0 8))
-    (fun (spec, delta) ->
-      let p = build_mixed_min spec in
-      let prep = Rv.prepare p in
-      let _, basis = Rv.solve_prepared prep in
-      (* Scale every rhs by (10+delta)/10: signs are preserved, so the
-         normalized structural shape is unchanged. *)
-      let scale = q (10 + delta) 10 in
-      let p' : R.t P.t =
-        {
-          p with
-          P.constraints =
-            List.map
-              (fun (c : R.t P.constr) -> { c with P.rhs = R.mul c.P.rhs scale })
-              p.P.constraints;
-        }
-      in
-      let warm_out, _ = Rv.solve_prepared ~warm:basis (Rv.prepare p') in
-      let cold_out = Sx.solve p' in
-      match (warm_out, cold_out) with
-      | Sx.Optimal a, Sx.Optimal b ->
-        R.equal a.objective b.objective
-        && Result.is_ok (Sx.check_feasible p' a.values)
-        && dual_certificate_holds p' a
-      | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-      | _ -> false)
-
-(* A garbage basis hint must never change the answer — only the route. *)
-let prop_bogus_hint_harmless =
-  QCheck.Test.make ~name:"arbitrary basis hints never change the outcome" ~count:200
-    (QCheck.pair (QCheck.make mixed_lp_gen) (QCheck.int_range 0 1000))
-    (fun (spec, seed) ->
-      let p = build_mixed_min spec in
-      let prep = Rv.prepare p in
-      let m = List.length p.P.constraints in
-      let ncols = Rv.num_cols prep in
-      let hint =
-        Array.init m (fun i -> (seed + (i * 7919)) mod (max ncols 1))
-      in
-      let warm_out, _ = Rv.solve_prepared ~warm:hint prep in
-      let cold_out = Sx.solve p in
-      match (warm_out, cold_out) with
-      | Sx.Optimal a, Sx.Optimal b ->
-        R.equal a.objective b.objective
-        && Result.is_ok (Sx.check_feasible p a.values)
-      | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-      | _ -> false)
-
-(* A basis from the other arithmetic: warm-starting the exact solve from
-   the float engine's final basis must agree with a cold exact solve. *)
-let prop_float_handoff =
-  QCheck.Test.make ~name:"approx-basis handoff ≡ cold exact solve" ~count:200
-    (QCheck.make mixed_lp_gen) (fun spec ->
-      let p = build_mixed_min spec in
-      let _, fbasis = Rva.solve_prepared (Rva.prepare (to_float_problem p)) in
-      let warm_out, _ = Rv.solve_prepared ~warm:fbasis (Rv.prepare p) in
-      let cold_out = Sx.solve p in
-      match (warm_out, cold_out) with
-      | Sx.Optimal a, Sx.Optimal b ->
-        R.equal a.objective b.objective
-        && Result.is_ok (Sx.check_feasible p a.values)
-      | Sx.Infeasible, Sx.Infeasible | Sx.Unbounded, Sx.Unbounded -> true
-      | _ -> false)
-
 (* The approx instance of the revised engine against the dense float
    tableau: same classification, objectives within tolerance. *)
 let prop_revised_approx_agrees =
@@ -552,9 +484,9 @@ let prop_revised_approx_agrees =
 
 (* The basis invariants of a revised-simplex state, checked exactly and
    independently of the engine's kernels: B⁻¹·A_j is the unit vector e_k
-   for the column j basic in row k, and x_B = B⁻¹·b.  [pivot] and
-   [refactor] update B⁻¹ only on the pivot row's nonzero columns, so a
-   stale or skipped entry there breaks one of the two. *)
+   for the column j basic in row k, and x_B = B⁻¹·b.  [pivot] updates
+   B⁻¹ only on the pivot row's nonzero columns, so a stale or skipped
+   entry there breaks one of the two. *)
 let basis_invariants_hold (st : Rv.state) =
   let prep = st.Rv.prep in
   let cols = Rv.matrix prep in
@@ -590,33 +522,13 @@ let duplicated_terms_problem ((nvars, x0, rows, obj), degenerate) =
   { p with P.constraints = List.map split p.P.constraints }
 
 let prop_basis_invariants =
-  QCheck.Test.make ~name:"revised state: binv·B = I and xb = binv·b, cold and warm"
+  QCheck.Test.make ~name:"revised state: binv·B = I and xb = binv·b after a solve"
     ~count:300
-    (QCheck.triple
-       (QCheck.pair (QCheck.make mixed_lp_gen) QCheck.bool)
-       (QCheck.int_range 0 8) (QCheck.int_range 0 1000))
-    (fun (spec, delta, seed) ->
+    (QCheck.pair (QCheck.make mixed_lp_gen) QCheck.bool)
+    (fun spec ->
       let p = duplicated_terms_problem spec in
-      let prep = Rv.prepare p in
-      let _, cold = Rv.cold_solve prep ~count1:(ref 0) ~count2:(ref 0) in
-      (* Warm: the cold basis with one row's column replaced, on the same
-         problem with every rhs scaled by (10+delta)/10. *)
-      let hint = Array.copy cold.Rv.basis in
-      let m = Array.length hint in
-      if m > 0 then hint.(seed mod m) <- seed mod Rv.num_cols prep;
-      let scale = q (10 + delta) 10 in
-      let p' : R.t P.t =
-        { p with
-          P.constraints =
-            List.map
-              (fun (c : R.t P.constr) -> { c with P.rhs = R.mul c.P.rhs scale })
-              p.P.constraints }
-      in
-      basis_invariants_hold cold
-      &&
-      match Rv.warm_solve (Rv.prepare p') hint ~count2:(ref 0) ~countd:(ref 0) with
-      | None -> true
-      | Some (_, warm) -> basis_invariants_hold warm)
+      let _, st = Rv.cold_solve (Rv.prepare p) ~count1:(ref 0) ~count2:(ref 0) in
+      basis_invariants_hold st)
 
 (* ------------------------------------------------------------------ *)
 (* Bit-identity fixture: every solve of a fixed corpus, to the bit      *)
@@ -625,14 +537,11 @@ let prop_basis_invariants =
 (* The corpus: the deadline systems (2)/(5) at every milestone candidate
    and the parametric systems (3)/(5) on every bracket of 100
    [Check.Gen] instances, plus the random LP generators above.  Each LP
-   is solved cold by both revised instances, and the deadline systems of
-   consecutive candidates are also chained through warm starts (the
-   refactorization and dual-simplex paths).  A record holds the outcome
-   tag, the phase pivot counts, the final basis, the prepared CSC matrix,
-   and every value, the objective and every dual — floats as their IEEE
-   bit patterns, rationals as [R.to_string].  The committed fixture is
-   one MD5 per corpus group and field, with the warm chain on a line of
-   its own (field suffix [-warm]); the ≈1e-6 agreement
+   is solved by both revised instances.  A record holds the outcome tag,
+   the phase pivot counts, the final basis, the prepared CSC matrix, and
+   every value, the objective and every dual — floats as their IEEE bit
+   patterns, rationals as [R.to_string].  The committed fixture is one
+   MD5 per corpus group and field; the ≈1e-6 agreement
    properties above cannot see a reordered rounding, this can.
 
    To re-record after an intended change of results: run the test, then
@@ -707,13 +616,6 @@ module Record (E : sig
 
   val cold_solve :
     prepared -> count1:int ref -> count2:int ref -> f Lp.Solution.outcome * state
-
-  val warm_solve :
-    prepared ->
-    int array ->
-    count2:int ref ->
-    countd:int ref ->
-    (f Lp.Solution.outcome * state) option
 end) =
 struct
   let add_list buf f xs =
@@ -742,26 +644,15 @@ struct
     done;
     Buffer.add_char buf '\n'
 
-  (* Cold solve of each problem into [cold], then the chain of warm starts
-     from each problem's cold basis to the next problem into [warm]. *)
-  let record ~cold:buf ~warm problems =
-    let preps = Array.of_list (List.map E.prepare problems) in
-    let cold =
-      Array.map
-        (fun prep ->
-          add_matrix buf prep;
-          let p1 = ref 0 and p2 = ref 0 in
-          let outcome, st = E.cold_solve prep ~count1:p1 ~count2:p2 in
-          add_outcome buf outcome st [ !p1; !p2 ];
-          Array.copy st.E.basis)
-        preps
-    in
-    for k = 1 to Array.length preps - 1 do
-      let p2 = ref 0 and pd = ref 0 in
-      match E.warm_solve preps.(k) cold.(k - 1) ~count2:p2 ~countd:pd with
-      | None -> Buffer.add_string warm "warm fallback\n"
-      | Some (outcome, st) -> add_outcome warm outcome st [ !p2; !pd ]
-    done
+  let record buf problems =
+    List.iter
+      (fun p ->
+        let prep = E.prepare p in
+        add_matrix buf prep;
+        let p1 = ref 0 and p2 = ref 0 in
+        let outcome, st = E.cold_solve prep ~count1:p1 ~count2:p2 in
+        add_outcome buf outcome st [ !p1; !p2 ])
+      problems
 end
 
 module Record_exact = Record (struct
@@ -783,17 +674,16 @@ end)
 let corpus_digest () =
   List.concat_map
     (fun (label, problems) ->
-      let lines field record =
-        let cold = Buffer.create 4096 and warm = Buffer.create 4096 in
-        record ~cold ~warm;
-        let line field buf =
-          Printf.sprintf "%s %s %d %s" label field (List.length problems)
-            (Digest.to_hex (Digest.string (Buffer.contents buf)))
-        in
-        [ line field cold; line (field ^ "-warm") warm ]
+      let line field record =
+        let buf = Buffer.create 4096 in
+        record buf;
+        Printf.sprintf "%s %s %d %s" label field (List.length problems)
+          (Digest.to_hex (Digest.string (Buffer.contents buf)))
       in
-      lines "exact" (Record_exact.record problems)
-      @ lines "approx" (Record_approx.record (List.map to_float_problem problems)))
+      [ line "exact" (fun buf -> Record_exact.record buf problems);
+        line "approx" (fun buf ->
+            Record_approx.record buf (List.map to_float_problem problems))
+      ])
     (corpus ())
 
 let test_bit_identity_fixture () =
@@ -817,26 +707,8 @@ let test_bit_identity_fixture () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Lp.Solve: the shape-keyed basis cache and the engine seam           *)
+(* Lp.Solve: the engine seam                                           *)
 (* ------------------------------------------------------------------ *)
-
-let exact_warm () = Lp.Instrument.warm_solves ~exact:true
-
-(* [f ()] and the number of exact solves it ran warm. *)
-let counting_warm f =
-  let before = exact_warm () in
-  let r = f () in
-  (r, exact_warm () - before)
-
-(* max Σ x_i s.t. Σ x_i ≤ 1 over [k] variables: one structural shape per
-   [k], and an optimal basis the warm path reuses without pivoting. *)
-let sum_lp k =
-  let st = P.Builder.create () in
-  let vars = List.init k (fun i -> P.Builder.fresh_var st ~name:(Printf.sprintf "x%d" i)) in
-  let ones = List.map (fun v -> (v, R.one)) vars in
-  P.Builder.add_constr st ones P.Le R.one;
-  P.Builder.set_objective st P.Maximize ones;
-  P.Builder.finish st
 
 let dantzig_lp () =
   fst
@@ -847,38 +719,6 @@ let dantzig_lp () =
          ([ (0, R.of_int 3); (1, R.of_int 2) ], P.Le, R.of_int 18)
        ])
 
-let test_cache_second_solve_warm () =
-  let p = dantzig_lp () in
-  let cache = Lp.Solve.cache () in
-  let cold, w1 = counting_warm (fun () -> Lp.Solve.exact ~cache p) in
-  let again, w2 = counting_warm (fun () -> Lp.Solve.exact ~cache p) in
-  Alcotest.(check int) "first solve cold" 0 w1;
-  Alcotest.(check int) "second solve warm" 1 w2;
-  Alcotest.(check bool) "warm outcome = cold outcome, bit for bit" true
-    (outcome_equal cold again);
-  Alcotest.(check bool) "cold outcome = dense oracle" true
-    (outcome_equal cold (Sx.solve p))
-
-let test_cache_capacity_reset () =
-  let cache = Lp.Solve.cache () in
-  let solve k = snd (counting_warm (fun () -> Lp.Solve.exact ~cache (sum_lp k))) in
-  for k = 1 to Lp.Solve.cache_capacity do
-    Alcotest.(check int) (Printf.sprintf "shape %d cold" k) 0 (solve k)
-  done;
-  Alcotest.(check int) "full table still holds the first shape" 1 (solve 1);
-  Alcotest.(check int) "65th shape cold" 0 (solve (Lp.Solve.cache_capacity + 1));
-  Alcotest.(check int) "first shape cold after the reset" 0 (solve 1)
-
-let test_cache_clear () =
-  let p = dantzig_lp () in
-  let cache = Lp.Solve.cache () in
-  ignore (Lp.Solve.exact ~cache p);
-  Alcotest.(check int) "warm before clearing" 1
-    (snd (counting_warm (fun () -> Lp.Solve.exact ~cache p)));
-  Lp.Solve.cache_clear cache;
-  Alcotest.(check int) "cold after clearing" 0
-    (snd (counting_warm (fun () -> Lp.Solve.exact ~cache p)))
-
 let test_with_engine_restores () =
   let p = dantzig_lp () in
   let calls = ref 0 in
@@ -888,14 +728,12 @@ let test_with_engine_restores () =
   in
   (try
      Lp.Solve.with_engine stub (fun () ->
-         let outcome, basis = Lp.Solve.exact_basis ~cache:(Lp.Solve.cache ()) p in
+         let outcome = Lp.Solve.exact p in
          Alcotest.(check bool) "stub answers" true (outcome = Lp.Solution.Infeasible);
-         Alcotest.(check bool) "no basis from the stub" true (basis = None);
          failwith "thunk raised")
    with Failure _ -> ());
   Alcotest.(check int) "stub called once" 1 !calls;
-  let outcome, basis = Lp.Solve.exact_basis p in
-  Alcotest.(check bool) "revised engine back: basis returned" true (basis <> None);
+  let outcome = Lp.Solve.exact p in
   Alcotest.(check bool) "revised engine back: optimal" true
     (outcome_equal outcome (Sx.solve p));
   Alcotest.(check int) "stub not called after the raise" 1 !calls
@@ -926,17 +764,11 @@ let () =
       ( "revised-props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_revised_bit_identical; prop_revised_bit_identical_ge;
-            prop_revised_duality; prop_warm_equals_cold;
-            prop_bogus_hint_harmless; prop_float_handoff;
-            prop_revised_approx_agrees; prop_basis_invariants
+            prop_revised_duality; prop_revised_approx_agrees;
+            prop_basis_invariants
           ] );
       ( "solve-cache",
-        [ Alcotest.test_case "second solve through a cache is warm" `Quick
-            test_cache_second_solve_warm;
-          Alcotest.test_case "65th shape resets the table" `Quick
-            test_cache_capacity_reset;
-          Alcotest.test_case "cache_clear forces a cold solve" `Quick test_cache_clear;
-          Alcotest.test_case "with_engine restores on raise" `Quick
+        [ Alcotest.test_case "with_engine restores on raise" `Quick
             test_with_engine_restores
         ] );
       ( "bit-identity",
