@@ -1116,6 +1116,21 @@ let restore ~clock ~policy platform st =
     invalid_arg "Engine.restore: overlay size does not match the platform";
   if Array.length st.st_last_stop <> m then
     invalid_arg "Engine.restore: machine count does not match the platform";
+  let n = List.length st.st_jobs in
+  List.iter
+    (fun (_, (Trace.Fail i | Trace.Recover i)) ->
+      if i < 0 || i >= m then
+        invalid_arg
+          (Printf.sprintf "Engine.restore: pending fault names machine %d of %d" i m))
+    st.st_faults;
+  List.iter
+    (fun (s : S.slice) ->
+      if s.machine < 0 || s.machine >= m then
+        invalid_arg
+          (Printf.sprintf "Engine.restore: slice names machine %d of %d" s.machine m);
+      if s.job < 0 || s.job >= n then
+        invalid_arg (Printf.sprintf "Engine.restore: slice names job %d of %d" s.job n))
+    st.st_slices;
   let t =
     create ~batch_window:st.st_batch_window ~objective:st.st_objective
       ~lost_work:st.st_lost_work ~clock ~policy platform

@@ -325,4 +325,6 @@ val restore :
     [st_now].  The policy runner is rebuilt lazily on the first decision,
     mirroring the quiesce on the snapshot side.
     @raise Invalid_argument if the policy's name, the machine count or a
-    job's bank index does not match the given platform/policy. *)
+    job's bank index does not match the given platform/policy, or if a
+    pending fault or a slice names a machine or job that does not
+    exist. *)

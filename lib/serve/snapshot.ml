@@ -204,7 +204,10 @@ let keyed c key =
 let keyed1 c key =
   match keyed c key with [ v ] -> v | _ -> perr c "expected exactly one %s value" key
 
-let count_of c key = int_tok c (keyed1 c key)
+let count_of c key =
+  let n = int_tok c (keyed1 c key) in
+  if n < 0 then perr c "negative %s count %d" key n;
+  n
 
 let state_of_string text =
   let body, sum = split_checksum text in

@@ -250,6 +250,54 @@ let test_snapshot_fixture_bytes () =
   Alcotest.(check string) "restore/dump round-trip" expected
     (Snap.state_to_string ~seq ~platform (E.dump e))
 
+(* The committed fixture with line [old] replaced by [by] and the
+   Adler-32 trailer resealed, so only the edited content can fail. *)
+let edited_fixture ~old ~by =
+  let text = read_file fixture_file in
+  let lines = String.split_on_char '\n' text in
+  if not (List.mem old lines) then Alcotest.failf "fixture has no line %S" old;
+  let body =
+    List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"checksum " l)) lines
+    |> List.map (fun l -> (if l = old then by else l) ^ "\n")
+    |> String.concat ""
+  in
+  Printf.sprintf "%schecksum %d\n" body (Wal.adler32 body)
+
+let raises_prefix prefix f =
+  match f () with
+  | _ -> Alcotest.failf "accepted; expected a %S error" prefix
+  | exception Invalid_argument msg ->
+    if not (String.starts_with ~prefix msg) then
+      Alcotest.failf "error %S does not start with %S" msg prefix
+
+(* A checksummed snapshot can still name things that do not exist: a
+   pending fault on a machine the platform lacks, a slice of a job or
+   machine out of range, a negative count.  Each must be a typed error at
+   the boundary, not an index fault at the next [run_until] or [fail]. *)
+let test_snapshot_rejects_dangling () =
+  let restore text () =
+    let _, platform, st = Snap.state_of_string text in
+    E.restore ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Mct)
+      platform st
+  in
+  let rejected_by_restore old by =
+    raises_prefix "Engine.restore: " (restore (edited_fixture ~old ~by))
+  in
+  rejected_by_restore "fault 900 recover 2" "fault 900 recover 7";
+  rejected_by_restore "fault 900 recover 2" "fault 900 fail -1";
+  rejected_by_restore "slice 0 2 2 3" "slice 0 99 2 3";
+  rejected_by_restore "slice 0 2 2 3" "slice 3 2 2 3";
+  let rejected_by_parser old by =
+    raises_prefix "Snapshot: line "
+      (fun () -> Snap.state_of_string (edited_fixture ~old ~by))
+  in
+  rejected_by_parser "jobs 6" "jobs -1";
+  rejected_by_parser "overlay 3" "overlay -2";
+  rejected_by_parser "faults 1" "faults -1";
+  rejected_by_parser "slices 6" "slices -3";
+  (* The unedited fixture still restores. *)
+  ignore (restore (read_file fixture_file) ())
+
 (* ------------------------------------------------------------------ *)
 (* Crash / resume                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -506,7 +554,9 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "text roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "corruption rejected" `Quick test_snapshot_rejects_corruption;
-          Alcotest.test_case "v2 fixture bytes" `Quick test_snapshot_fixture_bytes
+          Alcotest.test_case "v2 fixture bytes" `Quick test_snapshot_fixture_bytes;
+          Alcotest.test_case "dangling indices and negative counts rejected" `Quick
+            test_snapshot_rejects_dangling
         ] );
       ( "resume",
         [ Alcotest.test_case "from meta" `Quick test_resume_from_meta;
