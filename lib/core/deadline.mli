@@ -1,6 +1,9 @@
 (** Deadline scheduling in the divisible-load model (Section 4.2 of the
     paper, Lemma 1): there is a schedule meeting every job's release date
-    and deadline if, and only if, LP system (2) is feasible. *)
+    and deadline if, and only if, LP system (2) is feasible.
+
+    Every LP here is solved cold, exactly or (for {!probe_approx}) in
+    floats, so an answer never depends on earlier solves. *)
 
 module Rat = Numeric.Rat
 

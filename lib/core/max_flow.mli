@@ -86,6 +86,8 @@ val solve_bisection : ?epsilon:Rat.t -> Instance.t -> result
     at the exact optimum and must settle for a precision bound.  Stops when
     the bracket satisfies [hi - lo <= epsilon·hi] (default
     [epsilon = 2^-20]) and returns the feasible upper end: the result is
-    within a factor [1 + epsilon] of optimal, never below it.  Provided as
-    the comparison baseline for the exact milestone algorithm (see the
-    [search] bench). *)
+    within a factor [1 + epsilon] of optimal, never below it.  Each probe
+    is a cold exact {!Deadline.is_feasible}; the schedule comes from one
+    more cold {!Deadline.feasible} at the returned objective, so it meets
+    every deadline [d̄_j] there.  Provided as the comparison baseline for
+    the exact milestone algorithm (see the [search] bench). *)

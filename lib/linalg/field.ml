@@ -32,7 +32,6 @@ module type S = sig
   val mul : t -> t -> t
   val div : t -> t -> t
   val neg : t -> t
-  val abs : t -> t
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
@@ -240,7 +239,6 @@ module Approx : With_kernels with type t = float = struct
   let mul = ( *. )
   let div = ( /. )
   let neg x = -.x
-  let abs = Float.abs
   let[@inline] is_zero x = Float.abs x < eps
   let[@inline] sign x = if x > eps then 1 else if x < -.eps then -1 else 0
   let exact = false

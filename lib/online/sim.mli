@@ -58,9 +58,9 @@ module type POLICY = sig
       [`Rebuild] (the {!rebuild_on_platform_change} shim) to have the
       engine discard the state, [init] a fresh one from [inst], and
       re-announce the live jobs.  Policies that cache per-platform data —
-      warm-start bases, machine queues — must either refresh those caches
-      or rebuild: stale shapes are useless and stale queues may point at
-      down machines. *)
+      plans, machine queues — must either refresh those caches or
+      rebuild: stale plans are useless and stale queues may point at down
+      machines. *)
 
   val on_batch_arrival : state -> now:Rat.t -> jobs:int list -> unit
   (** A coalesced batch of arrivals, all at the same instant [now], in

@@ -558,8 +558,8 @@ let fingerprint t =
 
 let decide_fresh t =
   let (Runner ((module P), state)) = runner t in
-  (* Every LP solve triggered by the policy — exact or float, cold or
-     warm — is accounted to this engine by differencing the global solver
+  (* Every LP solve triggered by the policy — exact or float — is
+     accounted to this engine by differencing the global solver
      instruments around the call, without the policy knowing about
      metrics.  [lp_solve_seconds] gets one sample per LP-using decision
      (the decision's total solver time), not one per solve. *)

@@ -190,7 +190,8 @@ val metrics : t -> Obs.Registry.t
     request).  Solver counters [lp_solves], [lp_solves_warm],
     [lp_pivots_phase1], [lp_pivots_phase2], [lp_pivots_dual] attribute
     per-decision deltas of the global [Lp.Instrument] totals to this
-    engine; the [lp_solve_seconds] histogram records one sample per
+    engine ([lp_solves_warm] and [lp_pivots_dual] stay 0: every solve is
+    cold); the [lp_solve_seconds] histogram records one sample per
     LP-using decision (that decision's total solver seconds), not one
     per solve. *)
 
