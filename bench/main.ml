@@ -401,6 +401,7 @@ let run_smoke () =
   in
   let b_ex = Lp.Instrument.exact_totals () in
   let b_ap = Lp.Instrument.approx_totals () in
+  let b_cert = Lp.Instrument.certification () in
   List.iter
     (fun inst ->
       ignore (Sched_core.Max_flow.solve inst);
@@ -408,6 +409,7 @@ let run_smoke () =
     insts;
   let d_ex = Lp.Instrument.diff ~before:b_ex (Lp.Instrument.exact_totals ()) in
   let d_ap = Lp.Instrument.diff ~before:b_ap (Lp.Instrument.approx_totals ()) in
+  let cert = Lp.Instrument.certification () in
   let measured =
     [
       ("exact_solves", d_ex.Lp.Instrument.solves);
@@ -419,6 +421,14 @@ let run_smoke () =
   (* Warm solves are a floor, not a ceiling.  Every solve is cold, so the
      count is 0 by construction and only its expect_ key bites. *)
   let floors = [ ("exact_warm_solves", d_ex.Lp.Instrument.warm_solves) ] in
+  (* How the exact solves were answered: by a certified float basis or by
+     the cold exact fallback.  Exact keys only. *)
+  let certification =
+    [
+      ("exact_certified", cert.Lp.Instrument.certified - b_cert.Lp.Instrument.certified);
+      ("exact_fallbacks", cert.Lp.Instrument.fallbacks - b_cert.Lp.Instrument.fallbacks);
+    ]
+  in
   let budget = read_budget budget_file in
   let ok = ref true in
   Printf.printf "%-24s %10s %10s %8s\n" "metric" "measured" "budget" "ok";
@@ -438,11 +448,11 @@ let run_smoke () =
   List.iter (check (">= ", ( >= ))) floors;
   List.iter
     (fun (key, v) -> check ("== ", ( = )) ("expect_" ^ key, v))
-    (measured @ floors);
+    (measured @ floors @ certification);
   Json_out.write ~experiment:"smoke"
     (Json_out.Obj
        (("passed", Json_out.Bool !ok)
-       :: List.map (fun (k, v) -> (k, Json_out.Int v)) (measured @ floors)));
+       :: List.map (fun (k, v) -> (k, Json_out.Int v)) (measured @ floors @ certification)));
   if not !ok then failwith "smoke: solve budget exceeded (see table above)";
   Printf.printf "solve budget respected.\n"
 

@@ -98,6 +98,16 @@ let sync_rat_counters () =
   mirror c_rat_promotions (Numeric.Counters.promotions ());
   mirror c_rat_demotions (Numeric.Counters.demotions ())
 
+(* The certified exact path ([Solve.exact]): how many solves the float
+   basis certified, and how many fell back to the cold exact solve. *)
+let c_certified = R.counter R.global "lp.exact.certified"
+let c_fallbacks = R.counter R.global "lp.exact.fallbacks"
+
+type certification = { certified : int; fallbacks : int }
+
+let certification () = { certified = R.count c_certified; fallbacks = R.count c_fallbacks }
+let record_certification ~certified = R.incr (if certified then c_certified else c_fallbacks)
+
 let record ~exact ~pivots_phase1 ~pivots_phase2 ~seconds =
   let h = handles ~exact in
   R.incr h.c_solves;

@@ -41,6 +41,20 @@ val record : exact:bool -> pivots_phase1:int -> pivots_phase2:int -> seconds:flo
 (** Fold one finished solve into its instrument family.  Called by the
     engines; not meant for user code. *)
 
+type certification = {
+  certified : int;  (** exact solves answered by a certified float basis *)
+  fallbacks : int;  (** exact solves that fell back to the cold exact solve *)
+}
+
+val certification : unit -> certification
+(** Snapshot of the [lp.exact.certified] and [lp.exact.fallbacks]
+    counters (process lifetime); every [Solve.exact] through the revised
+    engine adds one to exactly one of them. *)
+
+val record_certification : certified:bool -> unit
+(** Count one certified exact solve, or one fallback.  Called by
+    [Solve.exact]; not meant for user code. *)
+
 val now : unit -> float
 (** [Unix.gettimeofday], shared so all engines time solves the same way. *)
 

@@ -1,6 +1,8 @@
 (* Revised simplex over a sparse (CSC) constraint matrix, functorized over
    the coefficient field.  Every solve is cold: the two-phase method from
-   the slack/artificial basis.
+   the slack/artificial basis.  [certify] checks, without pricing, a
+   basis that another solve of the same layout ended on; [Solve.exact]
+   uses it to answer exactly from the float solve's final basis.
 
    Where the dense tableau rewrites all m×(n+m) entries per pivot, this
    engine keeps only the basis inverse B⁻¹ (m×m) and the basic solution
@@ -357,17 +359,24 @@ module Make (F : Linalg.Field.With_kernels) = struct
 
   let max_iters_for prep = 1000 + (100 * (prep.m + prep.total))
 
-  (* Cold two-phase solve; returns the outcome plus the final state. *)
+  (* Phase-1 costs: 1 on every artificial, 0 elsewhere. *)
+  let phase1_cost prep =
+    let cost1 = Array.make (max prep.total 1) F.zero in
+    for j = prep.art_start to prep.total - 1 do
+      cost1.(j) <- F.one
+    done;
+    cost1
+
+  (* Cold two-phase solve; returns the outcome plus the final state.  The
+     state is where the solve stopped: on [Infeasible] the optimal
+     phase-1 basis, otherwise the final phase-2 basis. *)
   let cold_solve prep ~count1 ~count2 =
     let st = cold_state prep in
     let max_iters = max_iters_for prep in
     let feasible =
       if prep.num_art = 0 then `Feasible
       else begin
-        let cost1 = Array.make (max prep.total 1) F.zero in
-        for j = prep.art_start to prep.total - 1 do
-          cost1.(j) <- F.one
-        done;
+        let cost1 = phase1_cost prep in
         match primal ~count:count1 st ~cost:cost1 ~allowed_up_to:prep.total ~max_iters with
         | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
         | `Optimal ->
@@ -388,25 +397,105 @@ module Make (F : Linalg.Field.With_kernels) = struct
       | `Unbounded -> (Unbounded, st)
       | `Optimal -> (extract st, st))
 
+  (* Certification: rebuild the basis another solve of the same layout
+     ended on, and check it in this field without pricing a pivot.
+
+     [load] starts from the cold slack/artificial basis and brings in each
+     [target] column not yet basic with one [pivot], on a row whose basic
+     column is outside [target] and whose entry of w = B⁻¹·A_j is nonzero
+     ([F.is_zero], exact in [Rat]): the column's own row in [target] when
+     it qualifies, else the first that does.  Keeping the target's rows
+     where possible gave perfbench offline-maxflow a lower peak heap than
+     always taking the first row; values and duals depend only on the
+     column set either way.  No ratio test: x_B may go
+     negative on the way, and only the final basis is checked.  [None]
+     when some column finds no row (the target is singular here). *)
+  let load prep target ~count =
+    let st = cold_state prep in
+    let wanted = Array.make (max prep.total 1) false in
+    Array.iter (fun j -> wanted.(j) <- true) target;
+    let place i j =
+      st.in_basis.(j)
+      ||
+      let w = column st j in
+      let eligible r = not (wanted.(st.basis.(r)) || F.is_zero w.(r)) in
+      let rec first r = if r >= prep.m then None else if eligible r then Some r else first (r + 1) in
+      match if eligible i then Some i else first 0 with
+      | Some row ->
+        pivot st ~row ~col:j ~w;
+        incr count;
+        true
+      | None -> false
+    in
+    let rec go i = i >= Array.length target || (place i target.(i) && go (i + 1)) in
+    if go 0 then Some st else None
+
+  (* No column below [limit] prices negative against [cost]. *)
+  let dual_feasible st cost ~limit =
+    let y = multipliers st cost in
+    F.price st.prep.cols cost y st.in_basis (Array.make limit F.zero) (Array.make limit 0)
+    = 0
+
+  (* Load [target] and accept it as the answer [claim] names, checked in
+     this field; [None] when the load is singular or a check fails.
+     - [Optimal _]: x_B ≥ 0, every basic artificial is 0, and no column
+       below [art_start] has a negative phase-2 reduced cost — a primal
+       and a dual feasible solution with equal objectives, so an optimum.
+     - [Infeasible]: the same checks against the phase-1 costs over every
+       column, and a positive phase-1 value — the minimum total
+       artificial is positive, so no point satisfies the constraints.
+     - [Unbounded] is never certified.
+     [count] receives the load's pivots, accepted or not. *)
+  let certify prep (claim : _ Solution.outcome) target ~count =
+    let primal st = Array.for_all (fun x -> F.sign x >= 0) st.xb in
+    let optimal st =
+      Array.for_all2 (fun b x -> b < prep.art_start || F.is_zero x) st.basis st.xb
+      && dual_feasible st prep.cost2 ~limit:prep.art_start
+    in
+    let infeasible st =
+      let cost1 = phase1_cost prep in
+      F.sign (phase1_value st cost1) > 0 && dual_feasible st cost1 ~limit:prep.total
+    in
+    let accept check answer =
+      match load prep target ~count with
+      | Some st when primal st && check st -> Some (answer st)
+      | _ -> None
+    in
+    match claim with
+    | Optimal _ -> accept optimal extract
+    | Infeasible -> accept infeasible (fun _ -> Infeasible)
+    | Unbounded -> None
+
+  (* Run [body] as one solve: time it, fold its pivot counts into the
+     field's [Instrument] family and, when tracing, inside an [lp.solve]
+     span carrying them.  [body] returns the outcome and the phase-1 and
+     phase-2 pivots; it may add attributes of its own. *)
+  let instrumented body =
+    let run () =
+      let t_start = Instrument.now () in
+      let outcome, p1, p2 = body () in
+      Instrument.record ~exact:F.exact ~pivots_phase1:p1 ~pivots_phase2:p2
+        ~seconds:(Instrument.now () -. t_start);
+      Obs.Span.set_int "pivots_phase1" p1;
+      Obs.Span.set_int "pivots_phase2" p2;
+      outcome
+    in
+    if not (Obs.Sink.enabled ()) then run ()
+    else
+      Obs.Span.with_span "lp.solve"
+        ~attrs:[ ("exact", Obs.Sink.Bool F.exact); ("engine", Obs.Sink.Str "revised") ]
+        run
+
+  let cold_counted prep =
+    let p1 = ref 0 and p2 = ref 0 in
+    let outcome, _ = cold_solve prep ~count1:p1 ~count2:p2 in
+    (outcome, !p1, !p2)
+
   (* Normalize, then the cold two-phase solve.  [prepare] runs outside the
      [lp.solve] span and its timing, as the caller's own work. *)
   let solve (p : F.t Problem.t) : outcome =
     let prep = prepare p in
-    let body () =
-      let t_start = Instrument.now () in
-      let p1 = ref 0 and p2 = ref 0 in
-      let outcome, _ = cold_solve prep ~count1:p1 ~count2:p2 in
-      Instrument.record ~exact:F.exact ~pivots_phase1:!p1 ~pivots_phase2:!p2
-        ~seconds:(Instrument.now () -. t_start);
-      Obs.Span.set_int "pivots_phase1" !p1;
-      Obs.Span.set_int "pivots_phase2" !p2;
-      outcome
-    in
-    if not (Obs.Sink.enabled ()) then body ()
-    else
-      Obs.Span.with_span "lp.solve"
-        ~attrs:[ ("exact", Obs.Sink.Bool F.exact); ("engine", Obs.Sink.Str "revised") ]
-        body
+    instrumented (fun () -> cold_counted prep)
 end
 
 module Exact = Make (Linalg.Field.Rational)

@@ -2,6 +2,7 @@
 
    Every solve runs cold on the revised simplex over CSC columns
    ([Revised]), whose pivot rules follow the dense tableau oracle exactly.
+   An exact solve is certified rather than pivoted ({!exact} below).
 
    [with_engine] is the one test seam: it swaps in another engine (the
    dense tableau of lib/oracle) for the duration of a thunk, so the
@@ -9,6 +10,8 @@
    No CLI or bench flag reaches it. *)
 
 module R = Numeric.Rat
+module Ex = Revised.Exact
+module Ap = Revised.Approx
 
 (* A solve whose primal simplex exceeds its iteration cap
    ([Revised.max_iters_for]) raises this instead of returning. *)
@@ -27,9 +30,68 @@ let with_engine e f =
   override := Some e;
   Fun.protect ~finally:(fun () -> override := saved) f
 
+(* One exact solve through the certificate, without instruments: the
+   answer, the certified basis ([None] on a fallback), the pivots of the
+   float pass and of the load, and the exact pivots per phase as
+   [lp.exact] counts them.  Exposed for the tests. *)
+type attempt = {
+  outcome : R.t Solution.outcome;
+  certified : int array option;
+  float_pivots : int;
+  load_pivots : int;
+  pivots_phase1 : int;
+  pivots_phase2 : int;
+}
+
+(* Floats pick the basis, rationals certify it (DESIGN §6).  A cold float
+   two-phase solve of [p]'s float image ends on some basis; loading that
+   basis into rationals and checking it ([Ex.certify]) costs one pivot per
+   basic column outside the cold slack/artificial basis, and no pricing.
+   Anything the certificate does not accept falls back to the cold exact
+   solve: a float [Iteration_limit] or [Unbounded], a singular load, a
+   failed check, and rows whose rhs sign the float image normalizes
+   differently (an rhs that rounds to −0.0, or within the float tolerance
+   of 0), which would give the two solves different column layouts. *)
+let attempt (prep : Ex.prepared) (p : R.t Problem.t) =
+  let fprep = Ap.prepare (Problem.map R.to_float p) in
+  let f1 = ref 0 and f2 = ref 0 and load = ref 0 in
+  let certified =
+    if fprep.Ap.flipped <> prep.Ex.flipped then None
+    else
+      match Ap.cold_solve fprep ~count1:f1 ~count2:f2 with
+      | exception Iteration_limit -> None
+      | claim, st ->
+        (* Only the basis outlives the float solve: its B⁻¹ is garbage
+           before the exact load allocates. *)
+        let basis = st.Ap.basis in
+        Option.map (fun o -> (o, basis)) (Ex.certify prep claim basis ~count:load)
+  in
+  let float_pivots = !f1 + !f2 and load_pivots = !load in
+  match certified with
+  | Some (outcome, basis) ->
+    (* A certified infeasibility loaded a phase-1 basis. *)
+    let pivots_phase1, pivots_phase2 =
+      match outcome with Solution.Infeasible -> (load_pivots, 0) | _ -> (0, load_pivots)
+    in
+    { outcome; certified = Some basis; float_pivots; load_pivots; pivots_phase1; pivots_phase2 }
+  | None ->
+    let outcome, pivots_phase1, pivots_phase2 = Ex.cold_counted prep in
+    { outcome; certified = None; float_pivots; load_pivots; pivots_phase1; pivots_phase2 }
+
+let certified (p : R.t Problem.t) =
+  let prep = Ex.prepare p in
+  Ex.instrumented (fun () ->
+      let a = attempt prep p in
+      let ok = a.certified <> None in
+      Instrument.record_certification ~certified:ok;
+      Obs.Span.set_bool "certified" ok;
+      Obs.Span.set_int "load_pivots" a.load_pivots;
+      Obs.Span.set_int "float_pivots" a.float_pivots;
+      (a.outcome, a.pivots_phase1, a.pivots_phase2))
+
 (* Exact (rational) solve. *)
 let exact (p : R.t Problem.t) : R.t Solution.outcome =
-  match !override with Some e -> e.exact p | None -> Revised.Exact.solve p
+  match !override with Some e -> e.exact p | None -> certified p
 
 (* Approximate (float) solve. *)
 let approx (p : float Problem.t) : float Solution.outcome =

@@ -26,6 +26,23 @@ let sub_instance inst ~now ~active =
 let compute_plan inst ~now ~active =
   Obs.Span.with_span "online_opt.plan" (fun () ->
   Obs.Span.set_int "active_jobs" (List.length active);
+  if Obs.Sink.enabled () then begin
+    (* Operand size of the plan's LPs: the largest numerator and
+       denominator, in bits, over the remaining work fractions and the
+       release dates (the sub-instance's [now], each job's flow origin).
+       Remaining-work denominators compound across decisions. *)
+    let values =
+      now
+      :: List.concat_map
+           (fun (v : Sim.job_view) -> [ v.remaining; I.flow_origin inst v.id ])
+           active
+    in
+    let max_bits part =
+      List.fold_left (fun acc x -> max acc (Numeric.Bigint.num_bits (part x))) 0 values
+    in
+    Obs.Span.set_int "max_num_bits" (max_bits Rat.num);
+    Obs.Span.set_int "max_den_bits" (max_bits Rat.den)
+  end;
   let jobs, sub = sub_instance inst ~now ~active in
   let r = Mf.solve sub in
   (* First epochal boundary after [now]: the earliest deadline at F*. *)

@@ -1106,30 +1106,51 @@ let dump t =
   }
 
 let restore ~clock ~policy platform st =
+  let reject fmt = Printf.ksprintf (fun msg -> invalid_arg ("Engine.restore: " ^ msg)) fmt in
   let (module P : Sim.POLICY) = policy in
   if P.name <> st.st_policy then
-    invalid_arg
-      (Printf.sprintf "Engine.restore: snapshot was taken under policy %s, not %s"
-         st.st_policy P.name);
+    reject "snapshot was taken under policy %s, not %s" st.st_policy P.name;
   let m = Array.length platform.W.speeds in
-  if Array.length st.st_overlay <> m then
-    invalid_arg "Engine.restore: overlay size does not match the platform";
+  if Array.length st.st_overlay <> m then reject "overlay size does not match the platform";
   if Array.length st.st_last_stop <> m then
-    invalid_arg "Engine.restore: machine count does not match the platform";
+    reject "machine count does not match the platform";
   let n = List.length st.st_jobs in
+  (* States no run reaches, refused here rather than at the next drain:
+     live work in (0, 1], completed work 0 with a date no later than now,
+     nonnegative arrivals and window, positive degradation factors. *)
+  if Rat.sign st.st_batch_window < 0 then
+    reject "negative batch window %s" (Rat.to_string st.st_batch_window);
+  Array.iteri
+    (fun i -> function
+      | W.Degraded f when Rat.sign f <= 0 ->
+        reject "machine %d degraded by non-positive factor %s" i (Rat.to_string f)
+      | W.Up | W.Down | W.Degraded _ -> ())
+    st.st_overlay;
+  List.iter
+    (fun js ->
+      if Rat.sign js.js_arrival < 0 then
+        reject "job %S arrives at negative date %s" js.js_id (Rat.to_string js.js_arrival);
+      match js.js_completed_at with
+      | None ->
+        if Rat.sign js.js_remaining <= 0 || Rat.compare js.js_remaining Rat.one > 0 then
+          reject "live job %S has remaining %s outside (0, 1]" js.js_id
+            (Rat.to_string js.js_remaining)
+      | Some c ->
+        if not (Rat.is_zero js.js_remaining) then
+          reject "completed job %S has remaining %s, not 0" js.js_id
+            (Rat.to_string js.js_remaining);
+        if Rat.compare c st.st_now > 0 then
+          reject "job %S completed at %s, after now %s" js.js_id (Rat.to_string c)
+            (Rat.to_string st.st_now))
+    st.st_jobs;
   List.iter
     (fun (_, (Trace.Fail i | Trace.Recover i)) ->
-      if i < 0 || i >= m then
-        invalid_arg
-          (Printf.sprintf "Engine.restore: pending fault names machine %d of %d" i m))
+      if i < 0 || i >= m then reject "pending fault names machine %d of %d" i m)
     st.st_faults;
   List.iter
     (fun (s : S.slice) ->
-      if s.machine < 0 || s.machine >= m then
-        invalid_arg
-          (Printf.sprintf "Engine.restore: slice names machine %d of %d" s.machine m);
-      if s.job < 0 || s.job >= n then
-        invalid_arg (Printf.sprintf "Engine.restore: slice names job %d of %d" s.job n))
+      if s.machine < 0 || s.machine >= m then reject "slice names machine %d of %d" s.machine m;
+      if s.job < 0 || s.job >= n then reject "slice names job %d of %d" s.job n)
     st.st_slices;
   let t =
     create ~batch_window:st.st_batch_window ~objective:st.st_objective
@@ -1140,11 +1161,8 @@ let restore ~clock ~policy platform st =
   List.iter
     (fun js ->
       if js.js_bank < 0 || js.js_bank >= Array.length platform.W.bank_sizes then
-        invalid_arg
-          (Printf.sprintf "Engine.restore: job %S references bank %d out of range"
-             js.js_id js.js_bank);
-      if Hashtbl.mem t.ids js.js_id then
-        invalid_arg (Printf.sprintf "Engine.restore: duplicate request id %S" js.js_id);
+        reject "job %S references bank %d out of range" js.js_id js.js_bank;
+      if Hashtbl.mem t.ids js.js_id then reject "duplicate request id %S" js.js_id;
       let job =
         make_job t ~id:js.js_id ~arrival:js.js_arrival ~bank:js.js_bank
           ~num_motifs:js.js_num_motifs

@@ -325,7 +325,10 @@ val restore :
     engine epoch is anchored so the clock's current date maps to
     [st_now].  The policy runner is rebuilt lazily on the first decision,
     mirroring the quiesce on the snapshot side.
-    @raise Invalid_argument if the policy's name, the machine count or a
-    job's bank index does not match the given platform/policy, or if a
-    pending fault or a slice names a machine or job that does not
-    exist. *)
+    @raise Invalid_argument (an [Engine.restore:] message) if the
+    policy's name, the machine count or a job's bank index does not match
+    the given platform/policy, if a pending fault or a slice names a
+    machine or job that does not exist, or if the state is one no run
+    reaches: a live job's remaining work outside (0, 1], a completed job
+    with work left or a completion date after [st_now], a negative
+    arrival or batch window, or a non-positive [Degraded] factor. *)

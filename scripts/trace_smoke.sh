@@ -2,7 +2,7 @@
 # Trace smoke check (run by `make trace-smoke`, part of `make check`):
 # --trace runs of the CLI must produce JSON-lines files where every line
 # parses, and a max-flow solve must render as one span tree whose LP
-# solves carry pivot counts.
+# solves carry pivot counts and whose exact solves report certification.
 set -eu
 
 DLSCHED=${1:-_build/default/bin/dlsched.exe}
@@ -67,6 +67,13 @@ assert all(spans[s["parent"]]["name"] == "flow.search" for s in par), \
     "parametric.solve not under flow.search"
 lp = [s for s in spans.values() if s["name"] == "lp.solve"]
 assert all("pivots_phase1" in s["attrs"] for s in lp), "lp.solve missing pivots"
+# Every exact solve says whether the float basis was certified or the
+# cold exact solve ran instead.
+exact_lp = [s for s in lp if s["attrs"].get("exact") is True]
+assert exact_lp, "no exact lp.solve span"
+assert all(
+    all(k in s["attrs"] for k in ("certified", "load_pivots", "float_pivots"))
+    for s in exact_lp), "exact lp.solve missing certified/load_pivots/float_pivots"
 assert all(depth(s) >= 2 for s in lp), "lp.solve not nested under the solve tree"
 assert any(e["name"] == "milestones.computed" for e in events), "no milestones event"
 assert all(s["end"] >= s["start"] for s in spans.values()), "span with end < start"

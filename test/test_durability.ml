@@ -298,6 +298,38 @@ let test_snapshot_rejects_dangling () =
   (* The unedited fixture still restores. *)
   ignore (restore (read_file fixture_file) ())
 
+(* A checksummed snapshot can also hold a job state no run reaches.  Each
+   class below used to resume and fail later — over-processing at drain,
+   "time did not advance", or another module's [Invalid_argument] — and
+   must be a typed [Engine.restore:] error instead. *)
+let rejected_by_restore old by () =
+  let _, platform, st = Snap.state_of_string (edited_fixture ~old ~by) in
+  raises_prefix "Engine.restore: " (fun () ->
+      E.restore ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Mct)
+        platform st)
+
+(* Fixture job fields: id arrival bank motifs remaining arrived parked
+   completed_at; "job b" is live and parked, "job a" completed at 29/25,
+   and the snapshot's now is 40. *)
+let test_restore_live_remaining () =
+  rejected_by_restore "job b 0 0 12 1 1 1 none" "job b 0 0 12 -1 1 1 none" ();
+  rejected_by_restore "job b 0 0 12 1 1 1 none" "job b 0 0 12 0 1 1 none" ();
+  rejected_by_restore "job b 0 0 12 1 1 1 none" "job b 0 0 12 3/2 1 1 none" ()
+
+let test_restore_completed () =
+  rejected_by_restore "job a 0 1 8 0 1 0 29/25" "job a 0 1 8 0 1 0 none" ();
+  rejected_by_restore "job a 0 1 8 0 1 0 29/25" "job a 0 1 8 1/2 1 0 29/25" ();
+  rejected_by_restore "job a 0 1 8 0 1 0 29/25" "job a 0 1 8 0 1 0 41" ()
+
+let test_restore_arrival () =
+  rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c -1 1 5 0 1 0 79/25" ()
+
+let test_restore_degraded () =
+  rejected_by_restore "avail degraded 3/4" "avail degraded 0" ();
+  rejected_by_restore "avail degraded 3/4" "avail degraded -1/2" ()
+
+let test_restore_window () = rejected_by_restore "batch_window 1/2" "batch_window -1" ()
+
 (* ------------------------------------------------------------------ *)
 (* Crash / resume                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -556,7 +588,15 @@ let () =
           Alcotest.test_case "corruption rejected" `Quick test_snapshot_rejects_corruption;
           Alcotest.test_case "v2 fixture bytes" `Quick test_snapshot_fixture_bytes;
           Alcotest.test_case "dangling indices and negative counts rejected" `Quick
-            test_snapshot_rejects_dangling
+            test_snapshot_rejects_dangling;
+          Alcotest.test_case "live job remaining outside (0, 1] rejected" `Quick
+            test_restore_live_remaining;
+          Alcotest.test_case "completed job without 0 remaining or past date rejected"
+            `Quick test_restore_completed;
+          Alcotest.test_case "negative arrival rejected" `Quick test_restore_arrival;
+          Alcotest.test_case "non-positive degraded factor rejected" `Quick
+            test_restore_degraded;
+          Alcotest.test_case "negative batch window rejected" `Quick test_restore_window
         ] );
       ( "resume",
         [ Alcotest.test_case "from meta" `Quick test_resume_from_meta;

@@ -1,7 +1,7 @@
 (* Tests for the LP layer: the dense-tableau oracle (lib/oracle) on both
    the exact-rational and the float instances, the revised simplex that
    production runs checked against it, and the [Lp.Solve] dispatcher's
-   basis cache and engine seam.  Random LPs are generated
+   certified exact path and engine seam.  Random LPs are generated
    feasible-by-construction so that optimality and feasibility can be
    checked independently of the solver under test. *)
 
@@ -707,6 +707,171 @@ let test_bit_identity_fixture () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Lp.Solve: exact answers certified from the float basis              *)
+(* ------------------------------------------------------------------ *)
+
+let same_columns a b =
+  let sorted x = List.sort compare (Array.to_list x) in
+  sorted a = sorted b
+
+(* Every corpus LP through the certified path, against the cold exact
+   solve.  A certified answer has the cold outcome kind and objective;
+   its values and duals are bit-equal whenever it ended on the cold
+   solve's basis (a basis's values and duals depend only on its column
+   set), and otherwise are still an optimum — primal feasible with a
+   dual certificate.  A fallback is the cold solve itself.  The counts
+   are pinned: a float-side change that moves the final basis of one
+   solve moves them. *)
+let test_certified_corpus () =
+  let same = ref 0 and other = ref 0 and fallbacks = ref 0 in
+  List.iter
+    (fun (label, problems) ->
+      List.iteri
+        (fun k p ->
+          let where = Printf.sprintf "%s #%d" label k in
+          let cold, st = Rv.cold_solve (Rv.prepare p) ~count1:(ref 0) ~count2:(ref 0) in
+          let a = Lp.Solve.attempt (Rv.prepare p) p in
+          match (a.Lp.Solve.certified, a.Lp.Solve.outcome, cold) with
+          | None, got, _ ->
+            incr fallbacks;
+            if not (outcome_equal got cold) then Alcotest.failf "%s: fallback differs" where
+          | Some basis, got, _ when same_columns basis st.Rv.basis ->
+            incr same;
+            if not (outcome_equal got cold) then
+              Alcotest.failf "%s: same basis, different bits" where
+          | Some _, Sx.Optimal s, Sx.Optimal c ->
+            incr other;
+            if not (R.equal s.objective c.objective) then
+              Alcotest.failf "%s: objective differs" where;
+            if not (Result.is_ok (Sx.check_feasible p s.values) && dual_certificate_holds p s)
+            then Alcotest.failf "%s: certified answer is not an optimum" where
+          | Some _, Sx.Infeasible, Sx.Infeasible -> incr other
+          | Some _, _, _ -> Alcotest.failf "%s: outcome kind differs" where)
+        problems)
+    (corpus ());
+  Alcotest.(check (list int)) "same basis, other basis, fallbacks" [ 2014; 0; 0 ]
+    [ !same; !other; !fallbacks ]
+
+(* A power of two as a rational: [pow2 k = 2^k], [k] may be negative. *)
+let pow2 k =
+  let step = if k < 0 then fun x -> R.div_int x 2 else fun x -> R.mul_int x 2 in
+  List.fold_left (fun x _ -> step x) R.one (List.init (abs k) Fun.id)
+
+(* [Lp.Solve.exact] on [p], with the certification counters around it. *)
+let certified_solve p =
+  let before = Lp.Instrument.certification () in
+  let outcome = Lp.Solve.exact p in
+  let after = Lp.Instrument.certification () in
+  ( outcome,
+    after.Lp.Instrument.certified - before.Lp.Instrument.certified,
+    after.Lp.Instrument.fallbacks - before.Lp.Instrument.fallbacks )
+
+(* Each way the float basis can fail its certificate falls back to the
+   cold exact solve, returns exactly its answer, and counts one fallback;
+   an infeasibility the float solve proves is certified. *)
+let test_certified_fallbacks () =
+  let cases =
+    [ (* −2^−1100 rounds to −0.0: the exact normalization flips the row
+         (x ≥ −2^−1100 becomes −x ≤ 2^−1100), the float one does not, so
+         the column layouts differ.  Read in the exact layout, the float
+         basis would even pass the certificate. *)
+      ( "rhs sign disagreement",
+        fst
+          (solve_exact ~dir:P.Maximize ~vars:1 ~obj:[ (0, R.one) ]
+             [ ([ (0, R.one) ], P.Le, R.one); ([ (0, R.one) ], P.Ge, R.neg (pow2 (-1100))) ]),
+        `Fallback );
+      (* x + y = 1 and 2x + 2y = 2 + 2^−40: the float phase 1 ends 2^−40
+         short and leaves the second row's artificial basic, as if the row
+         were redundant.  Its basis is primal and dual feasible; only the
+         artificial at 2^−40 refutes it. *)
+      ( "basic artificial left nonzero",
+        fst
+          (solve_exact ~vars:2 ~obj:[ (0, R.one); (1, R.one) ]
+             [ ([ (0, R.one); (1, R.one) ], P.Eq, R.one);
+               ([ (0, R.two); (1, R.two) ], P.Eq, R.add R.two (pow2 (-40))) ]),
+        `Fallback );
+      (* 10^−12·x = 1: the float image drops the coefficient (below its
+         tolerance) and finds the row infeasible; exactly, x = 10^12.  The
+         float phase-1 basis has a positive value but a negative reduced
+         cost. *)
+      ( "float infeasible, exactly feasible",
+        fst
+          (solve_exact ~vars:1 ~obj:[ (0, R.one) ]
+             [ ([ (0, R.inv (R.of_int 1_000_000_000_000)) ], P.Eq, R.one) ]),
+        `Fallback );
+      (* (1/13)·x ≤ 10^10/169 and x ≥ 10^10/13 meet exactly at
+         x = 10^10/13; the float image rounds them apart by more than its
+         tolerance and claims infeasibility, on a phase-1 basis whose
+         value is exactly 0. *)
+      ( "float infeasible, phase-1 value exactly 0",
+        fst
+          (solve_exact ~vars:1 ~obj:[ (0, R.one) ]
+             [ ([ (0, q 1 13) ], P.Le, R.of_ints 10_000_000_000 169);
+               ([ (0, R.one) ], P.Ge, R.of_ints 10_000_000_000 13) ]),
+        `Fallback );
+      (* x ≤ 1 and x ≥ 1 + 2^−40: the float phase 1 ends 2^−40 short, within
+         its tolerance, and claims an optimum the rationals refute. *)
+      ( "float feasible, exactly infeasible",
+        fst
+          (solve_exact ~vars:1 ~obj:[ (0, R.one) ]
+             [ ([ (0, R.one) ], P.Le, R.one); ([ (0, R.one) ], P.Ge, R.add R.one (pow2 (-40))) ]),
+        `Fallback );
+      (* Both costs round to 1.0, so the float solve keeps x; exactly, y is
+         cheaper and x's basis fails the reduced-cost check. *)
+      ( "reduced cost negative in rationals",
+        fst
+          (solve_exact ~vars:2
+             ~obj:[ (0, R.add R.one (pow2 (-60))); (1, R.one) ]
+             [ ([ (0, R.one); (1, R.one) ], P.Ge, R.one) ]),
+        `Fallback );
+      ( "unbounded",
+        fst
+          (solve_exact ~dir:P.Maximize ~vars:2 ~obj:[ (0, R.one); (1, R.one) ]
+             [ ([ (0, R.one); (1, R.minus_one) ], P.Le, R.one) ]),
+        `Fallback );
+      ( "infeasible, certified",
+        fst
+          (solve_exact ~vars:1 ~obj:[ (0, R.one) ]
+             [ ([ (0, R.one) ], P.Ge, R.of_int 5); ([ (0, R.one) ], P.Le, R.of_int 3) ]),
+        `Certified );
+      (* x and y are both optimal.  Their phase-1 prices tie in floats, so
+         the float solve keeps x, while the exact one prefers y: the
+         certified answer is the other optimal vertex. *)
+      ( "other optimal vertex, certified",
+        (let a = R.add (q 1 3) (pow2 (-60)) in
+         fst (solve_exact ~vars:2 ~obj:[ (0, q 1 3); (1, a) ] [ ([ (0, q 1 3); (1, a) ], P.Ge, R.one) ])),
+        `Other_vertex )
+    ]
+  in
+  List.iter
+    (fun (name, p, expect) ->
+      let outcome, certified, fallbacks = certified_solve p in
+      let cold = Rv.solve p in
+      (match (expect, outcome, cold) with
+       | `Other_vertex, Sx.Optimal s, Sx.Optimal c ->
+         Alcotest.(check rat) (name ^ ": objective") c.objective s.objective;
+         Alcotest.(check bool) (name ^ ": another vertex") false (outcome_equal outcome cold)
+       | `Other_vertex, _, _ -> Alcotest.failf "%s: expected two optima" name
+       | (`Fallback | `Certified), _, _ ->
+         Alcotest.(check bool) (name ^ ": cold answer") true (outcome_equal outcome cold));
+      Alcotest.(check (pair int int)) (name ^ ": certified, fallbacks")
+        (if expect = `Fallback then (0, 1) else (1, 0))
+        (certified, fallbacks))
+    cases;
+  (* A singular target: y's column is 3 times x's, exactly.  The load
+     finds no row for y, and the certificate refuses. *)
+  let p =
+    fst
+      (solve_exact ~vars:2 ~obj:[ (0, R.one) ]
+         [ ([ (0, R.one); (1, R.of_int 3) ], P.Le, R.one);
+           ([ (0, q 1 3); (1, R.one) ], P.Le, R.one) ])
+  in
+  let prep = Rv.prepare p in
+  Alcotest.(check bool) "singular load" true (Rv.load prep [| 0; 1 |] ~count:(ref 0) = None);
+  Alcotest.(check bool) "singular target refused" true
+    (Rv.certify prep Lp.Solution.Infeasible [| 0; 1 |] ~count:(ref 0) = None)
+
+(* ------------------------------------------------------------------ *)
 (* Lp.Solve: the engine seam                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -774,5 +939,11 @@ let () =
       ( "bit-identity",
         [ Alcotest.test_case "corpus records match the fixture" `Quick
             test_bit_identity_fixture
+        ] );
+      ( "certified",
+        [ Alcotest.test_case "certified ≡ cold over the corpus" `Quick
+            test_certified_corpus;
+          Alcotest.test_case "each fallback branch returns the cold answer" `Quick
+            test_certified_fallbacks
         ] )
     ]
