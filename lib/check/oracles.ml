@@ -54,7 +54,23 @@ let validator ~aux:_ inst =
   | `Solved r -> of_result (Invariants.solution ~objective:r.objective r.schedule)
 
 let dense_vs_sparse ~aux:_ inst =
-  same_maxflow (Oracle.with_dense (fun () -> MF.solve_total inst)) (MF.solve_total inst)
+  same_maxflow
+    (Oracle.with_dense (fun () -> MF.solve_total inst))
+    (Oracle.with_cold (fun () -> MF.solve_total inst))
+
+(* DESIGN §6's guarantee for certified exact solves: when every one ends
+   on the cold solve's basis, the pipeline's answer is the cold one bit
+   for bit; otherwise the objective is the same and the schedule, another
+   optimal vertex, passes the invariants. *)
+let certified_vs_cold ~aux:_ inst =
+  let cold = Oracle.with_cold (fun () -> MF.solve_total inst) in
+  match (cold, Oracle.with_certified (fun () -> MF.solve_total inst)) with
+  | `Solved (c : MF.result), (`Solved (r : MF.result), false) ->
+    if not (Rat.equal c.objective r.objective) then
+      failf "objectives differ: %s cold vs %s certified" (Rat.to_string c.objective)
+        (Rat.to_string r.objective)
+    else of_result (Invariants.solution ~objective:r.objective r.schedule)
+  | _, (certified, _) -> same_maxflow cold certified
 
 let exact_vs_accelerated ~aux:_ inst =
   same_maxflow (MF.solve_total ~accelerate:false inst) (MF.solve_total ~accelerate:true inst)
@@ -299,6 +315,7 @@ let batched_vs_zero_window ~aux (script : Gen.script) =
 let all =
   [ Offline ("validator", validator);
     Offline ("dense-vs-sparse", dense_vs_sparse);
+    Offline ("certified-vs-cold", certified_vs_cold);
     Offline ("exact-vs-accelerated", exact_vs_accelerated);
     Offline ("preemptive-vs-divisible", preemptive_vs_divisible);
     Offline ("makespan", makespan_oracle);

@@ -369,7 +369,8 @@ module Make (F : Linalg.Field.With_kernels) = struct
 
   (* Cold two-phase solve; returns the outcome plus the final state.  The
      state is where the solve stopped: on [Infeasible] the optimal
-     phase-1 basis, otherwise the final phase-2 basis. *)
+     phase-1 basis, otherwise the final phase-2 basis (or, in floats, the
+     phase-1 basis whose ratio test found no row). *)
   let cold_solve prep ~count1 ~count2 =
     let st = cold_state prep in
     let max_iters = max_iters_for prep in
@@ -378,7 +379,14 @@ module Make (F : Linalg.Field.With_kernels) = struct
       else begin
         let cost1 = phase1_cost prep in
         match primal ~count:count1 st ~cost:cost1 ~allowed_up_to:prep.total ~max_iters with
-        | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
+        | `Unbounded ->
+          (* The phase-1 objective is bounded below by 0, so only the
+             float tolerance gets here: a column can price negative while
+             every entry of its w is within eps of 0 (10⁻⁹·x = 1 on two
+             rows).  The float solve then reports what its ratio test saw,
+             and [Solve.exact] falls back on it. *)
+          assert (not F.exact);
+          `Unbounded
         | `Optimal ->
           if not (F.is_zero (phase1_value st cost1)) then `Infeasible
           else begin
@@ -389,6 +397,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
     in
     match feasible with
     | `Infeasible -> (Infeasible, st)
+    | `Unbounded -> (Unbounded, st)
     | `Feasible -> (
       match
         primal ~count:count2 st ~cost:prep.cost2 ~allowed_up_to:prep.art_start
@@ -401,34 +410,33 @@ module Make (F : Linalg.Field.With_kernels) = struct
      ended on, and check it in this field without pricing a pivot.
 
      [load] starts from the cold slack/artificial basis and brings in each
-     [target] column not yet basic with one [pivot], on a row whose basic
-     column is outside [target] and whose entry of w = B⁻¹·A_j is nonzero
-     ([F.is_zero], exact in [Rat]): the column's own row in [target] when
-     it qualifies, else the first that does.  Keeping the target's rows
-     where possible gave perfbench offline-maxflow a lower peak heap than
-     always taking the first row; values and duals depend only on the
-     column set either way.  No ratio test: x_B may go
-     negative on the way, and only the final basis is checked.  [None]
-     when some column finds no row (the target is singular here). *)
+     [target] column not yet basic with one [pivot], on the first row
+     whose basic column is outside [target] and whose entry of
+     w = B⁻¹·A_j is nonzero ([F.is_zero], exact in [Rat]).  Values and
+     duals depend only on the column set, not on the rows it lands on.
+     No ratio test: x_B may go negative on the way, and only the final
+     basis is checked.  [None] when some column finds no row (the target
+     is singular here). *)
   let load prep target ~count =
     let st = cold_state prep in
     let wanted = Array.make (max prep.total 1) false in
     Array.iter (fun j -> wanted.(j) <- true) target;
-    let place i j =
+    let place j =
       st.in_basis.(j)
       ||
       let w = column st j in
-      let eligible r = not (wanted.(st.basis.(r)) || F.is_zero w.(r)) in
-      let rec first r = if r >= prep.m then None else if eligible r then Some r else first (r + 1) in
-      match if eligible i then Some i else first 0 with
-      | Some row ->
-        pivot st ~row ~col:j ~w;
-        incr count;
-        true
-      | None -> false
+      let rec first r =
+        if r >= prep.m then false
+        else if wanted.(st.basis.(r)) || F.is_zero w.(r) then first (r + 1)
+        else begin
+          pivot st ~row:r ~col:j ~w;
+          incr count;
+          true
+        end
+      in
+      first 0
     in
-    let rec go i = i >= Array.length target || (place i target.(i) && go (i + 1)) in
-    if go 0 then Some st else None
+    if Array.for_all place target then Some st else None
 
   (* No column below [limit] prices negative against [cost]. *)
   let dual_feasible st cost ~limit =

@@ -30,31 +30,31 @@ let with_engine e f =
   override := Some e;
   Fun.protect ~finally:(fun () -> override := saved) f
 
-(* One exact solve through the certificate, without instruments: the
-   answer, the certified basis ([None] on a fallback), the pivots of the
-   float pass and of the load, and the exact pivots per phase as
-   [lp.exact] counts them.  Exposed for the tests. *)
+(* The float pass and the certificate of one exact solve, without
+   instruments: the certified answer and basis ([None] when the solve
+   must fall back), and the pivots of the float pass and of the load.
+   Exposed for the tests. *)
 type attempt = {
-  outcome : R.t Solution.outcome;
-  certified : int array option;
+  certified : (R.t Solution.outcome * int array) option;
   float_pivots : int;
   load_pivots : int;
-  pivots_phase1 : int;
-  pivots_phase2 : int;
 }
 
 (* Floats pick the basis, rationals certify it (DESIGN §6).  A cold float
-   two-phase solve of [p]'s float image ends on some basis; loading that
-   basis into rationals and checking it ([Ex.certify]) costs one pivot per
-   basic column outside the cold slack/artificial basis, and no pricing.
-   Anything the certificate does not accept falls back to the cold exact
-   solve: a float [Iteration_limit] or [Unbounded], a singular load, a
-   failed check, and rows whose rhs sign the float image normalizes
-   differently (an rhs that rounds to −0.0, or within the float tolerance
-   of 0), which would give the two solves different column layouts. *)
-let attempt (prep : Ex.prepared) (p : R.t Problem.t) =
-  let fprep = Ap.prepare (Problem.map R.to_float p) in
+   two-phase solve of [prep]'s float image ends on some basis; loading
+   that basis into rationals and checking it ([Ex.certify]) costs one
+   pivot per basic column outside the cold slack/artificial basis, and no
+   pricing.  Anything the certificate does not accept falls back to the
+   cold exact solve: a float [Iteration_limit] or [Unbounded] (in phase 1
+   too, where only the tolerance gets), a singular load, a failed check,
+   and rows whose rhs sign the float image normalizes differently (an rhs
+   that rounds to −0.0, or within the float tolerance of 0), which would
+   give the two solves different column layouts.  A rational beyond the
+   float range maps to ±inf or NaN; whatever basis the float solve then
+   ends on, the check in rationals is what decides. *)
+let attempt (prep : Ex.prepared) =
   let f1 = ref 0 and f2 = ref 0 and load = ref 0 in
+  let fprep = Ap.prepare (Problem.map R.to_float prep.Ex.src) in
   let certified =
     if fprep.Ap.flipped <> prep.Ex.flipped then None
     else
@@ -66,28 +66,22 @@ let attempt (prep : Ex.prepared) (p : R.t Problem.t) =
         let basis = st.Ap.basis in
         Option.map (fun o -> (o, basis)) (Ex.certify prep claim basis ~count:load)
   in
-  let float_pivots = !f1 + !f2 and load_pivots = !load in
-  match certified with
-  | Some (outcome, basis) ->
-    (* A certified infeasibility loaded a phase-1 basis. *)
-    let pivots_phase1, pivots_phase2 =
-      match outcome with Solution.Infeasible -> (load_pivots, 0) | _ -> (0, load_pivots)
-    in
-    { outcome; certified = Some basis; float_pivots; load_pivots; pivots_phase1; pivots_phase2 }
-  | None ->
-    let outcome, pivots_phase1, pivots_phase2 = Ex.cold_counted prep in
-    { outcome; certified = None; float_pivots; load_pivots; pivots_phase1; pivots_phase2 }
+  { certified; float_pivots = !f1 + !f2; load_pivots = !load }
 
 let certified (p : R.t Problem.t) =
   let prep = Ex.prepare p in
   Ex.instrumented (fun () ->
-      let a = attempt prep p in
-      let ok = a.certified <> None in
-      Instrument.record_certification ~certified:ok;
-      Obs.Span.set_bool "certified" ok;
+      let a = attempt prep in
+      Instrument.record_certification ~certified:(a.certified <> None);
+      Obs.Span.set_bool "certified" (a.certified <> None);
       Obs.Span.set_int "load_pivots" a.load_pivots;
       Obs.Span.set_int "float_pivots" a.float_pivots;
-      (a.outcome, a.pivots_phase1, a.pivots_phase2))
+      (* The exact pivots done, per phase: a certified infeasibility
+         loaded a phase-1 basis, a certified optimum a phase-2 one. *)
+      match a.certified with
+      | Some ((Solution.Infeasible as o), _) -> (o, a.load_pivots, 0)
+      | Some (o, _) -> (o, 0, a.load_pivots)
+      | None -> Ex.cold_counted prep)
 
 (* Exact (rational) solve. *)
 let exact (p : R.t Problem.t) : R.t Solution.outcome =

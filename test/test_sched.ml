@@ -989,7 +989,7 @@ let test_io_errors_malformed () =
   bad "machines 1\njob 0 1 2 extra words\n"
 
 (* ------------------------------------------------------------------ *)
-(* Solver variants: the revised engine vs the dense tableau oracle     *)
+(* Solver variants: the cold revised engine vs the dense tableau       *)
 (* ------------------------------------------------------------------ *)
 
 (* Bit-identical means the whole schedule matches, not just the objective;
@@ -999,7 +999,7 @@ let print_sched s = Format.asprintf "%a" S.pp s
 let prop_variant_makespan_identical =
   QCheck.Test.make ~name:"makespan: sparse and dense solvers bit-identical"
     ~count:30 arbitrary_instance (fun inst ->
-      let rs = Mk.solve inst in
+      let rs = Oracle.with_cold (fun () -> Mk.solve inst) in
       let rd = Oracle.with_dense (fun () -> Mk.solve inst) in
       R.equal rs.Mk.makespan rd.Mk.makespan
       && print_sched rs.Mk.schedule = print_sched rd.Mk.schedule)
@@ -1007,7 +1007,7 @@ let prop_variant_makespan_identical =
 let prop_variant_maxflow_identical =
   QCheck.Test.make ~name:"max-flow: sparse and dense solvers bit-identical"
     ~count:20 arbitrary_instance (fun inst ->
-      let rs = Mf.solve inst in
+      let rs = Oracle.with_cold (fun () -> Mf.solve inst) in
       let rd = Oracle.with_dense (fun () -> Mf.solve inst) in
       R.equal rs.Mf.objective rd.Mf.objective
       && rs.Mf.search_range = rd.Mf.search_range
@@ -1028,7 +1028,7 @@ let prop_variant_deadline_identical =
 let prop_variant_preemptive_identical =
   QCheck.Test.make ~name:"preemptive: sparse and dense solvers bit-identical"
     ~count:10 arbitrary_instance (fun inst ->
-      let rs = Pre.solve inst in
+      let rs = Oracle.with_cold (fun () -> Pre.solve inst) in
       let rd = Oracle.with_dense (fun () -> Pre.solve inst) in
       R.equal rs.Pre.objective rd.Pre.objective
       && print_sched rs.Pre.schedule = print_sched rd.Pre.schedule)
