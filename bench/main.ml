@@ -302,8 +302,8 @@ let run_lp () =
       (* Feasible-by-construction minimization, as in the LP tests. *)
       let x0 = Array.init nv (fun _ -> Gripps.Prng.int rng 10) in
       let st = Lp.Problem.Builder.create () in
-      for i = 0 to nv - 1 do
-        ignore (Lp.Problem.Builder.fresh_var st ~name:(Printf.sprintf "x%d" i))
+      for _ = 0 to nv - 1 do
+        ignore (Lp.Problem.Builder.fresh_var st)
       done;
       for _ = 1 to nc do
         let row = Array.init nv (fun _ -> Gripps.Prng.int rng 5) in

@@ -367,20 +367,7 @@ let compare_cmd =
 let generate_cmd =
   let jobs = Flags.mk [ "jobs"; "n" ] "Number of jobs." Arg.int 6 in
   let run jobs machines seed output =
-    let rng = Gripps.Prng.create seed in
-    let releases = Array.init jobs (fun _ -> R.of_int (Gripps.Prng.int rng 20)) in
-    let weights = Array.init jobs (fun _ -> R.of_int (1 + Gripps.Prng.int rng 4)) in
-    let cost =
-      Array.init machines (fun _ ->
-          Array.init jobs (fun _ ->
-              if Gripps.Prng.int rng 4 = 0 then None
-              else Some (R.of_int (1 + Gripps.Prng.int rng 9))))
-    in
-    for j = 0 to jobs - 1 do
-      if Array.for_all (fun row -> row.(j) = None) cost then
-        cost.(0).(j) <- Some (R.of_int (1 + Gripps.Prng.int rng 9))
-    done;
-    let inst = I.make ~releases ~weights cost in
+    let inst = Gripps.Workload.random_instance ~jobs ~machines ~seed in
     let text = Sched_core.Instance_io.to_string inst in
     match output with
     | Some path ->

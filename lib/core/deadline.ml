@@ -23,19 +23,26 @@ let flow_deadlines inst ~objective =
       Rat.add (Instance.flow_origin inst j)
         (Rat.div objective (Instance.weight inst j)))
 
+(* A float verdict on a deadline system.  [Unbounded] is impossible
+   exactly (the system has no objective), but the float phase 1 reports
+   it when its tolerance hides every bounding entry of a column: no
+   verdict then. *)
+let decide_approx p =
+  match Lp.Solve.approx p with
+  | Lp.Solution.Optimal _ -> true
+  | Lp.Solution.Infeasible -> false
+  | Lp.Solution.Unbounded -> raise Flow_search.No_verdict
+
 (* The milestone search's float probe: cold, and decided on the deadline
-   system itself, so no schedule is decoded. *)
+   system built in floats, so no schedule is decoded. *)
 let probe_approx ?(divisible = true) inst ~objective =
   let body () =
-    let form =
+    let p =
       Obs.Span.with_span "deadline.form" (fun () ->
           let deadlines = flow_deadlines inst ~objective in
-          Formulations.deadline_system ~divisible inst ~deadlines)
+          Formulations.deadline_problem Rat.to_float ~divisible inst ~deadlines)
     in
-    match Lp.Solve.approx (Lp.Problem.map Rat.to_float form.dl_problem) with
-    | Lp.Solution.Optimal _ -> true
-    | Lp.Solution.Infeasible -> false
-    | Lp.Solution.Unbounded -> assert false
+    decide_approx p
   in
   if not (Obs.Sink.enabled ()) then body ()
   else

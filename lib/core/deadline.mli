@@ -25,4 +25,13 @@ val probe_approx : ?divisible:bool -> Instance.t -> objective:Rat.t -> bool
 (** Float feasibility of the deadlines {!flow_deadlines} at [objective]:
     fast, possibly wrong near the feasibility boundary.  The float probes
     only steer {!Max_flow.search}, whose exact parametric solve certifies
-    the answer.  [divisible] is as for {!is_feasible}. *)
+    the answer.  [divisible] is as for {!is_feasible}.  The system is
+    built in floats ({!Formulations.deadline_problem}) and decided by
+    {!decide_approx}.
+    @raise Flow_search.No_verdict as {!decide_approx}.
+    @raise Lp.Solve.Iteration_limit if the float simplex hits its cap. *)
+
+val decide_approx : float Lp.Problem.t -> bool
+(** [true] iff the float solve of a feasibility LP finds it feasible.
+    @raise Flow_search.No_verdict if the float solve reports [Unbounded],
+    which only its tolerance can produce on a system without objective. *)

@@ -2,6 +2,8 @@ module Rat = Numeric.Rat
 
 type 'a verdict = Found of 'a | Lower | Higher
 
+exception No_verdict
+
 (* Smallest index in [lo, hi] satisfying the monotone index predicate
    [feasible], assuming [hi] does; [hi] itself is never tested. *)
 let binary_search ~feasible lo hi =
@@ -31,10 +33,11 @@ let first_feasible_untraced ~certify ?approx ~calls candidates =
     match approx with
     | None -> unguided
     | Some approx -> (
-      (* A float probe that hits the simplex's iteration cap has no
-         verdict.  The guess only saves exact solves, so drop it. *)
+      (* A float probe that hits the simplex's iteration cap, or that
+         the float tolerance leaves without a verdict, answers nothing.
+         The guess only saves exact solves, so drop it. *)
       try binary_search ~feasible:(fun i -> approx candidates.(i)) 0 last
-      with Lp.Solve.Iteration_limit ->
+      with Lp.Solve.Iteration_limit | No_verdict ->
         Obs.Event.emit "search.approx_limit";
         unguided)
   in

@@ -22,6 +22,10 @@ type 'a verdict =
   | Lower  (** [c_{i-1}] is already feasible: the first feasible index is below [i] *)
   | Higher  (** [c_i] is infeasible: the first feasible index is above [i] *)
 
+exception No_verdict
+(** Raised by an [approx] probe that has no answer (see
+    {!Deadline.decide_approx}). *)
+
 val first_feasible :
   certify:(int -> 'a verdict) ->
   ?approx:(Rat.t -> bool) ->
@@ -34,8 +38,9 @@ val first_feasible :
     [approx] costs exactly one [certify] call; without it the exact search
     starts at the middle.  An [approx] that raises
     {!Lp.Solve.Iteration_limit} (a float probe that hit the simplex's
-    iteration cap) abandons the float guess: the search then runs exactly
-    as without [approx].  [certify] must answer [Found] exactly at the
+    iteration cap) or {!No_verdict} abandons the float guess, emitting
+    [search.approx_limit]: the search then runs exactly as without
+    [approx].  [certify] must answer [Found] exactly at the
     first feasible index, [Lower] above it and [Higher] below it.
     Raises [Invalid_argument] if the verdicts are inconsistent (e.g. the
     last candidate turns out infeasible). *)

@@ -43,6 +43,15 @@ val deadline_system :
     constraint (5b) of Section 4.4 is added: this is system (5) at a fixed
     objective value, the feasibility test of the preemptive model. *)
 
+val deadline_problem :
+  (Rat.t -> 'f) -> ?divisible:bool -> Instance.t -> deadlines:Rat.t array -> 'f Lp.Problem.t
+(** The LP of {!deadline_system}, built directly in the field of the
+    conversion: each exact coefficient is converted once (c_{i,j} per
+    variable, each interval length per interval, computed exactly first).
+    [deadline_problem Rat.to_float] equals
+    [Lp.Problem.map Rat.to_float] of the exact system, to the bit, without
+    building the exact one. *)
+
 (** {1 Systems (3) and (5): parametric in the flow objective F} *)
 
 type parametric_form = {

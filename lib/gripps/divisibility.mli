@@ -39,8 +39,8 @@ val measured_sequence_experiment :
   ?seed:int -> ?num_sequences:int -> ?num_motifs:int -> ?steps:int -> unit -> point list
 (** Figure 1a on real computation: generates a databank and motif set,
     scans growing sequence blocks with {!Scanner.scan} and measures
-    wall-clock seconds.  Defaults are laptop-scale (800 sequences,
-    12 motifs). *)
+    process CPU seconds (user plus system), the fastest of five scans per
+    block.  Defaults are laptop-scale (800 sequences, 12 motifs). *)
 
 val measured_motif_experiment :
   ?seed:int -> ?num_sequences:int -> ?num_motifs:int -> ?steps:int -> unit -> point list

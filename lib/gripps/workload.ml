@@ -107,3 +107,18 @@ let to_instance platform requests =
     Array.init m (fun i -> Array.init n (fun j -> request_cost platform ~machine:i requests.(j)))
   in
   Sched_core.Instance.make ~releases ~weights cost
+
+let random_instance ~jobs ~machines ~seed =
+  let rng = Prng.create seed in
+  let releases = Array.init jobs (fun _ -> Rat.of_int (Prng.int rng 20)) in
+  let weights = Array.init jobs (fun _ -> Rat.of_int (1 + Prng.int rng 4)) in
+  let cost =
+    Array.init machines (fun _ ->
+        Array.init jobs (fun _ ->
+            if Prng.int rng 4 = 0 then None else Some (Rat.of_int (1 + Prng.int rng 9))))
+  in
+  for j = 0 to jobs - 1 do
+    if Array.for_all (fun row -> row.(j) = None) cost then
+      cost.(0).(j) <- Some (Rat.of_int (1 + Prng.int rng 9))
+  done;
+  Sched_core.Instance.make ~releases ~weights cost

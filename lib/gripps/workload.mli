@@ -96,3 +96,9 @@ val to_instance : platform -> request list -> Sched_core.Instance.t
 (** Offline instance with unit weights (maximum flow).  Use
     {!Sched_core.Instance.stretch_weights} on the result for max-stretch
     experiments. *)
+
+val random_instance : jobs:int -> machines:int -> seed:int -> Sched_core.Instance.t
+(** The instance [dlsched generate] writes: integer releases in
+    [\[0, 20)], weights in [\[1, 4\]], and each cost in [\[1, 9\]] or,
+    with probability 1/4, [+∞]; a job that no machine can run gets a
+    finite cost on machine 0. *)

@@ -74,14 +74,11 @@ module type Kernels = sig
       when [rows.(i).(r)] is nz.  With [rows = B⁻¹] and [w] zero this is
       [w = B⁻¹·A_j]. *)
 
-  val add_scaled_nz : t array -> t -> t array -> unit
-  (** [add_scaled_nz y s x]: [y.(k) <- y.(k) + s·x.(k)] for each [k] in
-      order where [x.(k)] is nz. *)
-
   val multipliers : t array -> int array -> t array array -> t array
-  (** [multipliers cost basis rows] is [y], zero-initialized, then
-      [add_scaled_nz y cost.(basis.(i)) rows.(i)] for each [i] in order
-      with [cost.(basis.(i))] nz: [y = c_B·B⁻¹] for [rows = B⁻¹]. *)
+  (** [multipliers cost basis rows] is [y], zero-initialized, then for
+      each [i] in order with [c = cost.(basis.(i))] nz,
+      [y.(k) <- y.(k) + c·rows.(i).(k)] for each [k] in order where
+      [rows.(i).(k)] is nz: [y = c_B·B⁻¹] for [rows = B⁻¹]. *)
 
   val dot_add : t Sparse.t -> int -> t array -> t
   (** [dot_add mat j x = 0 + x.(r₁)·v₁ + x.(r₂)·v₂ + …] over column [j]. *)

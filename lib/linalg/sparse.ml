@@ -102,6 +102,10 @@ let col_nnz t j =
   if j < 0 || j >= t.ncols then invalid_arg "Sparse.col_nnz";
   t.col_ptr.(j + 1) - t.col_ptr.(j)
 
+let map f t =
+  { nrows = t.nrows; ncols = t.ncols; col_ptr = t.col_ptr; row_idx = t.row_idx;
+    vals = Array.map f t.vals }
+
 let col_ptr t = t.col_ptr
 let row_idx t = t.row_idx
 let vals t = t.vals

@@ -32,6 +32,11 @@ val iter_col : 'f t -> int -> (int -> 'f -> unit) -> unit
 val fold_col : 'f t -> int -> ('a -> int -> 'f -> 'a) -> 'a -> 'a
 val col_nnz : 'f t -> int -> int
 
+val map : ('a -> 'b) -> 'a t -> 'b t
+(** The same sparsity pattern with every stored value converted; the
+    index arrays are shared, not copied.  An entry that converts to zero
+    stays stored. *)
+
 (** {1 Raw storage}
 
     For inner loops that must not allocate a closure per column (the

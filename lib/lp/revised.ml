@@ -42,6 +42,37 @@ module Sp = Linalg.Sparse
    a field. *)
 exception Iteration_limit
 
+(* A normalized problem in CSC form, the one layout every solve of it
+   reads ([prepare] below).  Outside the functor so that one layout can
+   be read in another field ([map_layout]). *)
+type 'f layout = {
+  m : int;
+  n : int; (* original variables *)
+  total : int; (* structural columns: originals, slack/surplus, artificials *)
+  art_start : int;
+  num_art : int;
+  cols : 'f Sp.t; (* m × total *)
+  b : 'f array; (* normalized (nonnegative) right-hand sides *)
+  cost2 : 'f array; (* phase-2 costs over all columns (minimization) *)
+  objective : (int * 'f) list; (* the problem's own objective terms *)
+  negate : bool; (* original problem was a maximization *)
+  dual_col : int array; (* unit column used to read each row's dual *)
+  flipped : bool array; (* rows whose rhs sign was flipped *)
+}
+
+(* The same layout with every coefficient converted: CSC values, rhs,
+   costs and objective.  The sparsity pattern, the row flips, the slack
+   and artificial numbering and [dual_col] are shared, so the image is
+   decided by the source field's normalization, not by its own. *)
+let map_layout f l =
+  {
+    l with
+    cols = Sp.map f l.cols;
+    b = Array.map f l.b;
+    cost2 = Array.map f l.cost2;
+    objective = List.map (fun (v, k) -> (v, f k)) l.objective;
+  }
+
 module Make (F : Linalg.Field.With_kernels) = struct
   type 'f poly_solution = 'f Solution.solution = {
     values : 'f array;
@@ -60,20 +91,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
 
   let pp_outcome fmt o = Solution.pp_outcome F.pp fmt o
 
-  type prepared = {
-    src : F.t Problem.t;
-    m : int;
-    n : int; (* original variables *)
-    total : int; (* structural columns: originals, slack/surplus, artificials *)
-    art_start : int;
-    num_art : int;
-    cols : F.t Sp.t; (* m × total *)
-    b : F.t array; (* normalized (nonnegative) right-hand sides *)
-    cost2 : F.t array; (* phase-2 costs over all columns (minimization) *)
-    negate : bool; (* original problem was a maximization *)
-    dual_col : int array; (* unit column used to read each row's dual *)
-    flipped : bool array; (* rows whose rhs sign was flipped *)
-  }
+  type prepared = F.t layout
 
   let matrix prep = prep.cols
 
@@ -162,7 +180,6 @@ module Make (F : Linalg.Field.With_kernels) = struct
         cost2.(v) <- F.add cost2.(v) k)
       p.Problem.objective;
     {
-      src = p;
       m;
       n;
       total;
@@ -171,6 +188,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
       cols;
       b;
       cost2;
+      objective = p.Problem.objective;
       negate;
       dual_col;
       flipped;
@@ -195,7 +213,11 @@ module Make (F : Linalg.Field.With_kernels) = struct
       prep;
       basis;
       in_basis;
-      binv = Array.init m (fun i -> Array.init m (fun j -> if i = j then F.one else F.zero));
+      binv =
+        Array.init m (fun i ->
+            let row = Array.make m F.zero in
+            row.(i) <- F.one;
+            row);
       xb = Array.copy prep.b;
     }
 
@@ -253,16 +275,10 @@ module Make (F : Linalg.Field.With_kernels) = struct
        of the matrix's width. *)
     let d = Array.make allowed_up_to F.zero and cols = Array.make allowed_up_to 0 in
     let ratio = Array.make m F.zero and rows = Array.make m 0 in
-    (* y = c_B·B⁻¹.  Exact: computed once per call, then kept current
-       after each pivot by y += d_q · (new pivot row of B⁻¹), which is the
-       same number as a recomputation.  Float: recomputed every iteration,
-       because the update rounds differently and would move the float
-       engine's pivot sequence. *)
-    let y0 = multipliers st cost in
     let rec loop () =
       incr iters;
       if !iters > max_iters then raise Iteration_limit;
-      let y = if F.exact || !iters = 1 then y0 else multipliers st cost in
+      let y = multipliers st cost in
       let enter =
         if !iters <= dantzig_budget then begin
           (* Dantzig: most negative reduced cost, first index on ties.
@@ -275,30 +291,27 @@ module Make (F : Linalg.Field.With_kernels) = struct
             let j = cols.(k) in
             if !best < 0 || F.compare_at d j !best < 0 then best := j
           done;
-          if !best < 0 then None else Some (!best, d.(!best))
+          if !best < 0 then None else Some !best
         end
         else begin
           (* Bland: smallest index with negative reduced cost. *)
           let rec go j =
             if j >= allowed_up_to then None
             else if st.in_basis.(j) then go (j + 1)
-            else
-              let d = reduced_cost st cost y j in
-              if F.sign d < 0 then Some (j, d) else go (j + 1)
+            else if F.sign (reduced_cost st cost y j) < 0 then Some j
+            else go (j + 1)
           in
           go 0
         end
       in
       match enter with
       | None -> `Optimal
-      | Some (j, d) -> (
+      | Some j -> (
         let w = column st j in
         match leaving st w ~ratio ~rows with
         | None -> `Unbounded
         | Some i ->
           pivot st ~row:i ~col:j ~w;
-          (* Exact fields only, where nz is exactly nonzero. *)
-          if F.exact then F.add_scaled_nz y0 d st.binv.(i);
           incr count;
           loop ())
     in
@@ -344,7 +357,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
     let objective =
       List.fold_left
         (fun acc (v, k) -> F.add acc (F.mul k values.(v)))
-        F.zero prep.src.Problem.objective
+        F.zero prep.objective
     in
     (* Dual of normalized row i is y at its unit column; undo the rhs flip
        and the Maximize negation, exactly as the dense extraction does. *)

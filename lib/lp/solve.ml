@@ -40,31 +40,32 @@ type attempt = {
   load_pivots : int;
 }
 
+(* The float image of an exact layout: the layout [Ex.prepare] made,
+   every coefficient rounded once.  Its rows are flipped where the exact
+   rhs is negative, whatever the rounded rhs reads, so both solves of
+   one certified answer index the same columns. *)
+let float_image : Ex.prepared -> Ap.prepared = Revised.map_layout R.to_float
+
 (* Floats pick the basis, rationals certify it (DESIGN §6).  A cold float
    two-phase solve of [prep]'s float image ends on some basis; loading
    that basis into rationals and checking it ([Ex.certify]) costs one
    pivot per basic column outside the cold slack/artificial basis, and no
    pricing.  Anything the certificate does not accept falls back to the
    cold exact solve: a float [Iteration_limit] or [Unbounded] (in phase 1
-   too, where only the tolerance gets), a singular load, a failed check,
-   and rows whose rhs sign the float image normalizes differently (an rhs
-   that rounds to −0.0, or within the float tolerance of 0), which would
-   give the two solves different column layouts.  A rational beyond the
-   float range maps to ±inf or NaN; whatever basis the float solve then
-   ends on, the check in rationals is what decides. *)
+   too, where only the tolerance gets), a singular load or a failed
+   check.  A rational beyond the float range maps to ±inf or NaN, and
+   one below it to 0.0; whatever basis the float solve then ends on, the
+   check in rationals is what decides. *)
 let attempt (prep : Ex.prepared) =
   let f1 = ref 0 and f2 = ref 0 and load = ref 0 in
-  let fprep = Ap.prepare (Problem.map R.to_float prep.Ex.src) in
   let certified =
-    if fprep.Ap.flipped <> prep.Ex.flipped then None
-    else
-      match Ap.cold_solve fprep ~count1:f1 ~count2:f2 with
-      | exception Iteration_limit -> None
-      | claim, st ->
-        (* Only the basis outlives the float solve: its B⁻¹ is garbage
-           before the exact load allocates. *)
-        let basis = st.Ap.basis in
-        Option.map (fun o -> (o, basis)) (Ex.certify prep claim basis ~count:load)
+    match Ap.cold_solve (float_image prep) ~count1:f1 ~count2:f2 with
+    | exception Iteration_limit -> None
+    | claim, st ->
+      (* Only the basis outlives the float solve: its B⁻¹ is garbage
+         before the exact load allocates. *)
+      let basis = st.Ap.basis in
+      Option.map (fun o -> (o, basis)) (Ex.certify prep claim basis ~count:load)
   in
   { certified; float_pivots = !f1 + !f2; load_pivots = !load }
 

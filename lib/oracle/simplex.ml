@@ -322,10 +322,10 @@ module Make (F : Linalg.Field.S) = struct
       (fun i v ->
         if F.sign v < 0 then
           Buffer.add_string buf
-            (Printf.sprintf "variable %s negative; " p.Problem.var_names.(i)))
+            (Printf.sprintf "variable %s negative; " (Problem.var_name p i)))
       values;
-    List.iter
-      (fun (c : F.t Problem.constr) ->
+    List.iteri
+      (fun ci (c : F.t Problem.constr) ->
         let lhs =
           List.fold_left (fun acc (v, k) -> F.add acc (F.mul k values.(v))) F.zero c.terms
         in
@@ -335,7 +335,9 @@ module Make (F : Linalg.Field.S) = struct
           | Problem.Ge -> F.sign (F.sub lhs c.rhs) >= 0
           | Problem.Eq -> F.is_zero (F.sub lhs c.rhs)
         in
-        if not ok then Buffer.add_string buf (Printf.sprintf "constraint %s violated; " c.cname))
+        if not ok then
+          Buffer.add_string buf
+            (Printf.sprintf "constraint %s violated; " (Problem.constr_name p ci)))
       p.Problem.constraints;
     if Buffer.length buf = 0 then Ok () else Error (Buffer.contents buf)
 end

@@ -298,8 +298,8 @@ let test_overhead_contrast () =
     (rb.Dv.intercept > 5.0 *. ra.Dv.intercept)
 
 let test_measured_experiment_is_linear () =
-  (* Real scans on a small databank: wall-clock time must still regress
-     linearly with block size. *)
+  (* Real scans on a small databank: their CPU time (the fastest of five
+     scans per block) must still regress linearly with block size. *)
   let points = Dv.measured_sequence_experiment ~num_sequences:400 ~num_motifs:6 () in
   let r = Dv.linear_regression points in
   Alcotest.(check bool) "positive slope" true (r.Dv.slope > 0.0);

@@ -16,8 +16,8 @@ let q = R.of_ints
 
 let solve_exact ?(dir = P.Minimize) ~vars ~obj constrs =
   let st = P.Builder.create () in
-  for i = 0 to vars - 1 do
-    ignore (P.Builder.fresh_var st ~name:(Printf.sprintf "x%d" i))
+  for _ = 0 to vars - 1 do
+    ignore (P.Builder.fresh_var st)
   done;
   List.iter (fun (terms, rel, rhs) -> P.Builder.add_constr st terms rel rhs) constrs;
   P.Builder.set_objective st dir obj;
@@ -200,8 +200,8 @@ let random_lp_gen =
 
 let build_random_min (nvars, x0, rows, obj) =
   let st = P.Builder.create () in
-  for i = 0 to nvars - 1 do
-    ignore (P.Builder.fresh_var st ~name:(Printf.sprintf "x%d" i))
+  for _ = 0 to nvars - 1 do
+    ignore (P.Builder.fresh_var st)
   done;
   Array.iter
     (fun row ->
@@ -249,13 +249,12 @@ let prop_exact_and_float_agree =
             List.map
               (fun (c : R.t P.constr) ->
                 {
-                  P.cname = c.P.cname;
-                  terms = List.map (fun (v, k) -> (v, R.to_float k)) c.P.terms;
+                  P.terms = List.map (fun (v, k) -> (v, R.to_float k)) c.P.terms;
                   rel = c.P.rel;
                   rhs = R.to_float c.P.rhs;
                 })
               p.P.constraints;
-          var_names = p.P.var_names;
+          names = p.P.names;
         }
       in
       match (Sx.solve p, Sf.solve pf) with
@@ -347,8 +346,8 @@ let mixed_lp_gen =
 
 let build_mixed_min (nvars, x0, rows, obj) =
   let st = P.Builder.create () in
-  for i = 0 to nvars - 1 do
-    ignore (P.Builder.fresh_var st ~name:(Printf.sprintf "x%d" i))
+  for _ = 0 to nvars - 1 do
+    ignore (P.Builder.fresh_var st)
   done;
   Array.iter
     (fun (coeffs, (rel_pick, slack)) ->
@@ -503,10 +502,10 @@ let basis_invariants_hold (st : Rv.state) =
           unit_ok := false)
       st.Rv.basis;
     let x = ref R.zero in
-    Array.iteri (fun k bk -> x := R.add !x (R.mul st.Rv.binv.(i).(k) bk)) prep.Rv.b;
+    Array.iteri (fun k bk -> x := R.add !x (R.mul st.Rv.binv.(i).(k) bk)) prep.Lp.Revised.b;
     !unit_ok && R.equal !x st.Rv.xb.(i)
   in
-  List.for_all row_ok (List.init prep.Rv.m Fun.id)
+  List.for_all row_ok (List.init prep.Lp.Revised.m Fun.id)
 
 (* [mixed_lp_gen]'s problems with every term split into two duplicates
    ((c−1)·x + 1·x, so a zero coefficient becomes a pair that cancels),
@@ -687,24 +686,7 @@ let corpus_digest () =
     (corpus ())
 
 let test_bit_identity_fixture () =
-  let actual = corpus_digest () in
-  let expected =
-    In_channel.with_open_text "fixtures/lp_bits.digest" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  if actual <> expected then begin
-    Out_channel.with_open_text "lp_bits.actual" (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
-    let rec first_diff = function
-      | a :: at, e :: et -> if a = e then first_diff (at, et) else Printf.sprintf "%s\n  expected %s" a e
-      | a :: _, [] -> a ^ " (not in the fixture)"
-      | [], e :: _ -> "missing " ^ e
-      | [], [] -> assert false
-    in
-    Alcotest.failf "solver records differ from test/fixtures/lp_bits.digest:\n  got %s"
-      (first_diff (actual, expected))
-  end
+  Fixture.check ~fixture:"fixtures/lp_bits.digest" ~actual:"lp_bits.actual" (corpus_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Lp.Solve: exact answers certified from the float basis              *)
@@ -765,18 +747,19 @@ let certified_solve p =
 
 (* Each way the float basis can fail its certificate falls back to the
    cold exact solve, returns exactly its answer, and counts one fallback;
-   an infeasibility the float solve proves is certified. *)
+   an infeasibility the float solve proves, and a row whose rhs rounds to
+   −0.0, are certified. *)
 let test_certified_fallbacks () =
   let cases =
-    [ (* −2^−1100 rounds to −0.0: the exact normalization flips the row
-         (x ≥ −2^−1100 becomes −x ≤ 2^−1100), the float one does not, so
-         the column layouts differ.  Read in the exact layout, the float
-         basis would even pass the certificate. *)
+    [ (* −2^−1100 rounds to −0.0, so a float normalization of its own
+         would not flip the row the exact one flips (x ≥ −2^−1100 becomes
+         −x ≤ 2^−1100).  The float image takes the exact layout, flip
+         included, and its basis passes the certificate. *)
       ( "rhs sign disagreement",
         fst
           (solve_exact ~dir:P.Maximize ~vars:1 ~obj:[ (0, R.one) ]
              [ ([ (0, R.one) ], P.Le, R.one); ([ (0, R.one) ], P.Ge, R.neg (pow2 (-1100))) ]),
-        `Fallback );
+        `Certified );
       (* x + y = 1 and 2x + 2y = 2 + 2^−40: the float phase 1 ends 2^−40
          short and leaves the second row's artificial basic, as if the row
          were redundant.  Its basis is primal and dual feasible; only the
@@ -885,6 +868,99 @@ let test_certified_fallbacks () =
     (Rv.certify prep Lp.Solution.Infeasible [| 0; 1 |] ~count:(ref 0) = None)
 
 (* ------------------------------------------------------------------ *)
+(* Float systems built once                                            *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_terms a b = List.equal (fun (v, x) (w, y) -> v = w && same_bits x y) a b
+
+(* Two float problems agree to the bit: variables, direction, objective,
+   every constraint in order, and the names they print. *)
+let same_float_problem (a : float P.t) (b : float P.t) =
+  a.P.num_vars = b.P.num_vars
+  && a.P.direction = b.P.direction
+  && same_terms a.P.objective b.P.objective
+  && List.equal
+       (fun (c : float P.constr) (d : float P.constr) ->
+         c.P.rel = d.P.rel && same_bits c.P.rhs d.P.rhs && same_terms c.P.terms d.P.terms)
+       a.P.constraints b.P.constraints
+  && List.for_all (fun v -> P.var_name a v = P.var_name b v) (List.init a.P.num_vars Fun.id)
+  && List.for_all
+       (fun i -> P.constr_name a i = P.constr_name b i)
+       (List.init (P.num_constraints a) Fun.id)
+
+(* The float deadline system, built directly in floats, is the exact one
+   mapped to floats: same constraints, same columns, same bits. *)
+let prop_float_builder =
+  QCheck.Test.make ~name:"float deadline system = mapped exact system" ~count:100
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let inst = Check.Gen.instance (Gripps.Prng.create seed) in
+      I.num_jobs inst = 0
+      ||
+      let candidates =
+        Sched_core.Milestones.candidates inst
+          ~upper:(Sched_core.Max_flow.feasible_upper_bound inst)
+      in
+      Array.for_all
+        (fun f ->
+          let deadlines = Sched_core.Deadline.flow_deadlines inst ~objective:f in
+          List.for_all
+            (fun divisible ->
+              same_float_problem
+                (Fm.deadline_problem R.to_float ~divisible inst ~deadlines)
+                (P.map R.to_float (Fm.deadline_system ~divisible inst ~deadlines).Fm.dl_problem))
+            [ true; false ])
+        candidates)
+
+(* The float image a certified solve derives from the exact layout is
+   the layout the float engine makes of the mapped problem, to the bit,
+   on every corpus LP whose coefficients and right-hand sides are all 0
+   or at least 1e-9 in magnitude (below that the float engine's own
+   normalization drops a coefficient or keeps an rhs sign the exact one
+   flips) and which repeats no variable within a row (duplicates are
+   summed before rounding in one, after in the other). *)
+let test_float_image () =
+  let module L = Lp.Revised in
+  let module Sp = Linalg.Sparse in
+  let plain (p : R.t P.t) =
+    let ok x = R.is_zero x || Float.abs (R.to_float x) >= 1e-9 in
+    List.for_all
+      (fun (c : R.t P.constr) ->
+        ok c.P.rhs
+        && List.for_all (fun (_, k) -> ok k) c.P.terms
+        && List.length (List.sort_uniq compare (List.map fst c.P.terms))
+           = List.length c.P.terms)
+      p.P.constraints
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (label, problems) ->
+      List.iteri
+        (fun k p ->
+          if plain p then begin
+            incr checked;
+            let (a : float L.layout) = Lp.Solve.float_image (Rv.prepare p)
+            and (b : float L.layout) = Rva.prepare (to_float_problem p) in
+            let ok =
+              a.L.m = b.L.m && a.L.n = b.L.n && a.L.total = b.L.total
+              && a.L.art_start = b.L.art_start && a.L.num_art = b.L.num_art
+              && Sp.col_ptr a.L.cols = Sp.col_ptr b.L.cols
+              && Sp.row_idx a.L.cols = Sp.row_idx b.L.cols
+              && Array.for_all2 same_bits (Sp.vals a.L.cols) (Sp.vals b.L.cols)
+              && Array.for_all2 same_bits a.L.b b.L.b
+              && Array.for_all2 same_bits a.L.cost2 b.L.cost2
+              && same_terms a.L.objective b.L.objective
+              && a.L.negate = b.L.negate && a.L.dual_col = b.L.dual_col
+              && a.L.flipped = b.L.flipped
+            in
+            if not ok then Alcotest.failf "%s #%d: float image differs" label k
+          end)
+        problems)
+    (corpus ());
+  Alcotest.(check bool) "corpus LPs compared" true (!checked > 1500)
+
+(* ------------------------------------------------------------------ *)
 (* Lp.Solve: the engine seam                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -958,5 +1034,9 @@ let () =
             test_certified_corpus;
           Alcotest.test_case "each fallback branch returns the cold answer" `Quick
             test_certified_fallbacks
+        ] );
+      ( "float-systems",
+        [ QCheck_alcotest.to_alcotest prop_float_builder;
+          Alcotest.test_case "certified float image = float layout" `Quick test_float_image
         ] )
     ]

@@ -453,6 +453,88 @@ let test_maxflow_weights_matter () =
   let r = Mf.solve inst in
   Alcotest.(check rat) "F* = 8" (ri 8) r.Mf.objective
 
+(* [Max_flow.solve] on the instances that [dlsched generate -n 18 -s 1..8]
+   and [dlsched generate -m 4 -n 40 -s 3] write, to the bit: one line per
+   instance with its exact objective, its slice count and the MD5 of
+   every slice (job, machine, start, stop as rationals, in schedule
+   order).  A change anywhere on the max-flow path that moves one slice
+   fails here.  To re-record after an intended change of results: run
+   the test, then copy _build/default/test/maxflow_schedules.actual over
+   test/fixtures/maxflow_schedules.digest. *)
+let schedule_digest () =
+  List.map
+    (fun (jobs, machines, seed) ->
+      let r = Mf.solve (Gripps.Workload.random_instance ~jobs ~machines ~seed) in
+      let slices = S.slices r.Mf.schedule in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun (sl : S.slice) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%d %d %s %s\n" sl.job sl.machine (R.to_string sl.start)
+               (R.to_string sl.stop)))
+        slices;
+      Printf.sprintf "n%d-m%d-s%d %s %d %s" jobs machines seed (R.to_string r.Mf.objective)
+        (List.length slices)
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    (List.init 8 (fun k -> (18, 3, k + 1)) @ [ (40, 4, 3) ])
+
+let test_maxflow_schedule_fixture () =
+  Fixture.check ~fixture:"fixtures/maxflow_schedules.digest"
+    ~actual:"maxflow_schedules.actual" (schedule_digest ())
+
+(* The names an LP prints are made on demand from what each variable and
+   constraint stands for; this is the text they printed when every name
+   was built eagerly, for [Problem.pp] and the oracle's violation
+   messages. *)
+let test_formulation_names () =
+  let inst =
+    I.make ~releases:[| R.zero; R.one |] ~weights:[| R.one; ri 2 |]
+      [| [| Some (ri 2); None |]; [| Some (ri 3); Some (ri 4) |] |]
+  in
+  let pp p = Format.asprintf "%a" (Lp.Problem.pp R.pp) p in
+  let makespan = (Sched_core.Formulations.makespan_system inst).mk_problem in
+  Alcotest.(check string) "makespan system"
+    "minimize 1·delta\n\
+     subject to:\n\
+    \  res_t0_m0: 2·a_t0_m0_j0 <= 1\n\
+    \  res_t0_m1: 3·a_t0_m1_j0 <= 1\n\
+    \  final_m1: -1·delta + 4·a_t1_m1_j1 + 3·a_t1_m1_j0 <= 0\n\
+    \  final_m0: -1·delta + 2·a_t1_m0_j0 <= 0\n\
+    \  complete_j0: 1·a_t1_m1_j0 + 1·a_t1_m0_j0 + 1·a_t0_m1_j0\n\
+    \  + 1·a_t0_m0_j0 = 1\n\
+    \  complete_j1: 1·a_t1_m1_j1 = 1\n"
+    (pp makespan);
+  Alcotest.(check string) "parametric system (5)"
+    "minimize 1·F\n\
+     subject to:\n\
+    \  res_t0_m0: 0·F + 2·a_t0_m0_j0 <= 1\n\
+    \  res_t2_m1: -1/2·F + 3·a_t2_m1_j0 <= -1\n\
+    \  res_t0_m1: 0·F + 3·a_t0_m1_j0 <= 1\n\
+    \  res_t2_m0: -1/2·F + 2·a_t2_m0_j0 <= -1\n\
+    \  res_t1_m1: -1/2·F + 4·a_t1_m1_j1 + 3·a_t1_m1_j0 <= 0\n\
+    \  res_t1_m0: -1/2·F + 2·a_t1_m0_j0 <= 0\n\
+    \  job_t0_j0: 0·F + 3·a_t0_m1_j0 + 2·a_t0_m0_j0 <= 1\n\
+    \  job_t2_j0: -1/2·F + 3·a_t2_m1_j0 + 2·a_t2_m0_j0 <= -1\n\
+    \  job_t1_j1: -1/2·F + 4·a_t1_m1_j1 <= 0\n\
+    \  job_t1_j0: -1/2·F + 3·a_t1_m1_j0 + 2·a_t1_m0_j0 <= 0\n\
+    \  complete_j0: 1·a_t2_m1_j0 + 1·a_t2_m0_j0 + 1·a_t1_m1_j0 + 1·a_t1_m0_j0\n\
+    \  + 1·a_t0_m1_j0 + 1·a_t0_m0_j0 = 1\n\
+    \  complete_j1: 1·a_t1_m1_j1 = 1\n\
+    \  F_lo: 1·F >= 2\n\
+    \  F_hi: 1·F <= 3\n"
+    (pp
+       (Sched_core.Formulations.parametric_system ~divisible:false inst ~f_lo:(ri 2)
+          ~f_hi:(ri 3))
+         .pf_problem);
+  let values = Array.make makespan.Lp.Problem.num_vars R.one in
+  values.(0) <- R.minus_one;
+  Alcotest.(check (result unit string)) "violation messages"
+    (Error
+       "variable delta negative; constraint res_t0_m0 violated; constraint res_t0_m1 \
+        violated; constraint final_m1 violated; constraint final_m0 violated; \
+        constraint complete_j0 violated; ")
+    (Oracle.Simplex.Exact.check_feasible makespan values)
+
 let test_maxflow_staggered () =
   (* r = (0, 2), c = (4, 1), equal weights, single machine.
      Serving in arrival order with preemption of j0 by j1:
@@ -693,6 +775,41 @@ let prop_flow_search_approx_limit =
       let plain_idx, plain_pay = Fs.first_feasible ~certify candidates in
       idx = boundary && plain_idx = boundary && String.equal pay plain_pay
       && ((not !raised) || guided_calls = !calls))
+
+(* A float probe without a verdict.  10⁻⁹·x = 1 on two rows prices x
+   below −eps while both of its entries are within eps of 0, so the float
+   phase 1 finds no leaving row and reports [Unbounded];
+   [Deadline.decide_approx] turns that into [No_verdict].  The search
+   drops its guess as on an iteration cap: one [search.approx_limit]
+   event, then the unguided search's index, payload and certify calls. *)
+let test_flow_search_approx_unbounded () =
+  let module P = Lp.Problem in
+  let p =
+    let st = P.Builder.create () in
+    let x = P.Builder.fresh_var st in
+    P.Builder.add_constr st [ (x, 1e-9) ] P.Eq 1.0;
+    P.Builder.add_constr st [ (x, 1e-9) ] P.Eq 1.0;
+    P.Builder.finish st
+  in
+  Alcotest.check_raises "no verdict" Fs.No_verdict (fun () -> ignore (Dl.decide_approx p));
+  let candidates = Array.init 9 (fun i -> ri (i + 1)) and boundary = 6 in
+  let payload i = "pay:" ^ R.to_string candidates.(i) in
+  let certify, calls = counted_certify ~boundary payload in
+  let events = ref [] in
+  let guided =
+    Obs.Sink.with_sink
+      (Obs.Sink.callback (function
+        | Obs.Sink.Event e -> events := e.Obs.Sink.ev_name :: !events
+        | Obs.Sink.Span _ -> ()))
+      (fun () -> Fs.first_feasible ~certify ~approx:(fun _ -> Dl.decide_approx p) candidates)
+  in
+  let guided_calls = !calls in
+  calls := 0;
+  let plain = Fs.first_feasible ~certify candidates in
+  Alcotest.(check (pair int string)) "unguided answer" plain guided;
+  Alcotest.(check int) "unguided certify calls" !calls guided_calls;
+  Alcotest.(check int) "one approx_limit event" 1
+    (List.length (List.filter (String.equal "search.approx_limit") !events))
 
 (* The certificate itself: on every bracket of a generated instance, the
    parametric LP's verdict is what exact deadline probes at both ends
@@ -1153,12 +1270,16 @@ let () =
           Alcotest.test_case "equal weights" `Quick test_milestones_equal_weights;
           QCheck_alcotest.to_alcotest prop_milestones_bounded
         ] );
+      ( "formulations",
+        [ Alcotest.test_case "names print as before" `Quick test_formulation_names ] );
       ( "max-flow",
         [ Alcotest.test_case "single job harmonic" `Quick test_maxflow_single_job;
           Alcotest.test_case "two jobs one machine" `Quick test_maxflow_two_jobs_single_machine;
           Alcotest.test_case "weights matter" `Quick test_maxflow_weights_matter;
           Alcotest.test_case "staggered releases" `Quick test_maxflow_staggered;
           Alcotest.test_case "restricted availability" `Quick test_maxflow_restricted_availability;
+          Alcotest.test_case "generated schedules match the fixture" `Quick
+            test_maxflow_schedule_fixture;
           QCheck_alcotest.to_alcotest prop_maxflow_optimal;
           QCheck_alcotest.to_alcotest prop_maxflow_weight_scaling;
           QCheck_alcotest.to_alcotest prop_maxflow_below_serial;
@@ -1173,6 +1294,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_flow_search_certified;
           QCheck_alcotest.to_alcotest prop_flow_search_noisy_approx;
           QCheck_alcotest.to_alcotest prop_flow_search_approx_limit;
+          Alcotest.test_case "approx without a verdict = unguided search" `Quick
+            test_flow_search_approx_unbounded;
           QCheck_alcotest.to_alcotest (prop_certify_matches_probes ~divisible:true);
           QCheck_alcotest.to_alcotest (prop_certify_matches_probes ~divisible:false)
         ] );
