@@ -1,6 +1,6 @@
 # Convenience targets; everything real lives in dune.
 
-.PHONY: all build test bench bench-smoke bench-numeric bench-lp trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check fmt clean
+.PHONY: all build test bench bench-smoke bench-numeric bench-lp trace-smoke bench-durability bench-admission crash-smoke fuzz-smoke fuzz perfbench-smoke check ci fmt clean
 
 all: build
 
@@ -83,11 +83,18 @@ perfbench-smoke:
 	  sh perfbench/run.sh --workload $$w --seed 1 --trace 1 || exit 1; \
 	done
 
-# What CI would run: full build + every test, the solve-count, numeric,
+# The local gate: full build + every test, the solve-count, numeric,
 # float-vs-exact LP, admission-control, trace, crash-recovery and fuzzing
 # smoke checks, plus formatting when the formatter is installed
 # (ocamlformat is optional in the dev image).
 check: build test bench-smoke bench-numeric bench-lp bench-admission trace-smoke crash-smoke fuzz-smoke fmt
+
+# Every gate CI runs, and the only one it calls: `check`, the WAL
+# overhead bench with its crash/resume identity check, the repository
+# benchmark's correctness gate (WAL-resume identity on serve-durable
+# included), and the fuzz matrix at a second seed.
+ci: check bench-durability perfbench-smoke
+	$(MAKE) fuzz SEED=2 CASES=500
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

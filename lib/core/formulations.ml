@@ -296,10 +296,15 @@ let parametric_system ~divisible inst ~f_lo ~f_hi =
   let vars = alpha_variables Fun.id sys.st inst ~num_intervals ~admissible in
   (* Length of interval t as an affine function of F. *)
   let length t = Affine.sub bounds.(t + 1) bounds.(t) in
-  (* Σ work − slope·F ≤ const encodes Σ work ≤ length(F). *)
+  (* Σ work − slope·F ≤ const encodes Σ work ≤ length(F); an interval
+     whose length does not depend on F gets no F term. *)
   let add_capacity label t terms =
     let len = length t in
-    add_constr sys label ((f_var, Rat.neg len.Affine.slope) :: terms) P.Le len.Affine.const
+    let terms =
+      if Rat.is_zero len.Affine.slope then terms
+      else (f_var, Rat.neg len.Affine.slope) :: terms
+    in
+    add_constr sys label terms P.Le len.Affine.const
   in
   iter_by_machine inst ~num_intervals vars (fun (t, i) terms ->
       add_capacity (Res (t, i)) t terms);

@@ -8,7 +8,7 @@ type platform = {
 
 type request = { arrival : Rat.t; bank : int; num_motifs : int }
 
-type machine_state = Up | Down | Degraded of Rat.t
+type machine_state = Up | Down
 
 type overlay = machine_state array
 
@@ -16,20 +16,9 @@ let all_up platform = Array.make (Array.length platform.speeds) Up
 
 let healthy overlay = Array.for_all (fun s -> s = Up) overlay
 
-let machine_live = function Up | Degraded _ -> true | Down -> false
+let machine_live s = s = Up
 
-let check_state = function
-  | Up | Down -> ()
-  | Degraded f ->
-    if Rat.sign f <= 0 then
-      invalid_arg "Workload: degraded speed factor must be positive"
-
-let mask_cost state cost =
-  check_state state;
-  match state with
-  | Up -> cost
-  | Down -> None
-  | Degraded f -> Option.map (Rat.mul f) cost
+let mask_cost state cost = match state with Up -> cost | Down -> None
 
 let mask_column overlay column =
   if Array.length overlay <> Array.length column then

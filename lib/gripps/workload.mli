@@ -26,38 +26,33 @@ type request = {
     The paper's cost matrix encodes a machine that lacks a databank as
     [c_{i,j} = +∞] ([None] here).  An overlay extends that encoding to
     {e time-varying} availability: a machine that is down behaves exactly
-    like one that holds no databank at all, and a degraded machine behaves
-    like a proportionally slower one.  The serving engine masks each
-    request's cost column through the current overlay before every
+    like one that holds no databank at all.  The serving engine masks
+    each request's cost column through the current overlay before every
     scheduling decision. *)
 
 type machine_state =
   | Up
   | Down  (** every cost on this machine becomes [None] — the paper's +∞ *)
-  | Degraded of Rat.t
-      (** costs are multiplied by this factor (> 0); [Degraded 2] runs at
-          half speed, factors < 1 model a temporary speed-up *)
 
 type overlay = machine_state array
 (** One state per machine, in platform machine order. *)
 
 val all_up : platform -> overlay
-(** The identity overlay: every machine up at full speed. *)
+(** The identity overlay: every machine up. *)
 
 val healthy : overlay -> bool
 (** Whether the overlay is the identity (all machines [Up]). *)
 
 val machine_live : machine_state -> bool
-(** [true] for [Up] and [Degraded _], [false] for [Down]. *)
+(** [true] for [Up], [false] for [Down]. *)
 
 val mask_column : overlay -> Rat.t option array -> Rat.t option array
 (** Apply the overlay to a base cost column ({!cost_column}): [Down]
-    machines are masked to [None], [Degraded f] costs are scaled by [f].
-    The result may be all-[None] — a request starved by the current
-    outages; callers decide how to handle that (the serving engine parks
-    such requests until a holder recovers).
-    @raise Invalid_argument on a length mismatch or a non-positive
-    degradation factor. *)
+    machines are masked to [None], [Up] ones keep their cost.  The result
+    may be all-[None] — a request starved by the current outages; callers
+    decide how to handle that (the serving engine parks such requests
+    until a holder recovers).
+    @raise Invalid_argument on a length mismatch. *)
 
 val random_platform :
   Prng.t -> machines:int -> banks:int -> replication:int -> platform

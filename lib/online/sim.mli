@@ -52,8 +52,8 @@ module type POLICY = sig
   val on_platform_change :
     state -> now:Rat.t -> inst:Sched_core.Instance.t -> [ `Adapted | `Rebuild ]
   (** Machine availability changed: [inst] is the same job set under the
-      new cost matrix (down machines masked to [None], the paper's +∞;
-      degraded machines proportionally slower).  Return [`Adapted] after
+      new cost matrix (down machines masked to [None], the paper's +∞).
+      Return [`Adapted] after
       updating the state in place to schedule against [inst]; return
       [`Rebuild] (the {!rebuild_on_platform_change} shim) to have the
       engine discard the state, [init] a fresh one from [inst], and

@@ -35,6 +35,19 @@ type job = {
   mutable completed_at : Rat.t option;
 }
 
+(* A job as a snapshot records it, and the one input of admission: a
+   live submission is a fresh job state (not arrived, nothing done). *)
+type job_state = {
+  js_id : string;
+  js_arrival : Rat.t;
+  js_bank : int;
+  js_num_motifs : int;
+  js_remaining : Rat.t;
+  js_arrived : bool;
+  js_parked : bool;
+  js_completed_at : Rat.t option;
+}
+
 (* The policy's abstract state, packed with its module. *)
 type runner = Runner : (module Sim.POLICY with type state = 's) * 's -> runner
 
@@ -47,6 +60,18 @@ type runner = Runner : (module Sim.POLICY with type state = 's) * 's -> runner
 type cached_decision = {
   cd_shares : (int * int * Rat.t) list;  (* machine, census position, share *)
   cd_review_offset : Rat.t option;
+}
+
+(* Durability (DESIGN.md §11).  When armed, every externally visible event
+   is appended to [wal] before it is applied, and [save] writes a
+   snapshot every [every] records. *)
+type durability = {
+  wal : Wal.writer;
+  save : unit -> unit;
+  every : int;  (* auto-checkpoint threshold; 0 = manual only *)
+  mutable since : int;  (* records applied since the last checkpoint *)
+  mutable last_seq : int;  (* seq of the last record applied *)
+  mutable replaying : bool;  (* recovery replay: records are already durable *)
 }
 
 type t = {
@@ -131,20 +156,18 @@ type t = {
   c_rat_big : Metrics.counter;
   c_rat_promoted : Metrics.counter;
   c_rat_demoted : Metrics.counter;
-  (* Durability (DESIGN.md §11).  When armed, every externally visible
-     event is appended to a write-ahead log *before* it is applied, and a
-     checkpoint closure serializes the whole state every [wal_every]
-     records. *)
-  mutable wal_log : (Wal.record -> int) option;  (* append + fsync; returns seq *)
-  mutable wal_checkpoint : (unit -> unit) option;  (* write a snapshot *)
-  mutable wal_truncate : (unit -> unit) option;  (* drop the covered log *)
-  mutable wal_every : int;  (* auto-checkpoint threshold; 0 = manual only *)
-  mutable wal_since : int;  (* records applied since the last checkpoint *)
-  mutable wal_last_seq : int;  (* seq of the last record applied *)
-  mutable wal_replaying : bool;  (* recovery replay: records are already durable *)
+  mutable durability : durability option;
 }
 
 let bug fmt = Printf.ksprintf (fun s -> failwith ("Serve.Engine: " ^ s)) fmt
+
+(* A typed boundary error: [where] is the entry point refusing its input. *)
+let reject where fmt = Printf.ksprintf (fun s -> invalid_arg (where ^ ": " ^ s)) fmt
+
+let min_opt a b =
+  match (a, b) with
+  | None, c | c, None -> c
+  | Some a, Some b -> Some (Rat.min a b)
 
 let policy_name t =
   let (module P : Sim.POLICY) = t.policy in
@@ -215,13 +238,7 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
       c_rat_big = Metrics.counter metrics "rat.big_ops";
       c_rat_promoted = Metrics.counter metrics "rat.promotions";
       c_rat_demoted = Metrics.counter metrics "rat.demotions";
-      wal_log = None;
-      wal_checkpoint = None;
-      wal_truncate = None;
-      wal_every = 0;
-      wal_since = 0;
-      wal_last_seq = 0;
-      wal_replaying = false;
+      durability = None;
     }
   in
   Metrics.set t.g_machines_up (float_of_int m);
@@ -329,30 +346,41 @@ let set_parked t j parked =
     t.num_parked <- (t.num_parked + if parked then 1 else -1)
   end
 
-(* File a freshly pushed job (new, or restored with its flags) in the
-   index its flags place it in. *)
-let index_job t j =
-  let job = t.jobs.(j) in
-  if not job.arrived then t.pending <- Pending.add (job.arrival, j) t.pending
-  else if job.completed_at = None then make_live t j
-
-let push t job =
+(* Store a job (new, or restored with its flags) and file it in the index
+   its flags place it in. *)
+let push t job remaining =
   if t.n = Array.length t.jobs then begin
     let cap = Stdlib.max 8 (2 * t.n) in
     let jobs = Array.make cap job in
     Array.blit t.jobs 0 jobs 0 t.n;
     t.jobs <- jobs;
-    let remaining = Array.make cap Rat.one in
-    Array.blit t.remaining 0 remaining 0 t.n;
-    t.remaining <- remaining
+    let rem = Array.make cap Rat.one in
+    Array.blit t.remaining 0 rem 0 t.n;
+    t.remaining <- rem
   end;
-  t.jobs.(t.n) <- job;
-  t.remaining.(t.n) <- Rat.one;
-  t.n <- t.n + 1;
-  index_job t (t.n - 1);
-  t.n - 1
+  let j = t.n in
+  t.jobs.(j) <- job;
+  t.remaining.(j) <- remaining;
+  t.n <- j + 1;
+  if not job.arrived then t.pending <- Pending.add (job.arrival, j) t.pending
+  else if job.completed_at = None then make_live t j
+  else t.num_completed <- t.num_completed + 1;
+  j
 
 (* --- durability ------------------------------------------------------ *)
+
+(* Discard the opaque policy state, counting the rebuild it forces. *)
+let drop_runner t =
+  if t.runner <> None then begin
+    t.runner <- None;
+    Metrics.incr t.c_rebuilds
+  end
+
+(* No current plan: the next step re-decides. *)
+let reset_decision t =
+  t.decision <- None;
+  t.dirty <- true;
+  t.batch_deadline <- None
 
 (* Scheduling barrier: discard the opaque policy runner and the cached
    decision, exactly as a live submission does.  A snapshot taken right
@@ -362,44 +390,36 @@ let push t job =
    a resumed engine bit-identical to the uninterrupted one: both rebuild
    the policy from the same jobs at the same point. *)
 let quiesce t =
-  if t.runner <> None then begin
-    t.runner <- None;
-    Metrics.incr t.c_rebuilds
-  end;
-  t.decision <- None;
-  t.dirty <- true;
-  t.batch_deadline <- None
+  drop_runner t;
+  reset_decision t
 
 let checkpoint t =
-  match t.wal_checkpoint with
+  match t.durability with
   | None -> false
-  | Some save ->
+  | Some d ->
     (* Barrier first: the snapshot must capture the post-barrier state the
        surviving run continues from. *)
     quiesce t;
-    save ();
+    d.save ();
     (* The snapshot covers every record in the log; drop them.  Skipped
        during recovery replay — the tail still in the log after this point
        has not been re-appended, so wiping it would lose it.  (Stale
        records a crash leaves behind are skipped by seq on resume.) *)
-    if not t.wal_replaying then Option.iter (fun f -> f ()) t.wal_truncate;
-    t.wal_since <- 0;
+    if not d.replaying then Wal.truncate d.wal;
+    d.since <- 0;
     true
 
-let set_durability t ~log ~checkpoint:save ~truncate ~every ~last_seq =
+let set_durability t ~wal ~checkpoint:save ~every ~last_seq =
   if every < 0 then invalid_arg "Engine.set_durability: negative snapshot interval";
-  t.wal_log <- Some log;
-  t.wal_checkpoint <- Some save;
-  t.wal_truncate <- Some truncate;
-  t.wal_every <- every;
-  t.wal_since <- 0;
-  t.wal_last_seq <- last_seq
+  t.durability <- Some { wal; save; every; since = 0; last_seq; replaying = false }
 
-let last_seq t = t.wal_last_seq
+let last_seq t = match t.durability with Some d -> d.last_seq | None -> 0
+
+let replaying t = match t.durability with Some d -> d.replaying | None -> false
 
 let log_record t record =
-  match t.wal_log with
-  | Some log when not t.wal_replaying -> t.wal_last_seq <- log record
+  match t.durability with
+  | Some d when not d.replaying -> d.last_seq <- Wal.append d.wal record
   | Some _ | None -> ()
 
 (* One durable record was applied (live or replayed): advance the
@@ -407,71 +427,101 @@ let log_record t record =
    points of a resumed run aligned with the uninterrupted one — including
    re-taking a snapshot whose write was lost to the crash. *)
 let bump t =
-  if t.wal_log <> None then begin
-    t.wal_since <- t.wal_since + 1;
-    if t.wal_every > 0 && t.wal_since >= t.wal_every then ignore (checkpoint t)
-  end
+  match t.durability with
+  | None -> ()
+  | Some d ->
+    d.since <- d.since + 1;
+    if d.every > 0 && d.since >= d.every then ignore (checkpoint t)
 
 (* --- admission -------------------------------------------------------- *)
 
-let make_job t ~id ~arrival ~bank ~num_motifs =
-  let request = { W.arrival; bank; num_motifs } in
-  let column = W.cost_column t.platform request in
-  let fastest =
-    Array.fold_left
-      (fun acc c -> match (acc, c) with
-        | None, c -> c
-        | Some a, Some b -> Some (Rat.min a b)
-        | Some a, None -> Some a)
-      None column
-    |> Option.get
+(* The one admission path, for a live submission and for every job a
+   snapshot restores: validate the job against the engine's time and
+   overlay, make it durable, then file it.  The checks are invariants
+   every run keeps, so a fresh submission whose arrival is not in the past
+   passes them by construction, and a restored job passes them only if a
+   run could have reached it.  A restored engine is not armed yet, so
+   [log_record] writes nothing there. *)
+let admit t ~where js =
+  let fail fmt = reject where fmt in
+  let { js_id = id; js_arrival = arrival; js_bank = bank; js_num_motifs = num_motifs; _ } = js in
+  let remaining = js.js_remaining and date = Rat.to_string in
+  let before a b = Rat.compare a b < 0 in
+  if not (Wal.encodable_id id) then fail "request id %S is empty or contains whitespace" id;
+  if Hashtbl.mem t.ids id then fail "duplicate request id %S" id;
+  if bank < 0 || bank >= Array.length t.platform.W.bank_sizes then
+    fail "request %S: bank %d out of range" id bank;
+  if not (Array.exists (fun holds -> holds.(bank)) t.platform.W.has_bank) then
+    fail "request %S: bank %d is held by no machine" id bank;
+  if num_motifs <= 0 then fail "request %S: motif count %d is not positive" id num_motifs;
+  if Rat.sign arrival < 0 then fail "request %S arrives at negative date %s" id (date arrival);
+  if js.js_arrived && before t.now arrival then
+    fail "request %S is marked arrived but arrives at %s, after engine time %s" id
+      (date arrival) (date t.now);
+  if (not js.js_arrived) && before arrival t.now then
+    fail "request %S: arrival %s precedes engine time %s" id (date arrival) (date t.now);
+  (match js.js_completed_at with
+   | None ->
+     if Rat.sign remaining <= 0 || before Rat.one remaining then
+       fail "live request %S has remaining %s outside (0, 1]" id (date remaining)
+   | Some c ->
+     if not js.js_arrived then fail "request %S completed but never arrived" id;
+     if not (Rat.is_zero remaining) then
+       fail "completed request %S has remaining %s, not 0" id (date remaining);
+     if before c arrival || before t.now c then
+       fail "request %S completed at %s, outside [arrival, now %s]" id (date c) (date t.now));
+  let column = W.cost_column t.platform { W.arrival; bank; num_motifs } in
+  (* Parked exactly when arrived, incomplete and held by no live machine:
+     every fault and arrival keeps the flag in step with the overlay. *)
+  if js.js_parked <> (js.js_arrived && js.js_completed_at = None && starved_column t column)
+  then fail "request %S: parked flag %b disagrees with the overlay" id js.js_parked;
+  log_record t (Wal.Submit { id; arrival; bank; num_motifs });
+  let fastest = Array.fold_left min_opt None column |> Option.get in
+  let job =
+    {
+      id;
+      arrival;
+      bank;
+      num_motifs;
+      column;
+      weight = (match t.objective with `Flow -> Rat.one | `Stretch -> Rat.inv fastest);
+      fastest;
+      arrived = js.js_arrived;
+      parked = js.js_parked;
+      completed_at = js.js_completed_at;
+    }
   in
-  let weight = match t.objective with `Flow -> Rat.one | `Stretch -> Rat.inv fastest in
-  {
-    id;
-    arrival;
-    bank;
-    num_motifs;
-    column;
-    weight;
-    fastest;
-    arrived = false;
-    parked = false;
-    completed_at = None;
-  }
+  let j = push t job remaining in
+  Hashtbl.add t.ids id j;
+  j
 
 let submit t ~id ?arrival ~bank ~num_motifs () =
-  if num_motifs <= 0 then invalid_arg "Engine.submit: motif count must be positive";
-  if bank < 0 || bank >= Array.length t.platform.W.bank_sizes then
-    invalid_arg (Printf.sprintf "Engine.submit: bank %d out of range" bank);
-  if Hashtbl.mem t.ids id then
-    invalid_arg (Printf.sprintf "Engine.submit: duplicate request id %S" id);
   let arrival = match arrival with Some a -> a | None -> clock_date t in
-  if Rat.compare arrival t.now < 0 then
-    invalid_arg
-      (Printf.sprintf "Engine.submit: arrival %s precedes engine time %s"
-         (Rat.to_string arrival) (Rat.to_string t.now));
-  let job = make_job t ~id ~arrival ~bank ~num_motifs in
-  (* Validation done; the arrival date is resolved.  Make the event
-     durable before any state changes. *)
-  log_record t (Wal.Submit { id; arrival; bank; num_motifs });
-  let idx = push t job in
-  Hashtbl.add t.ids id idx;
+  let j =
+    admit t ~where:"Engine.submit"
+      {
+        js_id = id;
+        js_arrival = arrival;
+        js_bank = bank;
+        js_num_motifs = num_motifs;
+        js_remaining = Rat.one;
+        js_arrived = false;
+        js_parked = false;
+        js_completed_at = None;
+      }
+  in
   (* The instance grew (the caches extend themselves on their next use),
      so the policy state built over the old one is stale.  A live rebuild
-     mid-run is counted; replay submits everything up front. *)
-  if t.runner <> None then begin
-    t.runner <- None;
-    Metrics.incr t.c_rebuilds
-    (* The current *decision* stays: it is validated shares over jobs that
-       all still exist (indices are stable under growth), and executing it
-       needs no policy state.  The newcomer forces a re-decision only when
-       its arrival date fires — which is where the batch window coalesces
-       a burst into one consultation instead of one per submit. *)
-  end;
+     mid-run is counted; replay submits everything up front.  The current
+     *decision* stays: it is validated shares over jobs that all still
+     exist (indices are stable under growth), and executing it needs no
+     policy state.  The newcomer forces a re-decision only when its
+     arrival date fires — which is where the batch window coalesces a
+     burst into one consultation instead of one per submit. *)
+  drop_runner t;
   Metrics.incr t.c_submitted;
   bump t;
-  idx
+  j
 
 (* --- policy plumbing ------------------------------------------------ *)
 
@@ -533,15 +583,7 @@ let fingerprint t =
   Buffer.add_char b '|';
   Buffer.add_string b (match t.objective with `Flow -> "flow" | `Stretch -> "stretch");
   Buffer.add_char b '|';
-  Array.iter
-    (fun s ->
-      match s with
-      | W.Up -> Buffer.add_char b 'u'
-      | W.Down -> Buffer.add_char b 'd'
-      | W.Degraded f ->
-        Buffer.add_char b 'g';
-        Buffer.add_string b (Rat.to_string f))
-    t.overlay;
+  Array.iter (fun s -> Buffer.add_char b (match s with W.Up -> 'u' | W.Down -> 'd')) t.overlay;
   List.iter
     (fun j ->
       let job = t.jobs.(j) in
@@ -555,6 +597,17 @@ let fingerprint t =
       Buffer.add_string b (Rat.to_string t.remaining.(j)))
     (announced t);
   Buffer.contents b
+
+(* Validate a decision, fresh or recalled from the cache — a bad one must
+   fail loudly, not corrupt the schedule — and make it the current plan. *)
+let install t d =
+  Sim.check_decision ~where:"Serve.Engine" ~name:(policy_name t) (decision_instance t)
+    ~up:(fun i -> W.machine_live t.overlay.(i))
+    ~eligible:(eligible_for t) ~now:t.now d;
+  t.decision <- Some d;
+  t.decided_at <- t.now;
+  t.dirty <- false;
+  t.batch_deadline <- None
 
 let decide_fresh t =
   let (Runner ((module P), state)) = runner t in
@@ -585,13 +638,7 @@ let decide_fresh t =
   Metrics.add t.c_rat_big (NC.big_ops () - rat_big0);
   Metrics.add t.c_rat_promoted (NC.promotions () - rat_promoted0);
   Metrics.add t.c_rat_demoted (NC.demotions () - rat_demoted0);
-  Sim.check_decision ~where:"Serve.Engine" ~name:P.name (decision_instance t)
-    ~up:(fun i -> W.machine_live t.overlay.(i))
-    ~eligible:(eligible_for t) ~now:t.now d;
-  t.decision <- Some d;
-  t.decided_at <- t.now;
-  t.dirty <- false;
-  t.batch_deadline <- None;
+  install t d;
   Metrics.incr t.c_decisions;
   d
 
@@ -603,9 +650,7 @@ let decide t =
     match Hashtbl.find_opt t.decision_cache key with
     | Some cd ->
       (* Hit: reconstitute against the current census without consulting
-         the policy — or even building its state.  Re-validate
-         defensively: a bad entry must fail loudly, not corrupt the
-         schedule. *)
+         the policy — or even building its state. *)
       let shares =
         List.map
           (fun (machine, pos, share) -> { Sim.machine; job = order.(pos); share })
@@ -615,14 +660,7 @@ let decide t =
         { Sim.shares; review_at = Option.map (Rat.add t.now) cd.cd_review_offset }
       in
       Metrics.incr t.c_cache_hits;
-      Sim.check_decision ~where:"Serve.Engine" ~name:(policy_name t)
-        (decision_instance t)
-        ~up:(fun i -> W.machine_live t.overlay.(i))
-        ~eligible:(eligible_for t) ~now:t.now d;
-      t.decision <- Some d;
-      t.decided_at <- t.now;
-      t.dirty <- false;
-      t.batch_deadline <- None;
+      install t d;
       d
     | None ->
       Metrics.incr t.c_cache_misses;
@@ -778,60 +816,37 @@ let platform_changed t =
        (* The policy kept its state; jobs that were parked the whole time
           were never announced, so introduce the rescued ones now. *)
        List.iter (fun j -> P.on_arrival state ~now:t.now ~job:j) unparked
-     | `Rebuild ->
-       t.runner <- None;
-       Metrics.incr t.c_rebuilds));
-  t.decision <- None;
-  t.dirty <- true;
-  t.batch_deadline <- None;
+     | `Rebuild -> drop_runner t));
+  reset_decision t;
   Metrics.set t.g_queue (float_of_int (active t))
 
 (* Apply a fault at the current engine time.  Idempotent: failing a dead
    machine or recovering a live one is a no-op. *)
 let apply_fault t fault =
-  let changed =
-    match fault with
-    | Trace.Fail i ->
-      if not (W.machine_live t.overlay.(i)) then false
-      else begin
-        t.overlay.(i) <- W.Down;
-        Metrics.incr t.c_failures;
-        (match t.lost_work with `Lost -> drop_lost_slices t i | `Preserved -> ());
-        true
-      end
-    | Trace.Recover i ->
-      if W.machine_live t.overlay.(i) then false
-      else begin
-        t.overlay.(i) <- W.Up;
-        Metrics.incr t.c_recoveries;
-        true
-      end
-  in
-  if changed then begin
-    if Obs.Sink.enabled () then begin
-      let kind, machine =
-        match fault with
-        | Trace.Fail i -> ("fail", i)
-        | Trace.Recover i -> ("recover", i)
-      in
+  let (Trace.Fail i | Trace.Recover i) = fault in
+  let up = match fault with Trace.Fail _ -> false | Trace.Recover _ -> true in
+  if W.machine_live t.overlay.(i) <> up then begin
+    t.overlay.(i) <- (if up then W.Up else W.Down);
+    if up then Metrics.incr t.c_recoveries
+    else begin
+      Metrics.incr t.c_failures;
+      match t.lost_work with `Lost -> drop_lost_slices t i | `Preserved -> ()
+    end;
+    if Obs.Sink.enabled () then
       Obs.Event.emit "engine.fault"
         ~attrs:
           [
-            ("kind", Obs.Sink.Str kind);
-            ("machine", Obs.Sink.Int machine);
+            ("kind", Obs.Sink.Str (if up then "recover" else "fail"));
+            ("machine", Obs.Sink.Int i);
             ("at", Obs.Sink.Str (Rat.to_string t.now));
-          ]
-    end;
+          ];
     Metrics.set t.g_machines_up (float_of_int (machines_up t));
     platform_changed t
   end
 
 let inject t ~at fault =
-  let m = Array.length t.platform.W.speeds in
-  (match fault with
-   | Trace.Fail i | Trace.Recover i ->
-     if i < 0 || i >= m then
-       invalid_arg (Printf.sprintf "Engine.inject: machine %d out of range" i));
+  let (Trace.Fail i | Trace.Recover i) = fault in
+  if i < 0 || i >= Array.length t.overlay then reject "Engine.inject" "machine %d out of range" i;
   log_record t (Wal.Inject { at; fault });
   (if Rat.compare at t.now <= 0 then
      (* The date is already past (e.g. a live [fail] command racing the
@@ -867,20 +882,30 @@ let advance_time t date =
   (* During recovery replay the events being applied happened in the past:
      engine time advances logically without waiting on the wall clock
      (Snapshot.resume rebases the clock once replay is done). *)
-  if not t.wal_replaying then Clock.advance_to t.clock (t.origin +. Rat.to_float date);
+  if not (replaying t) then Clock.advance_to t.clock (t.origin +. Rat.to_float date);
   t.now <- date
 
+(* The checks every slice passes, live or restored: nonempty, after
+   [frontier] (its machine's last stop, which it then advances), no earlier
+   than its job's release and no later than now.  The live path runs them
+   on each materialized slice, where a violation is an engine bug; restore
+   runs them over the dumped slices, where it is a state no run reaches. *)
+let check_slice t ~fail frontier (s : S.slice) =
+  if Rat.compare s.start s.stop >= 0 then
+    fail (Printf.sprintf "empty slice of job %d on machine %d" s.job s.machine)
+  else if Rat.compare s.start frontier.(s.machine) < 0 then
+    fail (Printf.sprintf "slice overlaps on machine %d" s.machine)
+  else if Rat.compare s.start t.jobs.(s.job).arrival < 0 then
+    fail (Printf.sprintf "slice starts before release of job %d" s.job)
+  else if Rat.compare s.stop t.now > 0 then
+    fail (Printf.sprintf "slice of job %d ends after now" s.job);
+  frontier.(s.machine) <- s.stop
+
 let append_slices t segment_slices =
+  let fail = bug "%s" in
   List.iter
-    (fun (s : S.slice) ->
-      (* Defensive incremental validation: machine-disjoint, release-
-         respecting, no over-processing.  Violations are engine bugs. *)
-      if Rat.compare s.start t.last_stop.(s.machine) < 0 then
-        bug "slice overlaps on machine %d" s.machine;
-      if Rat.compare s.start t.jobs.(s.job).arrival < 0 then
-        bug "slice starts before release of job %d" s.job;
-      if Rat.sign (t.remaining.(s.job)) < 0 then bug "job %d over-processed" s.job;
-      t.last_stop.(s.machine) <- s.stop;
+    (fun s ->
+      check_slice t ~fail t.last_stop s;
       t.slices <- s :: t.slices;
       Metrics.incr t.c_slices)
     segment_slices
@@ -891,11 +916,6 @@ let append_slices t segment_slices =
 let step t ~limit =
   let guard = ref (100_000 + (1000 * t.n) + (10 * List.length t.faults)) in
   let within date = match limit with None -> true | Some l -> Rat.compare date l <= 0 in
-  let min_opt a b =
-    match (a, b) with
-    | None, c | c, None -> c
-    | Some a, Some b -> Some (Rat.min a b)
-  in
   let continue = ref true in
   while !continue do
     decr guard;
@@ -932,20 +952,8 @@ let step t ~limit =
       in
       let arrival_candidate = next_arrival_after t t.now in
       let event =
-        List.fold_left
-          (fun acc c ->
-            match (acc, c) with
-            | None, c -> c
-            | Some a, Some b -> Some (Rat.min a b)
-            | Some a, None -> Some a)
-          None
-          [
-            completion_candidate;
-            arrival_candidate;
-            next_fault t;
-            d.Sim.review_at;
-            t.batch_deadline;
-          ]
+        List.fold_left min_opt None
+          [ completion_candidate; arrival_candidate; next_fault t; d.Sim.review_at; t.batch_deadline ]
       in
       match event with
       | None ->
@@ -1026,32 +1034,24 @@ let schedule t =
 (* --- recovery --------------------------------------------------------- *)
 
 let apply_record t ~seq record =
-  t.wal_replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.wal_replaying <- false)
-    (fun () ->
-      t.wal_last_seq <- seq;
-      match record with
-      | Wal.Submit { id; arrival; bank; num_motifs } ->
-        ignore (submit t ~id ~arrival ~bank ~num_motifs ())
-      | Wal.Inject { at; fault } -> inject t ~at fault
-      | Wal.Advance date -> run_until t date
-      | Wal.Drain -> drain t)
+  match t.durability with
+  | None -> invalid_arg "Engine.apply_record: durability is not armed"
+  | Some d ->
+    d.replaying <- true;
+    Fun.protect
+      ~finally:(fun () -> d.replaying <- false)
+      (fun () ->
+        d.last_seq <- seq;
+        match record with
+        | Wal.Submit { id; arrival; bank; num_motifs } ->
+          ignore (submit t ~id ~arrival ~bank ~num_motifs ())
+        | Wal.Inject { at; fault } -> inject t ~at fault
+        | Wal.Advance date -> run_until t date
+        | Wal.Drain -> drain t)
 
 let rebase t = t.origin <- Clock.now t.clock -. Rat.to_float t.now
 
 (* --- snapshot state --------------------------------------------------- *)
-
-type job_state = {
-  js_id : string;
-  js_arrival : Rat.t;
-  js_bank : int;
-  js_num_motifs : int;
-  js_remaining : Rat.t;
-  js_arrived : bool;
-  js_parked : bool;
-  js_completed_at : Rat.t option;
-}
 
 type state = {
   st_policy : string;
@@ -1106,81 +1106,69 @@ let dump t =
   }
 
 let restore ~clock ~policy platform st =
-  let reject fmt = Printf.ksprintf (fun msg -> invalid_arg ("Engine.restore: " ^ msg)) fmt in
+  let fail fmt = reject "Engine.restore" fmt in
   let (module P : Sim.POLICY) = policy in
   if P.name <> st.st_policy then
-    reject "snapshot was taken under policy %s, not %s" st.st_policy P.name;
+    fail "snapshot was taken under policy %s, not %s" st.st_policy P.name;
   let m = Array.length platform.W.speeds in
-  if Array.length st.st_overlay <> m then reject "overlay size does not match the platform";
-  if Array.length st.st_last_stop <> m then
-    reject "machine count does not match the platform";
-  let n = List.length st.st_jobs in
-  (* States no run reaches, refused here rather than at the next drain:
-     live work in (0, 1], completed work 0 with a date no later than now,
-     nonnegative arrivals and window, positive degradation factors. *)
+  if Array.length st.st_overlay <> m then fail "overlay size does not match the platform";
+  if Array.length st.st_last_stop <> m then fail "machine count does not match the platform";
   if Rat.sign st.st_batch_window < 0 then
-    reject "negative batch window %s" (Rat.to_string st.st_batch_window);
-  Array.iteri
-    (fun i -> function
-      | W.Degraded f when Rat.sign f <= 0 ->
-        reject "machine %d degraded by non-positive factor %s" i (Rat.to_string f)
-      | W.Up | W.Down | W.Degraded _ -> ())
-    st.st_overlay;
-  List.iter
-    (fun js ->
-      if Rat.sign js.js_arrival < 0 then
-        reject "job %S arrives at negative date %s" js.js_id (Rat.to_string js.js_arrival);
-      match js.js_completed_at with
-      | None ->
-        if Rat.sign js.js_remaining <= 0 || Rat.compare js.js_remaining Rat.one > 0 then
-          reject "live job %S has remaining %s outside (0, 1]" js.js_id
-            (Rat.to_string js.js_remaining)
-      | Some c ->
-        if not (Rat.is_zero js.js_remaining) then
-          reject "completed job %S has remaining %s, not 0" js.js_id
-            (Rat.to_string js.js_remaining);
-        if Rat.compare c st.st_now > 0 then
-          reject "job %S completed at %s, after now %s" js.js_id (Rat.to_string c)
-            (Rat.to_string st.st_now))
-    st.st_jobs;
-  List.iter
-    (fun (_, (Trace.Fail i | Trace.Recover i)) ->
-      if i < 0 || i >= m then reject "pending fault names machine %d of %d" i m)
-    st.st_faults;
-  List.iter
-    (fun (s : S.slice) ->
-      if s.machine < 0 || s.machine >= m then reject "slice names machine %d of %d" s.machine m;
-      if s.job < 0 || s.job >= n then reject "slice names job %d of %d" s.job n)
-    st.st_slices;
+    fail "negative batch window %s" (Rat.to_string st.st_batch_window);
+  ignore
+    (List.fold_left
+       (fun prev (at, (Trace.Fail i | Trace.Recover i)) ->
+         if i < 0 || i >= m then fail "pending fault names machine %d of %d" i m;
+         if Rat.compare at prev < 0 then
+           fail "pending fault at %s is out of date order or before now" (Rat.to_string at);
+         at)
+       st.st_now st.st_faults);
   let t =
     create ~batch_window:st.st_batch_window ~objective:st.st_objective
       ~lost_work:st.st_lost_work ~clock ~policy platform
   in
   t.now <- st.st_now;
   rebase t;
-  List.iter
-    (fun js ->
-      if js.js_bank < 0 || js.js_bank >= Array.length platform.W.bank_sizes then
-        reject "job %S references bank %d out of range" js.js_id js.js_bank;
-      if Hashtbl.mem t.ids js.js_id then reject "duplicate request id %S" js.js_id;
-      let job =
-        make_job t ~id:js.js_id ~arrival:js.js_arrival ~bank:js.js_bank
-          ~num_motifs:js.js_num_motifs
-      in
-      (* Flags before [push]: it files the job in the live set or the
-         pending queue by them, which rebuilds the derived indexes. *)
-      job.arrived <- js.js_arrived;
-      job.parked <- js.js_parked;
-      job.completed_at <- js.js_completed_at;
-      let idx = push t job in
-      t.remaining.(idx) <- js.js_remaining;
-      Hashtbl.add t.ids js.js_id idx)
-    st.st_jobs;
+  (* The overlay first: admission checks each job's [parked] flag against
+     it.  Jobs then go through the live admission path, which rebuilds
+     the derived indexes and the completed count from their flags. *)
   Array.blit st.st_overlay 0 t.overlay 0 m;
+  List.iter (fun js -> ignore (admit t ~where:"Engine.restore" js)) st.st_jobs;
+  if t.num_completed <> st.st_num_completed then
+    fail "%d completed requests recorded, %d found" st.st_num_completed t.num_completed;
+  (* Slices through the live slice check, from an empty frontier; then
+     work conservation: each job's slices, at its cost column, plus its
+     remaining fraction make exactly one job.  Under [`Lost] a failure
+     drops an incomplete job's slices and re-credits their work, so this
+     holds under both policies for lost work. *)
+  let frontier = Array.make m Rat.zero in
+  let work = Array.make t.n Rat.zero in
+  let slice_fail msg = fail "%s" msg in
+  List.iter
+    (fun (s : S.slice) ->
+      if s.machine < 0 || s.machine >= m then fail "slice names machine %d of %d" s.machine m;
+      if s.job < 0 || s.job >= t.n then fail "slice names job %d of %d" s.job t.n;
+      check_slice t ~fail:slice_fail frontier s;
+      match t.jobs.(s.job).column.(s.machine) with
+      | None -> fail "slice of job %d on machine %d, which lacks its bank" s.job s.machine
+      | Some c -> work.(s.job) <- Rat.add work.(s.job) (Rat.div (Rat.sub s.stop s.start) c))
+    st.st_slices;
+  Array.iteri
+    (fun j w ->
+      let total = Rat.add w t.remaining.(j) in
+      if not (Rat.equal total Rat.one) then
+        fail "request %S: slices and remaining work add up to %s, not 1" t.jobs.(j).id
+          (Rat.to_string total))
+    work;
+  Array.iteri
+    (fun i stop ->
+      if Rat.compare stop frontier.(i) < 0 || Rat.compare stop t.now > 0 then
+        fail "machine %d stops at %s, outside [its last slice %s, now %s]" i
+          (Rat.to_string stop) (Rat.to_string frontier.(i)) (Rat.to_string t.now))
+    st.st_last_stop;
+  Array.blit st.st_last_stop 0 t.last_stop 0 m;
   t.faults <- st.st_faults;
   t.slices <- List.rev st.st_slices;
-  Array.blit st.st_last_stop 0 t.last_stop 0 m;
-  t.num_completed <- st.st_num_completed;
   List.iter (fun (k, cd) -> Hashtbl.replace t.decision_cache k cd) st.st_cache;
   (* Last: the dump holds the exact instrument contents (including the
      gauges [create] pre-set), so loading it reproduces reports bit for

@@ -93,9 +93,10 @@ val submit :
 (** Admit a request; returns its job index.  [arrival] defaults to the
     clock's current date (quantized to centiseconds) and must not precede
     the engine's current time — the engine never rewrites history.
-    @raise Invalid_argument on a duplicate id, an out-of-range bank, a
-    bank held by no machine, a non-positive motif count, or an [arrival]
-    in the engine's past. *)
+    @raise Invalid_argument (an [Engine.submit:] message) on an empty or
+    whitespace-holding id, a duplicate id, an out-of-range bank, a bank
+    held by no machine, a non-positive motif count, or an [arrival] in
+    the engine's past. *)
 
 val run_until : t -> Rat.t -> unit
 (** Process all events up to the given engine time and advance the clock
@@ -123,7 +124,7 @@ val inject : t -> at:Rat.t -> Trace.fault -> unit
     @raise Invalid_argument if the machine index is out of range. *)
 
 val machine_up : t -> int -> bool
-(** Whether the machine is currently live (up or merely degraded).
+(** Whether the machine is currently up.
     @raise Invalid_argument if the index is out of range. *)
 
 val machines_up : t -> int
@@ -225,27 +226,23 @@ val replay :
     orchestration; DESIGN.md §11 states the invariant. *)
 
 val set_durability :
-  t ->
-  log:(Wal.record -> int) ->
-  checkpoint:(unit -> unit) ->
-  truncate:(unit -> unit) ->
-  every:int ->
-  last_seq:int ->
-  unit
-(** Arm write-ahead logging.  [log] must make the record durable and
-    return its seq; [checkpoint] must persist {!dump}; [truncate] drops
-    the log once a snapshot covers it (never invoked during recovery
-    replay — the un-reappended tail must survive).  [every] > 0 takes an
-    automatic checkpoint after that many logged records ([0] = only on
-    explicit {!checkpoint}); [last_seq] seeds {!last_seq} (the highest seq
-    already applied — [0] on a fresh log).
+  t -> wal:Wal.writer -> checkpoint:(unit -> unit) -> every:int -> last_seq:int -> unit
+(** Arm write-ahead logging: the engine's one durability handle.  Every
+    event is appended to [wal] (made durable, numbered) before it is
+    applied; [checkpoint] must persist {!dump}, after which the engine
+    truncates [wal] (never during recovery replay — the un-reappended
+    tail must survive).  [every] > 0 takes an automatic checkpoint after
+    that many logged records ([0] = only on explicit {!checkpoint});
+    [last_seq] seeds {!last_seq} (the highest seq already applied — [0]
+    on a fresh log).  {!Snapshot.arm} and {!Snapshot.resume} are the
+    callers.
     @raise Invalid_argument on a negative [every]. *)
 
 val checkpoint : t -> bool
 (** Take a snapshot now: quiesce the policy (a scheduling barrier — the
     opaque policy state is discarded and will be rebuilt from the
     serializable state, exactly as a live submission forces), invoke the
-    armed checkpoint closure, and truncate the covered log.  Returns
+    armed checkpoint writer, and truncate the covered log.  Returns
     [false] when durability is not armed. *)
 
 val last_seq : t -> int
@@ -257,7 +254,8 @@ val apply_record : t -> seq:int -> Wal.record -> unit
     re-appended and nothing sleeps — time advances logically even on a
     wall clock (call {!rebase} when the tail is exhausted).  Automatic
     checkpoints still fire at the same record counts as in the original
-    run, re-taking any snapshot whose write the crash lost. *)
+    run, re-taking any snapshot whose write the crash lost.
+    @raise Invalid_argument if durability is not armed. *)
 
 val rebase : t -> unit
 (** Re-anchor the engine epoch so the clock's {e current} date maps to the
@@ -319,16 +317,24 @@ val restore :
   Gripps.Workload.platform ->
   state ->
   t
-(** Rebuild an engine from a dumped state: jobs are re-admitted with their
-    recorded flags and remaining fractions, the availability overlay,
-    pending faults, slices and metrics are restored exactly, and the
-    engine epoch is anchored so the clock's current date maps to
-    [st_now].  The policy runner is rebuilt lazily on the first decision,
-    mirroring the quiesce on the snapshot side.
-    @raise Invalid_argument (an [Engine.restore:] message) if the
-    policy's name, the machine count or a job's bank index does not match
-    the given platform/policy, if a pending fault or a slice names a
-    machine or job that does not exist, or if the state is one no run
-    reaches: a live job's remaining work outside (0, 1], a completed job
-    with work left or a completion date after [st_now], a negative
-    arrival or batch window, or a non-positive [Degraded] factor. *)
+(** Rebuild an engine from a dumped state.  Jobs go through {!submit}'s
+    admission path with their recorded flags and remaining fractions, and
+    slices through the check every live slice passes; the overlay,
+    pending faults, frontiers, decision cache and metrics are restored
+    exactly, and the epoch is anchored so the clock's current date maps
+    to [st_now].  The policy runner is rebuilt lazily on the first
+    decision, mirroring the quiesce on the snapshot side.
+    @raise Invalid_argument (an [Engine.restore:] message) on a state no
+    run reaches: a policy or machine count other than the given ones; a
+    negative batch window; a pending fault on a missing machine, out of
+    date order or before [st_now]; a job {!submit} would reject; flags
+    that disagree with the dates and the overlay (completed ⇒ arrived ⇒
+    arrival ≤ [st_now]; not arrived ⇒ arrival ≥ [st_now]; parked ⇔
+    arrived, incomplete and held by no live machine); live work outside
+    (0, 1], or completed work not 0 by a date in [arrival, st_now]; a
+    slice on a missing machine or job, or one a live run could not append
+    (empty, overlapping, before its release, after [st_now], on a machine
+    lacking the bank); work not conserved (a job's slices at its cost
+    column plus its remaining fraction make exactly one job); a frontier
+    before its machine's last slice or after [st_now]; or a completed
+    count that disagrees with the jobs. *)

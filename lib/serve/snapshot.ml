@@ -92,13 +92,7 @@ let state_to_string ~seq ~platform (st : Engine.state) =
       nl ())
     st.st_jobs;
   keyed "overlay" (Array.length st.st_overlay);
-  Array.iter
-    (fun ms ->
-      match ms with
-      | W.Up -> line "avail up"
-      | W.Down -> line "avail down"
-      | W.Degraded r -> str "avail degraded "; rat r; nl ())
-    st.st_overlay;
+  Array.iter (function W.Up -> line "avail up" | W.Down -> line "avail down") st.st_overlay;
   keyed "faults" (List.length st.st_faults);
   List.iter
     (fun (at, fault) ->
@@ -280,7 +274,6 @@ let state_of_string text =
         match keyed c "avail" with
         | [ "up" ] -> W.Up
         | [ "down" ] -> W.Down
-        | [ "degraded"; r ] -> W.Degraded (rat_tok c r)
         | _ -> perr c "malformed avail line")
   in
   let num_faults = count_of c "faults" in
@@ -422,8 +415,13 @@ type handle = { dir : string; writer : Wal.writer }
 let dir h = h.dir
 let close h = Wal.close h.writer
 
-let take_snapshot dir engine =
-  save_file (snapshot_file dir) ~seq:(Engine.last_seq engine) engine
+(* Hand [engine] its durability handle: the log [w], and checkpoints
+   written to [dir]'s snapshot file. *)
+let armed ~dir ~snapshot_every ~last_seq w engine =
+  Engine.set_durability engine ~wal:w
+    ~checkpoint:(fun () -> save_file (snapshot_file dir) ~seq:(Engine.last_seq engine) engine)
+    ~every:snapshot_every ~last_seq;
+  { dir; writer = w }
 
 let arm ?(snapshot_every = 0) ~dir engine =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -431,12 +429,7 @@ let arm ?(snapshot_every = 0) ~dir engine =
     fail "%s already holds serving state; resume from it (--resume) or point --wal at a fresh directory"
       dir;
   save_file (meta_file dir) ~seq:0 engine;
-  let w = Wal.open_append ~next_seq:1 (wal_file dir) in
-  Engine.set_durability engine ~log:(Wal.append w)
-    ~checkpoint:(fun () -> take_snapshot dir engine)
-    ~truncate:(fun () -> Wal.truncate w)
-    ~every:snapshot_every ~last_seq:0;
-  { dir; writer = w }
+  armed ~dir ~snapshot_every ~last_seq:0 (Wal.open_append ~next_seq:1 (wal_file dir)) engine
 
 let resume ?(snapshot_every = 0) ?(decision_cache = false) ~dir ~clock ~policies () =
   let base =
@@ -464,13 +457,13 @@ let resume ?(snapshot_every = 0) ?(decision_cache = false) ~dir ~clock ~policies
   Engine.set_decision_cache engine decision_cache;
   let records, valid_length, _torn = Wal.replay (wal_file dir) in
   let top = List.fold_left (fun acc (s, _) -> Stdlib.max acc s) seq0 records in
-  let w = Wal.open_append ~valid_length ~next_seq:(top + 1) (wal_file dir) in
-  Engine.set_durability engine ~log:(Wal.append w)
-    ~checkpoint:(fun () -> take_snapshot dir engine)
-    ~truncate:(fun () -> Wal.truncate w)
-    ~every:snapshot_every ~last_seq:seq0;
+  let h =
+    armed ~dir ~snapshot_every ~last_seq:seq0
+      (Wal.open_append ~valid_length ~next_seq:(top + 1) (wal_file dir))
+      engine
+  in
   (* Replay the tail.  Records at or below [seq0] are stale leftovers of a
      truncation the crash swallowed; the snapshot already contains them. *)
   List.iter (fun (s, r) -> if s > seq0 then Engine.apply_record engine ~seq:s r) records;
   Engine.rebase engine;
-  ({ dir; writer = w }, engine)
+  (h, engine)

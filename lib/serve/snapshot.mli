@@ -23,7 +23,8 @@ type handle
 
 val arm : ?snapshot_every:int -> dir:string -> Engine.t -> handle
 (** Create [dir] if needed, write [DIR/meta] from the engine's current
-    state, open the WAL and {!Engine.set_durability} the engine.  Call on
+    state, open the WAL and arm the engine's durability handle
+    ({!Engine.set_durability}, shared with {!resume}).  Call on
     a freshly created engine, before any event.  [snapshot_every] > 0
     checkpoints automatically after that many logged records (default [0]:
     checkpoints only on the server's [snapshot] command).

@@ -201,8 +201,7 @@ let test_snapshot_rejects_corruption () =
    machines, machine 2 the sole holder of bank 0: failing it parks the
    bank-0 requests, the recovery stays pending, the live submissions
    force a cache-consulting rebuild, and the completions leave histogram
-   samples out of sorted order.  No engine degrades a machine, so the
-   degraded overlay entry is edited into the dumped state. *)
+   samples out of sorted order. *)
 let fixture_platform () =
   {
     W.speeds = [| R.one; R.of_ints 3 2; R.of_int 2 |];
@@ -226,9 +225,7 @@ let fixture_state () =
   ignore (E.submit e ~id:"e" ~arrival:(R.of_int 3) ~bank:1 ~num_motifs:40 ());
   ignore (E.submit e ~id:"f" ~arrival:(R.of_int 5) ~bank:1 ~num_motifs:1 ());
   E.run_until e (R.of_int 40);
-  let st = E.dump e in
-  st.E.st_overlay.(1) <- W.Degraded (R.of_ints 3 4);
-  st
+  E.dump e
 
 let fixture_file =
   if Sys.file_exists "fixtures/engine_state_v2.snapshot" then
@@ -295,6 +292,8 @@ let test_snapshot_rejects_dangling () =
   rejected_by_parser "overlay 3" "overlay -2";
   rejected_by_parser "faults 1" "faults -1";
   rejected_by_parser "slices 6" "slices -3";
+  (* A machine is up or down; no other state parses. *)
+  rejected_by_parser "avail down" "avail degraded 3/4";
   (* The unedited fixture still restores. *)
   ignore (restore (read_file fixture_file) ())
 
@@ -324,11 +323,47 @@ let test_restore_completed () =
 let test_restore_arrival () =
   rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c -1 1 5 0 1 0 79/25" ()
 
-let test_restore_degraded () =
-  rejected_by_restore "avail degraded 3/4" "avail degraded 0" ();
-  rejected_by_restore "avail degraded 3/4" "avail degraded -1/2" ()
-
 let test_restore_window () = rejected_by_restore "batch_window 1/2" "batch_window -1" ()
+
+(* Restored jobs pass the live admission checks.  A non-positive motif
+   count used to restore, and the drained schedule then failed the
+   divisibility check (shares summing to 58/57). *)
+let test_restore_motifs () =
+  rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c 2 1 -5 0 1 0 79/25" ();
+  rejected_by_restore "job e 3 1 40 0 1 0 219/50" "job e 3 1 0 0 1 0 219/50" ()
+
+(* Machine 2's frontier after now: the next slice there used to fail at
+   drain as an overlap. *)
+let test_restore_stop_after_now () =
+  rejected_by_restore "stop 1" "stop 1000000000000000000000" ()
+
+(* An arrived job released after now: the parked one used to fail at
+   drain ("slice starts before release") once its machine recovered, and
+   the completed one left a schedule that processes it before its
+   release. *)
+let test_restore_release_after_now () =
+  rejected_by_restore "job b 0 0 12 1 1 1 none" "job b 1000000000000000000000 0 12 1 1 1 none" ();
+  rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c 1000000000000000000000 1 5 0 1 0 79/25" ()
+
+(* Completed but never arrived: it used to fail only at drain, with
+   "time did not advance". *)
+let test_restore_completed_not_arrived () =
+  rejected_by_restore "job a 0 1 8 0 1 0 29/25" "job a 0 1 8 0 0 0 29/25" ()
+
+(* [parked] must agree with the overlay: "job b" (bank 0, held only by
+   the down machine 2) must be parked; a cleared flag used to put a share
+   on the down machine.  A completed job is never parked. *)
+let test_restore_parked () =
+  rejected_by_restore "job b 0 0 12 1 1 1 none" "job b 0 0 12 1 1 0 none" ();
+  rejected_by_restore "job f 5 1 1 0 1 0 123/20" "job f 5 1 1 0 1 1 123/20" ()
+
+(* Work is conserved: "job c" ran on machine 0 for exactly its cost
+   there, 29/25.  With 40 motifs that cost is 61/50 (a count close to 5
+   quantizes to the same centiseconds), and bank 0 is not on machine 0 at
+   all; both used to restore and leave an invalid drained schedule. *)
+let test_restore_work_conserved () =
+  rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c 2 1 40 0 1 0 79/25" ();
+  rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c 2 0 5 0 1 0 79/25" ()
 
 (* ------------------------------------------------------------------ *)
 (* Crash / resume                                                      *)
@@ -361,26 +396,53 @@ let oracle_run ~snapshot_every script =
   rm_rf dir;
   (final_dump e, M.to_json (E.metrics e))
 
-(* Crash after [k] ops (the process vanishes; only the WAL and any
-   snapshots survive), resume, run the rest. *)
-let crashed_run ~snapshot_every ~k script =
-  let dir = fresh_dir "crash" in
+(* Run [k] ops of [script] on [e], then crash: the process vanishes and
+   only the WAL and any snapshots survive.  With [mid] the crash comes
+   later, inside the first automatic checkpoint from op [k] on: its record
+   is durable and applied, but the snapshot write fails (a directory
+   squats on the snapshot's temp name), so the resumed replay must re-take
+   that checkpoint.  Without one the script runs to its end.  Returns the
+   ops the crashed engine never applied. *)
+let run_to_crash ~dir e counter ~k ~mid script =
   let before = List.filteri (fun i _ -> i < k) script in
   let after = List.filteri (fun i _ -> i >= k) script in
+  List.iter (apply e counter) before;
+  if not mid then after
+  else begin
+    let blocker = Filename.concat dir "snapshot.tmp" in
+    Unix.mkdir blocker 0o755;
+    let rec go = function
+      | [] -> []
+      | op :: rest -> (
+        match apply e counter op with () -> go rest | exception Unix.Unix_error _ -> rest)
+    in
+    let rest = go after in
+    Unix.rmdir blocker;
+    rest
+  end
+
+(* Crash at each of [crashes] in turn, each [(k, mid)] counted from the
+   previous resume (see [run_to_crash]), resume, and run what is left. *)
+let crashed_run ~snapshot_every ~crashes script =
+  let dir = fresh_dir "crash" in
   let e0 = E.create ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Srpt) (platform ()) in
   let h0 = Snap.arm ~snapshot_every ~dir e0 in
   let counter = ref 0 in
-  List.iter (apply e0 counter) before;
-  Snap.close h0;
-  let h1, e1 =
-    Snap.resume ~snapshot_every ~dir ~clock:(Serve.Clock.virtual_ ())
-      ~policies:[ (module Online.Policies.Srpt); (module Online.Policies.Mct) ]
-      ()
+  let rest, (h, e) =
+    List.fold_left
+      (fun (script, (h, e)) (k, mid) ->
+        let rest = run_to_crash ~dir e counter ~k ~mid script in
+        Snap.close h;
+        ( rest,
+          Snap.resume ~snapshot_every ~dir ~clock:(Serve.Clock.virtual_ ())
+            ~policies:[ (module Online.Policies.Srpt); (module Online.Policies.Mct) ]
+            () ))
+      (script, (h0, e0)) crashes
   in
-  List.iter (apply e1 counter) after;
-  Snap.close h1;
+  List.iter (apply e counter) rest;
+  Snap.close h;
   rm_rf dir;
-  (final_dump e1, M.to_json (E.metrics e1))
+  (final_dump e, M.to_json (E.metrics e))
 
 let test_resume_from_meta () =
   (* Crash before the first checkpoint: recovery replays the whole log
@@ -392,7 +454,7 @@ let test_resume_from_meta () =
       Alcotest.(check (pair string string))
         (Printf.sprintf "crash at %d" k)
         oracle
-        (crashed_run ~snapshot_every:0 ~k script))
+        (crashed_run ~snapshot_every:0 ~crashes:[ (k, false) ] script))
     [ 0; 1; 2; 3; 4 ]
 
 let test_resume_skips_stale_records () =
@@ -432,8 +494,16 @@ let test_arm_refuses_reuse () =
   rm_rf dir
 
 (* The centerpiece: crash at a random op index, under a random checkpoint
-   cadence, and compare the finished state bit for bit.  SRPT is LP-free,
-   so every metric (histograms included) is deterministic. *)
+   cadence, resume, crash again and resume again, and compare the
+   finished state bit for bit.  The second crash may come right after the
+   first resume returns: on disk that is a crash during its replay, after
+   the replay's last automatic checkpoint, which wrote a snapshot and left
+   the log untruncated.  Either crash may land inside a checkpoint, so a
+   replay re-takes the lost one (a replay that skipped it fails here).
+   Under one cadence that re-taken checkpoint is the tail's last record,
+   so whether replay truncates the log there cannot show; it matters when
+   a restart changes the cadence.  SRPT is LP-free, so every metric
+   (histograms included) is deterministic. *)
 let prop_crash_resume_identical =
   let gen_op =
     QCheck.Gen.(
@@ -449,11 +519,13 @@ let prop_crash_resume_identical =
   let gen =
     QCheck.Gen.(
       map3
-        (fun ops k every -> (ops @ [ Drain ], k, every))
+        (fun ops (k1, mid1) ((k2, mid2), every) ->
+          (ops @ [ Drain ], [ (k1, mid1); (k2, mid2) ], every))
         (list_size (int_range 1 16) gen_op)
-        (int_bound 17) (int_bound 3))
+        (pair (int_bound 17) bool)
+        (pair (pair (frequency [ (1, return 0); (2, int_bound 17) ]) bool) (int_bound 3)))
   in
-  let print (ops, k, every) =
+  let print (ops, crashes, every) =
     let op_str = function
       | Submit (b, m) -> Printf.sprintf "Submit(%d,%d)" b m
       | Tick cs -> Printf.sprintf "Tick(%d)" cs
@@ -461,15 +533,19 @@ let prop_crash_resume_identical =
       | Fault (T.Recover i) -> Printf.sprintf "Recover(%d)" i
       | Drain -> "Drain"
     in
-    Printf.sprintf "crash at %d, snapshot every %d, ops [%s]" k every
+    let crash_str (k, mid) =
+      Printf.sprintf "after %d%s" k (if mid then " then in a checkpoint" else "")
+    in
+    Printf.sprintf "crashes [%s], snapshot every %d, ops [%s]"
+      (String.concat "; " (List.map crash_str crashes))
+      every
       (String.concat "; " (List.map op_str ops))
   in
-  QCheck.Test.make ~count:40 ~name:"crash at any index resumes bit-identically"
+  QCheck.Test.make ~count:60 ~name:"crash at any index resumes bit-identically"
     (QCheck.make ~print gen)
-    (fun (script, k, snapshot_every) ->
-      let k = min k (List.length script) in
+    (fun (script, crashes, snapshot_every) ->
       let od, om = oracle_run ~snapshot_every script in
-      let cd, cm = crashed_run ~snapshot_every ~k script in
+      let cd, cm = crashed_run ~snapshot_every ~crashes script in
       od = cd && om = cm)
 
 (* ------------------------------------------------------------------ *)
@@ -594,9 +670,17 @@ let () =
           Alcotest.test_case "completed job without 0 remaining or past date rejected"
             `Quick test_restore_completed;
           Alcotest.test_case "negative arrival rejected" `Quick test_restore_arrival;
-          Alcotest.test_case "non-positive degraded factor rejected" `Quick
-            test_restore_degraded;
-          Alcotest.test_case "negative batch window rejected" `Quick test_restore_window
+          Alcotest.test_case "negative batch window rejected" `Quick test_restore_window;
+          Alcotest.test_case "non-positive motif count rejected" `Quick test_restore_motifs;
+          Alcotest.test_case "machine frontier after now rejected" `Quick
+            test_restore_stop_after_now;
+          Alcotest.test_case "arrived job released after now rejected" `Quick
+            test_restore_release_after_now;
+          Alcotest.test_case "completed job that never arrived rejected" `Quick
+            test_restore_completed_not_arrived;
+          Alcotest.test_case "parked flag disagreeing with the overlay rejected" `Quick
+            test_restore_parked;
+          Alcotest.test_case "work not conserved rejected" `Quick test_restore_work_conserved
         ] );
       ( "resume",
         [ Alcotest.test_case "from meta" `Quick test_resume_from_meta;

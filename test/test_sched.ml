@@ -507,13 +507,13 @@ let test_formulation_names () =
   Alcotest.(check string) "parametric system (5)"
     "minimize 1·F\n\
      subject to:\n\
-    \  res_t0_m0: 0·F + 2·a_t0_m0_j0 <= 1\n\
+    \  res_t0_m0: 2·a_t0_m0_j0 <= 1\n\
     \  res_t2_m1: -1/2·F + 3·a_t2_m1_j0 <= -1\n\
-    \  res_t0_m1: 0·F + 3·a_t0_m1_j0 <= 1\n\
+    \  res_t0_m1: 3·a_t0_m1_j0 <= 1\n\
     \  res_t2_m0: -1/2·F + 2·a_t2_m0_j0 <= -1\n\
     \  res_t1_m1: -1/2·F + 4·a_t1_m1_j1 + 3·a_t1_m1_j0 <= 0\n\
     \  res_t1_m0: -1/2·F + 2·a_t1_m0_j0 <= 0\n\
-    \  job_t0_j0: 0·F + 3·a_t0_m1_j0 + 2·a_t0_m0_j0 <= 1\n\
+    \  job_t0_j0: 3·a_t0_m1_j0 + 2·a_t0_m0_j0 <= 1\n\
     \  job_t2_j0: -1/2·F + 3·a_t2_m1_j0 + 2·a_t2_m0_j0 <= -1\n\
     \  job_t1_j1: -1/2·F + 4·a_t1_m1_j1 <= 0\n\
     \  job_t1_j0: -1/2·F + 3·a_t1_m1_j0 + 2·a_t1_m0_j0 <= 0\n\
