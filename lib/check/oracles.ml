@@ -231,6 +231,99 @@ let wal_crash_resume ~aux (script : Gen.script) =
     failf "crash at op %d (snapshot_every=%d cache=%b) diverges from the live run" k
       snapshot_every cache
 
+(* The boundary errors a durable input may end in. *)
+let typed msg =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix msg)
+    [ "Snapshot: "; "Wal: "; "Engine.restore: "; "Engine.submit: "; "Engine.inject: " ]
+
+(* Replace one token of [lines] by a neighbour (the same column one line
+   up or down, or the next token either side), -1, 0, 2^62 - 1 or none. *)
+let mutate p (lines : string array array) =
+  let rec locate i k =
+    if k < Array.length lines.(i) then (i, k) else locate (i + 1) (k - Array.length lines.(i))
+  in
+  let total = Array.fold_left (fun acc l -> acc + Array.length l) 0 lines in
+  let i, k = locate 0 (Gripps.Prng.int p total) in
+  let token (i, k) =
+    if i >= 0 && i < Array.length lines && k >= 0 && k < Array.length lines.(i) then
+      Some lines.(i).(k)
+    else None
+  in
+  lines.(i).(k) <-
+    (match Gripps.Prng.int p 5 with
+     | 0 -> (
+       match List.filter_map token [ (i - 1, k); (i + 1, k); (i, k - 1); (i, k + 1) ] with
+       | [] -> "0"
+       | near -> List.nth near (Gripps.Prng.int p (List.length near)))
+     | 1 -> "-1"
+     | 2 -> "0"
+     | 3 -> string_of_int max_int
+     | _ -> "none")
+
+(* The durable bytes are an input boundary: a state dumped mid-script and
+   the WAL record of the next op, with one seeded token edit and both
+   checksums resealed, must be refused with a typed error, or resume, run
+   the rest of the script and leave a valid schedule.  [aux] seeds the
+   crash point, the cache arming and the edit. *)
+let snapshot_mutation ~aux (script : Gen.script) =
+  let p = Gripps.Prng.create aux in
+  let ops = Array.of_list script.Gen.ops in
+  let k = Gripps.Prng.int p (Array.length ops) in
+  let cache = Gripps.Prng.bool p in
+  let e = E.create ~clock:(Serve.Clock.virtual_ ()) ~policy script.Gen.platform in
+  E.set_decision_cache e cache;
+  let counter = ref 0 in
+  Array.iteri (fun i op -> if i < k then apply e counter op) ops;
+  let record =
+    match ops.(k) with
+    | Gen.Submit { bank; motifs } ->
+      incr counter;
+      let id = Printf.sprintf "r%d" !counter in
+      Serve.Wal.Submit { id; arrival = E.now e; bank; num_motifs = motifs }
+    | Gen.Tick s -> Serve.Wal.Advance (Rat.add (E.now e) (Rat.of_int s))
+    | Gen.Fault fault -> Serve.Wal.Inject { at = E.now e; fault }
+    | Gen.Drain -> Serve.Wal.Drain
+  in
+  let lines =
+    String.split_on_char '\n' (dump script e)
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"checksum " l))
+    |> (fun body -> body @ [ Serve.Wal.encode record ])
+    |> List.map (fun l -> Array.of_list (String.split_on_char ' ' l))
+    |> Array.of_list
+  in
+  mutate p lines;
+  let n = Array.length lines in
+  let join i = String.concat " " (Array.to_list lines.(i)) in
+  let body = String.concat "" (List.init (n - 1) (fun i -> join i ^ "\n")) in
+  let payload = join (n - 1) in
+  let dir = fresh_dir () in
+  let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      write (Snap.meta_file dir) (Printf.sprintf "%schecksum %d\n" body (Serve.Wal.adler32 body));
+      write (Snap.wal_file dir)
+        (Printf.sprintf "r 1 %d %d\n%s\n" (String.length payload) (Serve.Wal.adler32 payload)
+           payload);
+      match
+        let h, e =
+          Snap.resume ~decision_cache:cache ~dir ~clock:(Serve.Clock.virtual_ ())
+            ~policies:[ policy ] ()
+        in
+        Fun.protect ~finally:(fun () -> Snap.close h) (fun () ->
+            Array.iteri (fun i op -> if i > k then apply e counter op) ops;
+            E.drain e;
+            e)
+      with
+      | exception Invalid_argument m when typed m -> Pass
+      | e when E.submitted e = 0 -> Pass
+      | e when E.completed e = E.submitted e -> of_result (Invariants.divisible (E.schedule e))
+      | e ->
+        (* A job starved by a machine the edit left down stays incomplete,
+           as it would live; what ran must still be a valid schedule. *)
+        let sched = E.schedule e in
+        of_result (Invariants.releases_respected sched)
+        &&& fun () -> of_result (Invariants.machine_capacity sched))
+
 (* The zero-window admission valve must be invisible: same script, with
    and without the valve, identical final states up to the valve's own
    admission.* instruments. *)
@@ -321,6 +414,7 @@ let all =
     Offline ("makespan", makespan_oracle);
     Offline ("online-vs-offline", online_vs_offline);
     Serve ("wal-crash-resume", wal_crash_resume);
+    Serve ("snapshot-mutation", snapshot_mutation);
     Serve ("admission-zero-window", admission_zero_window);
     Serve ("batched-vs-zero-window", batched_vs_zero_window)
   ]

@@ -4,10 +4,12 @@
     the codebase and demands bit-identical answers (different simplex
     engines, float-guided vs exact probing, live vs crash-resumed) or
     dominance-consistent ones (preemptive vs divisible relaxation, online
-    policies vs the offline optimum).  [aux] is a
+    policies vs the offline optimum); [snapshot-mutation] instead demands
+    that an edited snapshot and WAL record end in a typed error or a
+    valid schedule.  [aux] is a
     deterministic per-case integer the driver supplies; oracles use it to
-    pick secondary knobs (crash index, snapshot cadence, cache arming) so
-    a case replays identically during shrinking. *)
+    pick secondary knobs (crash index, snapshot cadence, cache arming,
+    the edit) so a case replays identically during shrinking. *)
 
 type outcome = Pass | Fail of string
 

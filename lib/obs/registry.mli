@@ -9,8 +9,8 @@
     re-dumping.
 
     This module absorbs what used to be [Serve.Metrics] and the ad-hoc
-    [Lp.Stats] accumulators; [Serve.Metrics] survives as a thin alias for
-    compatibility.
+    [Lp.Stats] accumulators; [Serve.Engine] and [Serve.Admission] each
+    alias it locally as [Metrics].
 
     Every operation is domain-safe: mutations and reports are serialized
     by one module-wide lock, so concurrent server sessions may record into

@@ -1169,11 +1169,34 @@ let restore ~clock ~policy platform st =
   Array.blit st.st_last_stop 0 t.last_stop 0 m;
   t.faults <- st.st_faults;
   t.slices <- List.rev st.st_slices;
-  List.iter (fun (k, cd) -> Hashtbl.replace t.decision_cache k cd) st.st_cache;
+  (* A cache hit looks each share's census position up among the key's
+     jobs (one '|'-separated field each, after policy, objective and
+     overlay) before [install] validates the decision, so positions out of
+     range would fail as an index error. *)
+  List.iter
+    (fun (key, cd) ->
+      let jobs = List.length (String.split_on_char '|' key) - 3 in
+      List.iter
+        (fun (machine, pos, share) ->
+          if machine < 0 || machine >= m then
+            fail "cache entry %S names machine %d of %d" key machine m;
+          if pos < 0 || pos >= jobs then
+            fail "cache entry %S names census position %d of %d" key pos jobs;
+          if Rat.sign share <= 0 || Rat.compare share Rat.one > 0 then
+            fail "cache entry %S has share %s outside (0, 1]" key (Rat.to_string share))
+        cd.cd_shares;
+      (match cd.cd_review_offset with
+       | Some r when Rat.sign r <= 0 ->
+         fail "cache entry %S has review offset %s, not positive" key (Rat.to_string r)
+       | _ -> ());
+      Hashtbl.replace t.decision_cache key cd)
+    st.st_cache;
   (* Last: the dump holds the exact instrument contents (including the
      gauges [create] pre-set), so loading it reproduces reports bit for
      bit. *)
-  Metrics.load t.metrics st.st_metrics;
+  (match Metrics.load t.metrics st.st_metrics with
+   | () -> ()
+   | exception Invalid_argument msg -> fail "%s" msg);
   t
 
 let replay ?batch_window ?objective ?lost_work ~policy (trace : Trace.t) =

@@ -336,5 +336,8 @@ val restore :
     (empty, overlapping, before its release, after [st_now], on a machine
     lacking the bank); work not conserved (a job's slices at its cost
     column plus its remaining fraction make exactly one job); a frontier
-    before its machine's last slice or after [st_now]; or a completed
-    count that disagrees with the jobs. *)
+    before its machine's last slice or after [st_now]; a completed count
+    that disagrees with the jobs; a decision-cache entry naming a missing
+    machine or a census position past its key's jobs, with a share
+    outside (0, 1] or a review offset not positive; or a metric of
+    another kind than the instrument of its name. *)

@@ -14,10 +14,11 @@
    record the highest seq they cover, so a resume can skip records already
    folded into the snapshot even when the post-snapshot truncation was
    lost to a crash).  [len] is the byte length of [payload]; the Adler-32
-   checksum is over the payload bytes.  A torn tail — a partial header, a
-   short payload, a checksum mismatch — marks the end of the valid prefix:
-   readers stop there, and {!open_append} truncates the file back to it so
-   new records never follow garbage. *)
+   checksum is over the payload bytes.  [header] and [payload] declare
+   the two lines once, in Codec's syntax.  A torn tail — a partial header,
+   a length past end-of-file, a short payload, a checksum mismatch — marks
+   the end of the valid prefix: readers stop there, and {!open_append}
+   truncates the file back to it so new records never follow garbage. *)
 
 module Rat = Numeric.Rat
 
@@ -53,85 +54,71 @@ let adler32 s =
   done;
   (!b lsl 16) lor !a
 
-let encodable_id id =
-  id <> ""
-  && not (String.exists (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') id)
+let encodable_id = Codec.encodable
 
-let encode = function
-  | Submit { id; arrival; bank; num_motifs } ->
-    if not (encodable_id id) then
-      invalid_arg
-        (Printf.sprintf "Wal: request id %S is empty or contains whitespace" id);
-    Printf.sprintf "submit %s %s %d %d" id (Rat.to_string arrival) bank num_motifs
-  | Inject { at; fault } ->
-    let kind, machine =
-      match fault with Trace.Fail i -> ("fail", i) | Trace.Recover i -> ("recover", i)
-    in
-    Printf.sprintf "inject %s %s %d" (Rat.to_string at) kind machine
-  | Advance date -> Printf.sprintf "advance %s" (Rat.to_string date)
-  | Drain -> "drain"
+let fault =
+  let open Codec in
+  let fail = case "fail" int (fun i -> Trace.Fail i)
+  and recover = case "recover" int (fun i -> Trace.Recover i) in
+  variant [ Case fail; Case recover ] (function
+    | Trace.Fail i -> Tagged (fail, i)
+    | Trace.Recover i -> Tagged (recover, i))
 
-let decode payload =
-  let bad () = invalid_arg (Printf.sprintf "Wal: bad record payload %S" payload) in
-  let rat s = match Rat.of_string s with r -> r | exception _ -> bad () in
-  let int s = match int_of_string_opt s with Some v -> v | None -> bad () in
-  match String.split_on_char ' ' payload |> List.filter (fun s -> s <> "") with
-  | [ "submit"; id; arrival; bank; motifs ] ->
-    Submit { id; arrival = rat arrival; bank = int bank; num_motifs = int motifs }
-  | [ "inject"; at; "fail"; machine ] ->
-    Inject { at = rat at; fault = Trace.Fail (int machine) }
-  | [ "inject"; at; "recover"; machine ] ->
-    Inject { at = rat at; fault = Trace.Recover (int machine) }
-  | [ "advance"; date ] -> Advance (rat date)
-  | [ "drain" ] -> Drain
-  | _ -> bad ()
+let payload =
+  let open Codec in
+  let submit =
+    case "submit" (tuple [ id "request id"; rat; int; int ])
+      (fun [ id; arrival; bank; num_motifs ] -> Submit { id; arrival; bank; num_motifs })
+  and inject = case "inject" (pair rat fault) (fun (at, fault) -> Inject { at; fault })
+  and advance = case "advance" rat (fun date -> Advance date)
+  and drain = case "drain" (tuple []) (fun [] -> Drain) in
+  variant [ Case submit; Case inject; Case advance; Case drain ] (function
+    | Submit { id; arrival; bank; num_motifs } ->
+      Tagged (submit, [ id; arrival; bank; num_motifs ])
+    | Inject { at; fault } -> Tagged (inject, (at, fault))
+    | Advance date -> Tagged (advance, date)
+    | Drain -> Tagged (drain, []))
+
+(* The frame header line: seq, payload length, payload checksum. *)
+let header = Codec.(keyed "r" (tuple [ int; nat; int ]))
+
+let encode record =
+  try Codec.to_string payload record with Codec.Malformed m -> invalid_arg ("Wal: " ^ m)
+
+let decode text =
+  match Codec.of_string (Codec.line payload) text with
+  | Ok r -> r
+  | Error _ -> invalid_arg (Printf.sprintf "Wal: bad record payload %S" text)
 
 (* --- reading ---------------------------------------------------------- *)
 
-(* Returns the valid records (with their seqs) and the byte length of the
-   valid prefix; [torn] reports whether trailing garbage was skipped. *)
+(* Returns the valid records (with their seqs), the byte length of the
+   valid prefix, and whether bytes follow it.  The prefix ends at the
+   first torn frame: a bad header, a length past end-of-file (caught
+   before anything is allocated for it), a short payload, a checksum
+   mismatch or a payload that does not decode. *)
 let read_file path =
   if not (Sys.file_exists path) then ([], 0, false)
   else
     In_channel.with_open_bin path (fun ic ->
-        let records = ref [] in
-        let valid = ref 0 in
-        let torn = ref false in
-        let rec loop () =
-          match In_channel.input_line ic with
-          | None -> ()
-          | Some header -> (
-            match String.split_on_char ' ' header with
-            | [ "r"; seq; len; sum ] -> (
-              match (int_of_string_opt seq, int_of_string_opt len, int_of_string_opt sum)
-              with
-              | Some seq, Some len, Some sum when len >= 0 -> (
-                let payload = Bytes.create len in
-                match In_channel.really_input ic payload 0 len with
-                | None -> torn := true
-                | Some () -> (
-                  match In_channel.input_char ic with
-                  | Some '\n' ->
-                    let payload = Bytes.to_string payload in
-                    if adler32 payload <> sum then torn := true
-                    else begin
-                      match decode payload with
-                      | record ->
-                        records := (seq, record) :: !records;
-                        (* header + '\n' + payload + '\n' *)
-                        valid := !valid + String.length header + 1 + len + 1;
-                        loop ()
-                      | exception Invalid_argument _ -> torn := true
-                    end
-                  | Some _ | None -> torn := true))
-              | _ -> torn := true)
-            | _ -> torn := true)
+        let size = In_channel.length ic in
+        let frame () =
+          match Option.map (Codec.of_string header) (In_channel.input_line ic) with
+          | Some (Ok [ seq; len; sum ]) when Int64.(of_int len < sub size (In_channel.pos ic))
+            -> (
+            let payload = In_channel.really_input_string ic len in
+            match (payload, In_channel.input_char ic) with
+            | Some p, Some '\n' when adler32 p = sum -> (
+              match decode p with r -> Some (seq, r) | exception Invalid_argument _ -> None)
+            | _ -> None)
+          | _ -> None
         in
-        loop ();
-        (* Anything between the valid prefix and end-of-file is a torn
-           record from a crash mid-append. *)
-        if (not !torn) && In_channel.length ic > Int64.of_int !valid then torn := true;
-        (List.rev !records, !valid, !torn))
+        let rec loop records valid =
+          match frame () with
+          | Some r -> loop (r :: records) (In_channel.pos ic)
+          | None -> (List.rev records, Int64.to_int valid, valid < size)
+        in
+        loop [] 0L)
 
 let replay path =
   let records, valid, torn = read_file path in
@@ -144,11 +131,9 @@ let replay path =
 type writer = { fd : Unix.file_descr; mutable next_seq : int; path : string }
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
   let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
@@ -170,8 +155,7 @@ let append w record =
   let payload = encode record in
   let seq = w.next_seq in
   let frame =
-    Printf.sprintf "r %d %d %d\n%s\n" seq (String.length payload) (adler32 payload)
-      payload
+    Codec.to_string header [ seq; String.length payload; adler32 payload ] ^ payload ^ "\n"
   in
   Obs.Span.with_span "wal.append" (fun () ->
       Obs.Span.set_int "seq" seq;

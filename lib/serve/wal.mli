@@ -39,6 +39,10 @@ val encodable_id : string -> bool
 (** Whether a request id survives the text encodings (non-empty, no
     whitespace). *)
 
+val fault : Trace.fault Codec.t
+(** The [fail I] / [recover I] tokens of an [inject] payload, shared with
+    {!Snapshot}'s pending-fault lines. *)
+
 val encode : record -> string
 (** One-line payload text.
     @raise Invalid_argument on a [Submit] whose id is empty or contains
@@ -52,10 +56,15 @@ val decode : string -> record
 val replay : string -> (int * record) list * int * bool
 (** [replay path] is [(records, valid_length, torn)]: the valid records
     with their seqs, the byte length of the valid prefix, and whether a
-    torn tail (partial frame, checksum mismatch — a crash mid-append) was
-    found after it.  A missing file reads as [([], 0, false)]. *)
+    torn tail (partial frame, length past end-of-file, checksum mismatch —
+    a crash mid-append) was found after it.  A missing file reads as
+    [([], 0, false)]. *)
 
 (** {1 Writing} *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte, retrying on [EINTR]; {!Snapshot} writes its files
+    with it too. *)
 
 type writer
 

@@ -144,6 +144,27 @@ let test_wal_torn_tail () =
   Alcotest.(check int) "prefix survives corruption" 2 (List.length records);
   rm_rf dir
 
+(* A frame length past end-of-file is a torn tail, found before anything
+   is allocated for it: 2^62 - 1000 used to escape as [Bytes.create]'s
+   [Invalid_argument], and 300000000 to allocate 300 MB first. *)
+let test_wal_length_past_eof () =
+  let dir = fresh_dir "length" in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "wal" in
+  let w = Wal.open_append ~next_seq:1 path in
+  ignore (Wal.append w Wal.Drain);
+  Wal.close w;
+  let intact = read_file path in
+  List.iter
+    (fun header ->
+      write_file path (intact ^ header ^ "\nsubmit a 0 0 1\n");
+      let records, valid, torn = Wal.replay path in
+      Alcotest.(check bool) (header ^ ": torn") true torn;
+      Alcotest.(check int) (header ^ ": valid prefix") (String.length intact) valid;
+      Alcotest.(check int) (header ^ ": record before it") 1 (List.length records))
+    [ "r 2 4611686018427387000 0"; "r 2 300000000 0" ];
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot text                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -294,6 +315,13 @@ let test_snapshot_rejects_dangling () =
   rejected_by_parser "slices 6" "slices -3";
   (* A machine is up or down; no other state parses. *)
   rejected_by_parser "avail down" "avail degraded 3/4";
+  (* A count past the lines left is rejected before anything is read or
+     allocated for it: 2^62 - 1 used to escape as [Array.make]'s
+     [Invalid_argument], and 50000000 to allocate 400 MB first. *)
+  rejected_by_parser "overlay 3" "overlay 50000000";
+  rejected_by_parser "overlay 3" "overlay 4611686018427387903";
+  rejected_by_parser "last_stop 3" "last_stop 4611686018427387903";
+  rejected_by_parser "jobs 6" "jobs 4611686018427387903";
   (* The unedited fixture still restores. *)
   ignore (restore (read_file fixture_file) ())
 
@@ -364,6 +392,23 @@ let test_restore_parked () =
 let test_restore_work_conserved () =
   rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c 2 1 40 0 1 0 79/25" ();
   rejected_by_restore "job c 2 1 5 0 1 0 79/25" "job c 2 0 5 0 1 0 79/25" ()
+
+(* A metric line under another instrument's name and kind: it used to
+   escape [Engine.restore] as the registry's own [Invalid_argument].
+   Found by the snapshot-mutation fuzz oracle. *)
+let test_restore_metric_kind () =
+  rejected_by_restore "gauge queue_depth 0x1p+1 0x1p+2" "gauge flow_seconds 0x1p+1 0x1p+2" ()
+
+(* Fixture cache entry fields: fingerprint key (one job), review offset,
+   share count, then machine, census position and share per share.  A
+   position past the key's jobs used to restore and fail the first cache
+   hit with an index error; a machine past the platform's, a share outside
+   (0, 1] or a past review date would fail it as an invalid decision. *)
+let test_restore_cache_entry () =
+  let centry = "centry mct|stretch|uud|1:1:8:4/29 none 1 0 0 1" in
+  List.iter
+    (fun by -> rejected_by_restore centry ("centry mct|stretch|uud|1:1:8:4/29 " ^ by) ())
+    [ "none 1 0 5 1"; "none 1 7 0 1"; "none 1 0 0 3/2"; "none 1 0 0 0"; "0 1 0 0 1" ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash / resume                                                      *)
@@ -657,6 +702,7 @@ let () =
         [ Alcotest.test_case "codec" `Quick test_wal_codec;
           Alcotest.test_case "file roundtrip" `Quick test_wal_file_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
+          Alcotest.test_case "frame length past end-of-file" `Quick test_wal_length_past_eof;
           QCheck_alcotest.to_alcotest prop_adler32_reference
         ] );
       ( "snapshot",
@@ -680,7 +726,10 @@ let () =
             test_restore_completed_not_arrived;
           Alcotest.test_case "parked flag disagreeing with the overlay rejected" `Quick
             test_restore_parked;
-          Alcotest.test_case "work not conserved rejected" `Quick test_restore_work_conserved
+          Alcotest.test_case "work not conserved rejected" `Quick test_restore_work_conserved;
+          Alcotest.test_case "cache entry outside the key or the platform rejected" `Quick
+            test_restore_cache_entry;
+          Alcotest.test_case "metric of another kind rejected" `Quick test_restore_metric_kind
         ] );
       ( "resume",
         [ Alcotest.test_case "from meta" `Quick test_resume_from_meta;
