@@ -820,7 +820,7 @@ let run_durability () =
     List.map
       (fun n -> (n, Obs.Registry.count (wal_counter n)))
       [ "wal.appends"; "wal.append_bytes"; "wal.fsyncs"; "wal.records_replayed";
-        "wal.snapshots"; "wal.snapshot_bytes" ]
+        "wal.snapshots"; "wal.snapshot_bytes"; "wal.snapshot_encoded_bytes" ]
   in
   (* Bare run: no durability. *)
   let bare, bare_s =
@@ -875,12 +875,14 @@ let run_durability () =
   Printf.printf "%-28s %12.4f\n" "write-ahead logged" logged_s;
   Printf.printf "%-28s %12.4f\n" "resume (restore+replay)" resume_s;
   Printf.printf
-    "logged: %d appends, %d bytes, %d fsyncs, %d snapshots (%d bytes); overhead %.2fx\n"
+    "logged: %d appends, %d bytes, %d fsyncs, %d snapshots (%d bytes written, %d newly \
+     encoded); overhead %.2fx\n"
     (logged_count "wal.appends")
     (logged_count "wal.append_bytes")
     (logged_count "wal.fsyncs")
     (logged_count "wal.snapshots")
     (logged_count "wal.snapshot_bytes")
+    (logged_count "wal.snapshot_encoded_bytes")
     (logged_s /. Float.max 1e-9 bare_s);
   Printf.printf "resumed state %s the uninterrupted run\n"
     (if identical then "IDENTICAL to" else "DIVERGES from");
@@ -899,6 +901,7 @@ let run_durability () =
          ("fsyncs", Json_out.Int (logged_count "wal.fsyncs"));
          ("snapshots", Json_out.Int (logged_count "wal.snapshots"));
          ("snapshot_bytes", Json_out.Int (logged_count "wal.snapshot_bytes"));
+         ("snapshot_encoded_bytes", Json_out.Int (logged_count "wal.snapshot_encoded_bytes"));
          ("resume_identical", Json_out.Bool identical);
        ])
 

@@ -231,6 +231,74 @@ let wal_crash_resume ~aux (script : Gen.script) =
     failf "crash at op %d (snapshot_every=%d cache=%b) diverges from the live run" k
       snapshot_every cache
 
+(* Incremental checkpoints write the bytes a from-scratch encoding
+   writes.  The script runs under an armed WAL, once per lost-work mode,
+   crashed after [k] ops and resumed (a fresh memo over the restored
+   engine); after every op whose checkpoint covers the last logged
+   record, the snapshot file must equal [state_to_string] of a fresh
+   dump.  [aux] picks the cadence (1-3), the decision cache and [k]. *)
+let checkpoint_bytes ~aux (script : Gen.script) =
+  let ops = script.Gen.ops in
+  let cache = aux land 1 = 1 in
+  let snapshot_every = 1 + (aux lsr 1 mod 3) in
+  let k = aux lsr 3 mod (List.length ops + 1) in
+  let platform = script.Gen.platform in
+  let under lost_work =
+    let dir = fresh_dir () in
+    let h = ref None in
+    let close () =
+      Option.iter Snap.close !h;
+      h := None
+    in
+    let differs e =
+      let file = Snap.snapshot_file dir in
+      Sys.file_exists file
+      &&
+      let text = In_channel.with_open_bin file In_channel.input_all in
+      let seq = Scanf.sscanf text "dlsched-snapshot v2\nseq %d" Fun.id in
+      seq = E.last_seq e && text <> Snap.state_to_string ~seq ~platform (E.dump e)
+    in
+    let resume () =
+      close ();
+      let h', e =
+        Snap.resume ~snapshot_every ~decision_cache:cache ~dir
+          ~clock:(Serve.Clock.virtual_ ()) ~policies:[ policy ] ()
+      in
+      h := Some h';
+      e
+    in
+    let counter = ref 0 in
+    let rec run e i = function
+      | [] -> None
+      | op :: tl ->
+        apply e counter op;
+        if differs e then Some (Printf.sprintf "op %d" i)
+        else if i + 1 = k then
+          let e = resume () in
+          if differs e then Some "the resume" else run e (i + 1) tl
+        else run e (i + 1) tl
+    in
+    let failed =
+      Fun.protect
+        ~finally:(fun () -> close (); rm_rf dir)
+        (fun () ->
+          let e = E.create ~lost_work ~clock:(Serve.Clock.virtual_ ()) ~policy platform in
+          h := Some (Snap.arm ~snapshot_every ~dir e);
+          E.set_decision_cache e cache;
+          run e 0 ops)
+    in
+    match failed with
+    | None -> Pass
+    | Some where ->
+      failf
+        "checkpoint after %s differs from a fresh encoding (snapshot_every=%d %s cache=%b %s)"
+        where snapshot_every
+        (match lost_work with `Lost -> "lost" | `Preserved -> "preserved")
+        cache
+        (if k = 0 then "no resume" else Printf.sprintf "resume after op %d" (k - 1))
+  in
+  under `Lost &&& fun () -> under `Preserved
+
 (* The boundary errors a durable input may end in. *)
 let typed msg =
   List.exists
@@ -414,6 +482,7 @@ let all =
     Offline ("makespan", makespan_oracle);
     Offline ("online-vs-offline", online_vs_offline);
     Serve ("wal-crash-resume", wal_crash_resume);
+    Serve ("checkpoint-bytes", checkpoint_bytes);
     Serve ("snapshot-mutation", snapshot_mutation);
     Serve ("admission-zero-window", admission_zero_window);
     Serve ("batched-vs-zero-window", batched_vs_zero_window)

@@ -1193,7 +1193,16 @@ let restore ~clock ~policy platform st =
     st.st_cache;
   (* Last: the dump holds the exact instrument contents (including the
      gauges [create] pre-set), so loading it reproduces reports bit for
-     bit. *)
+     bit.  Every name must be one [create] registered, or one of the
+     [admission.*] instruments a valve keeps in this registry: loading
+     any other would create it, and leave the instrument it misnames at
+     its initial value. *)
+  let registered = Metrics.dump t.metrics in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name registered || String.starts_with ~prefix:"admission." name)
+      then fail "metric %S is not an engine instrument" name)
+    st.st_metrics;
   (match Metrics.load t.metrics st.st_metrics with
    | () -> ()
    | exception Invalid_argument msg -> fail "%s" msg);

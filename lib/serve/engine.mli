@@ -281,6 +281,11 @@ type cached_decision = {
     uninterrupted one hits, splitting the [decision_cache_hits] /
     [decision_cache_misses] counters and with them bit-identity. *)
 
+(** A job as a snapshot records it.  A completed job's state is final:
+    no later event changes any of its fields, and jobs are never removed
+    or reordered, so the dumps of one engine list a completed job the
+    same way at the same position ever after ({!Snapshot} encodes the
+    completed prefix once per durability handle on that contract). *)
 type job_state = {
   js_id : string;
   js_arrival : Rat.t;
@@ -339,5 +344,8 @@ val restore :
     before its machine's last slice or after [st_now]; a completed count
     that disagrees with the jobs; a decision-cache entry naming a missing
     machine or a census position past its key's jobs, with a share
-    outside (0, 1] or a review offset not positive; or a metric of
-    another kind than the instrument of its name. *)
+    outside (0, 1] or a review offset not positive; a metric name that
+    is neither one of the engine's instruments ({!metrics}) nor an
+    [admission.*] instrument of a valve ({!Admission}) sharing the
+    registry; or a metric of another kind than the instrument of its
+    name. *)

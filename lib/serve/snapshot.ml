@@ -18,6 +18,12 @@
    fsync'd and renamed, so a crash leaves either the old snapshot or the
    new one, never a torn file.
 
+   Checkpoints are incremental in their encoding, not in their bytes:
+   each armed handle keeps a Codec memo of the text of the layout's
+   append-only runs (completed jobs, slices, histogram samples), so a
+   checkpoint encodes only what was added since the last one and streams
+   the memoized text to the file as it is (DESIGN.md §11).
+
    Recovery (resume) loads DIR/snapshot if present (else DIR/meta),
    restores the engine, then replays the WAL records with seq beyond the
    snapshot's — records at or below it are stale leftovers of a lost
@@ -36,15 +42,23 @@ let wal_file dir = Filename.concat dir "wal"
 let c_snapshots = Obs.Registry.counter Obs.Registry.global "wal.snapshots"
 let c_snapshot_bytes = Obs.Registry.counter Obs.Registry.global "wal.snapshot_bytes"
 
+let c_snapshot_encoded =
+  Obs.Registry.counter Obs.Registry.global "wal.snapshot_encoded_bytes"
+
 let fail fmt = Printf.ksprintf (fun s -> invalid_arg ("Snapshot: " ^ s)) fmt
 
 (* --- layout ----------------------------------------------------------- *)
 
 (* The v2 layout.  Its writers destructure every record whole, so a field
    added to the engine state does not compile until it has a place here.
-   Each field is appended straight to one buffer: a snapshot holds a line
+   Each field is appended straight to the output: a snapshot holds a line
    per job and per slice ever served, so an intermediate string per line
-   would cost more than the fsync after. *)
+   would cost more than the fsync after.  Three runs are memoized
+   ([reuse]), each append-only in the engine: a completed job is final
+   and jobs are never removed; slices only grow at the end or are
+   filtered, so the run stands while its last slice is still physically
+   at its place; histogram samples only grow between registry loads, and
+   a load makes a new engine with a new handle. *)
 let layout =
   let open Codec in
   let job =
@@ -72,8 +86,11 @@ let layout =
       case "gauge" (tuple [ id "metric name"; float; float ]) (fun [ name; value; peak ] ->
           (name, Obs.Registry.Dump_gauge { value; peak }))
     and hist =
-      case "hist" (tuple [ id "metric name"; counted float ]) (fun [ name; samples ] ->
-          (name, Obs.Registry.Dump_histogram (Array.of_list samples)))
+      case "hist"
+        (scoped
+           (fun [ name; _ ] -> name)
+           (tuple [ id "metric name"; counted ~reuse:(reuse "samples") float ]))
+        (fun [ name; samples ] -> (name, Obs.Registry.Dump_histogram (Array.of_list samples)))
     in
     variant [ Case counter; Case gauge; Case hist ] (function
       | name, Obs.Registry.Dump_counter n -> Tagged (counter, [ name; n ])
@@ -109,10 +126,12 @@ let layout =
       keyed "objective" (enum "objective" [ ("flow", `Flow); ("stretch", `Stretch) ]);
       keyed "lost_work" (enum "lost_work" [ ("lost", `Lost); ("preserved", `Preserved) ]);
       keyed "now" rat;
-      section "jobs" (keyed "job" job);
+      section
+        ~reuse:(reuse "jobs" ~final:(fun js -> js.Engine.js_completed_at <> None))
+        "jobs" (keyed "job" job);
       array (section "overlay" (keyed "avail" (enum "avail" [ ("up", W.Up); ("down", W.Down) ])));
       section "faults" (keyed "fault" (pair rat Wal.fault));
-      section "slices" (keyed "slice" slice);
+      section ~reuse:(reuse "slices" ~same:( == )) "slices" (keyed "slice" slice);
       array (section "last_stop" (keyed "stop" rat));
       keyed "completed" nat;
       section "metrics" (line metric);
@@ -136,10 +155,20 @@ let layout =
 
 let trailer = Codec.(keyed "checksum" int)
 
+(* The file text through [emit]: the body in pieces, reusing and
+   extending [memo], then the trailer over the pieces' combined sum.
+   Returns the bytes written and how many of them were encoded afresh. *)
+let write_state ~memo ~seq ~platform st emit =
+  let body =
+    try Codec.stream ~memo emit layout (seq, platform, st)
+    with Codec.Malformed m -> fail "%s" m
+  in
+  let tail = Codec.stream emit trailer body.sum in
+  (body.bytes + tail.bytes, body.encoded + tail.encoded)
+
 let state_to_string ~seq ~platform st =
   let b = Buffer.create 4096 in
-  (try Codec.write layout b (seq, platform, st) with Codec.Malformed m -> fail "%s" m);
-  Codec.write trailer b (Wal.adler32 (Buffer.contents b));
+  ignore (write_state ~memo:(Codec.memo ()) ~seq ~platform st (Buffer.add_subbytes b));
   Buffer.contents b
 
 (* The trailer is the last line; its checksum covers every byte before it. *)
@@ -156,38 +185,48 @@ let state_of_string text =
 (* --- files ------------------------------------------------------------ *)
 
 (* Temp + fsync + rename: readers see either the previous file or the
-   complete new one.  The directory is fsync'd too so the rename itself
-   survives a crash. *)
-let write_atomic path content =
+   complete new one.  [write] streams the content through one channel.
+   The directory is fsync'd too so the rename itself survives a crash. *)
+let write_atomic path write =
   let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Wal.write_all fd content;
-      Unix.fsync fd);
+  let oc =
+    Unix.out_channel_of_descr
+      (Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644)
+  in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let result = write (output oc) in
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc);
+        result)
+  in
   Unix.rename tmp path;
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | dfd ->
-    (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-    (try Unix.close dfd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
+  (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+   | dfd ->
+     (try Unix.fsync dfd with Unix.Unix_error _ -> ());
+     (try Unix.close dfd with Unix.Unix_error _ -> ())
+   | exception Unix.Unix_error _ -> ());
+  result
 
-let save_file path ~seq engine =
+let save_file ?(memo = Codec.memo ()) path ~seq engine =
   (* Dump and encoding run inside the span: serialization is part of the
      snapshot's cost, not of whichever command triggered the checkpoint. *)
-  let bytes =
+  let bytes, encoded =
     Obs.Span.with_span "snapshot.write" (fun () ->
-        let text =
-          state_to_string ~seq ~platform:(Engine.platform engine) (Engine.dump engine)
+        let st = Engine.dump engine in
+        let bytes, encoded =
+          write_atomic path (write_state ~memo ~seq ~platform:(Engine.platform engine) st)
         in
         Obs.Span.set_int "seq" seq;
-        Obs.Span.set_int "bytes" (String.length text);
-        write_atomic path text;
-        String.length text)
+        Obs.Span.set_int "bytes" bytes;
+        Obs.Span.set_int "encoded_bytes" encoded;
+        (bytes, encoded))
   in
   Obs.Registry.incr c_snapshots;
-  Obs.Registry.add c_snapshot_bytes bytes
+  Obs.Registry.add c_snapshot_bytes bytes;
+  Obs.Registry.add c_snapshot_encoded encoded
 
 let load_file path =
   let text = In_channel.with_open_bin path In_channel.input_all in
@@ -201,10 +240,12 @@ let dir h = h.dir
 let close h = Wal.close h.writer
 
 (* Hand [engine] its durability handle: the log [w], and checkpoints
-   written to [dir]'s snapshot file. *)
+   written to [dir]'s snapshot file, encoded against the handle's memo. *)
 let armed ~dir ~snapshot_every ~last_seq w engine =
+  let memo = Codec.memo () in
   Engine.set_durability engine ~wal:w
-    ~checkpoint:(fun () -> save_file (snapshot_file dir) ~seq:(Engine.last_seq engine) engine)
+    ~checkpoint:(fun () ->
+      save_file ~memo (snapshot_file dir) ~seq:(Engine.last_seq engine) engine)
     ~every:snapshot_every ~last_seq;
   { dir; writer = w }
 

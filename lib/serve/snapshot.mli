@@ -14,8 +14,10 @@
     paths ({!Engine.apply_record}), yielding an engine bit-identical to
     one that never crashed (DESIGN.md §11).
 
-    Checkpoint writes emit a [snapshot.write] span and tally
-    [wal.snapshots] / [wal.snapshot_bytes] in {!Obs.Registry.global}. *)
+    Checkpoint writes emit a [snapshot.write] span (attributes [seq],
+    [bytes] written and [encoded_bytes] newly encoded) and tally
+    [wal.snapshots] / [wal.snapshot_bytes] /
+    [wal.snapshot_encoded_bytes] in {!Obs.Registry.global}. *)
 
 type handle
 (** An armed durability directory: the open WAL writer plus its paths.
@@ -23,8 +25,11 @@ type handle
 
 val arm : ?snapshot_every:int -> dir:string -> Engine.t -> handle
 (** Create [dir] if needed, write [DIR/meta] from the engine's current
-    state, open the WAL and arm the engine's durability handle
-    ({!Engine.set_durability}, shared with {!resume}).  Call on
+    state (encoded from scratch, as {!state_to_string} does), open the
+    WAL and arm the engine's durability handle ({!Engine.set_durability},
+    shared with {!resume}).  The handle's checkpoints share one memo of
+    encoded text, so each encodes only the completed jobs, slices and
+    histogram samples added since the last ({!save_file}).  Call on
     a freshly created engine, before any event.  [snapshot_every] > 0
     checkpoints automatically after that many logged records (default [0]:
     checkpoints only on the server's [snapshot] command).
@@ -62,8 +67,9 @@ val dir : handle -> string
 
 val state_to_string :
   seq:int -> platform:Gripps.Workload.platform -> Engine.state -> string
-(** Canonical text form (checksum trailer included).  Bit-identity of two
-    engine states can be checked by comparing these strings.
+(** Canonical text form (checksum trailer included): {!save_file}'s
+    writer with an empty memo.  Bit-identity of two engine states can be
+    checked by comparing these strings.
     @raise Invalid_argument on state that cannot round-trip (a request id
     or metric name containing whitespace). *)
 
@@ -72,10 +78,19 @@ val state_of_string : string -> int * Gripps.Workload.platform * Engine.state
     @raise Invalid_argument with a line-numbered message on malformed
     input or a checksum mismatch. *)
 
-val save_file : string -> seq:int -> Engine.t -> unit
+val save_file : ?memo:Codec.memo -> string -> seq:int -> Engine.t -> unit
 (** Serialize {!Engine.dump} of the engine and write it atomically: temp
-    file, [fsync], rename, directory [fsync].  Dump, encoding and write
-    all run inside one [snapshot.write] span. *)
+    file, [fsync], rename, directory [fsync].  The text is streamed to
+    the temp file in pieces, never held whole, and its checksum combined
+    from the pieces' sums.  [memo] (default: a fresh one) holds the text
+    of earlier writes' append-only runs: the prefix of completed jobs,
+    the slices while the last memoized one is still physically at its
+    place in the dump, and each histogram's samples.  A write reuses
+    what still stands, encodes the rest and extends the memo; the bytes
+    are {!state_to_string}'s either way.  Pass a memo only across dumps
+    of one engine, as {!arm} and {!resume} do: its reuse conditions hold
+    only there.  Dump, encoding and write all run inside one
+    [snapshot.write] span. *)
 
 val load_file : string -> int * Gripps.Workload.platform * Engine.state
 

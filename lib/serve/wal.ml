@@ -36,23 +36,7 @@ let c_fsyncs = Obs.Registry.counter Obs.Registry.global "wal.fsyncs"
 let c_replayed = Obs.Registry.counter Obs.Registry.global "wal.records_replayed"
 let c_torn = Obs.Registry.counter Obs.Registry.global "wal.torn_tails"
 
-let adler32 s =
-  (* Reduce once per block rather than per byte: 5552 bytes is zlib's
-     bound for 32-bit sums, far inside 63-bit ints, and modular
-     arithmetic makes the deferred reduction give the same value. *)
-  let n = String.length s in
-  let a = ref 1 and b = ref 0 and i = ref 0 in
-  while !i < n do
-    let stop = Stdlib.min n (!i + 5552) in
-    for k = !i to stop - 1 do
-      a := !a + Char.code (String.unsafe_get s k);
-      b := !b + !a
-    done;
-    a := !a mod 65521;
-    b := !b mod 65521;
-    i := stop
-  done;
-  (!b lsl 16) lor !a
+let adler32 = Adler32.string
 
 let encodable_id = Codec.encodable
 
@@ -128,7 +112,7 @@ let replay path =
 
 (* --- writing ---------------------------------------------------------- *)
 
-type writer = { fd : Unix.file_descr; mutable next_seq : int; path : string }
+type writer = { fd : Unix.file_descr; mutable next_seq : int }
 
 let write_all fd s =
   let rec go off =
@@ -149,7 +133,7 @@ let open_append ?valid_length ~next_seq path =
      Unix.ftruncate fd len;
      ignore (Unix.lseek fd len Unix.SEEK_SET)
    | None -> ignore (Unix.lseek fd 0 Unix.SEEK_END));
-  { fd; next_seq; path }
+  { fd; next_seq }
 
 let append w record =
   let payload = encode record in

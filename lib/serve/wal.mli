@@ -32,8 +32,9 @@ type record =
   | Drain
 
 val adler32 : string -> int
-(** The checksum used for record frames — shared with {!Snapshot}'s file
-    trailer so both artifacts are verified the same way. *)
+(** The checksum used for record frames ({!Adler32.string}) — shared with
+    {!Snapshot}'s file trailer so both artifacts are verified the same
+    way. *)
 
 val encodable_id : string -> bool
 (** Whether a request id survives the text encodings (non-empty, no
@@ -61,10 +62,6 @@ val replay : string -> (int * record) list * int * bool
     [([], 0, false)]. *)
 
 (** {1 Writing} *)
-
-val write_all : Unix.file_descr -> string -> unit
-(** Write every byte, retrying on [EINTR]; {!Snapshot} writes its files
-    with it too. *)
 
 type writer
 

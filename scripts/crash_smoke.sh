@@ -6,7 +6,10 @@
 # bit-identical to a run that never crashed.  A second scenario kills the
 # daemon inside an open admission coalescing window: every acknowledged
 # submit carries its future (coalesced) arrival date in the WAL, so the
-# resumed run must fire the same batch and drain to the same state.
+# resumed run must fire the same batch and drain to the same state.  A
+# third kills a daemon checkpointing every 2 records, after several
+# incrementally encoded checkpoints, one of them right after a failure
+# dropped slices: the resume starts from the last of them.
 set -eu
 
 DLSCHED=${1:-_build/default/bin/dlsched.exe}
@@ -35,6 +38,38 @@ for line in sys.stdin:
     else:
         print(line)
 '
+}
+
+# Send the commands in file $2 to the daemon listening on socket $1, one
+# at a time, and require an `ok` reply to each: a reply means the record
+# hit the fsync'd log before the engine applied it, so everything
+# acknowledged here must survive the kill.  With $3, every submit must be
+# acknowledged with that coalesced arrival date.
+drive() {
+  python3 - "$@" <<'PYEOF'
+import socket, sys, time
+path, cmds = sys.argv[1], sys.argv[2]
+fires_at = sys.argv[3] if len(sys.argv) > 3 else None
+for _ in range(100):
+    try:
+        s = socket.socket(socket.AF_UNIX)
+        s.connect(path)
+        break
+    except OSError:
+        time.sleep(0.1)
+else:
+    sys.exit("daemon socket never appeared")
+f = s.makefile("rw")
+assert f.readline().startswith("hello dlsched proto=2"), "banner"
+for line in open(cmds):
+    f.write(line)
+    f.flush()
+    r = f.readline().strip()
+    assert r.startswith("ok"), "command %r got %r" % (line.strip(), r)
+    if fires_at and line.startswith("submit"):
+        assert r.endswith("fires_at=" + fires_at), "not coalesced to the open window: %r" % r
+s.close()
+PYEOF
 }
 
 # The full command stream.  The crash run is SIGKILLed after the first 7
@@ -78,30 +113,7 @@ SOCK="$WORK/dlsched.sock"
 DAEMON=$!
 
 head -n 7 "$ALL" > "$WORK/prefix.cmds"
-if ! python3 - "$SOCK" "$WORK/prefix.cmds" <<'PYEOF'
-import socket, sys, time
-path, cmds = sys.argv[1], sys.argv[2]
-for _ in range(100):
-    try:
-        s = socket.socket(socket.AF_UNIX)
-        s.connect(path)
-        break
-    except OSError:
-        time.sleep(0.1)
-else:
-    sys.exit("daemon socket never appeared")
-f = s.makefile("rw")
-assert f.readline().startswith("hello dlsched proto=2"), "banner"
-# Read every reply: a reply means the record hit the fsync'd log before the
-# engine applied it, so everything acknowledged here must survive the kill.
-for line in open(cmds):
-    f.write(line)
-    f.flush()
-    r = f.readline().strip()
-    assert r.startswith("ok"), "command %r got %r" % (line.strip(), r)
-s.close()
-PYEOF
-then
+if ! drive "$SOCK" "$WORK/prefix.cmds"; then
   kill -9 "$DAEMON" 2> /dev/null || true
   fail "could not drive the daemon before the crash"
 fi
@@ -163,31 +175,7 @@ SOCK2="$WORK/dlsched-window.sock"
 DAEMON2=$!
 
 head -n 5 "$ALL2" > "$WORK/window-prefix.cmds"
-if ! python3 - "$SOCK2" "$WORK/window-prefix.cmds" <<'PYEOF'
-import socket, sys, time
-path, cmds = sys.argv[1], sys.argv[2]
-for _ in range(100):
-    try:
-        s = socket.socket(socket.AF_UNIX)
-        s.connect(path)
-        break
-    except OSError:
-        time.sleep(0.1)
-else:
-    sys.exit("daemon socket never appeared")
-f = s.makefile("rw")
-assert f.readline().startswith("hello dlsched proto=2"), "banner"
-for line in open(cmds):
-    f.write(line)
-    f.flush()
-    r = f.readline().strip()
-    assert r.startswith("ok"), "command %r got %r" % (line.strip(), r)
-    # Every acknowledged submit carries the shared coalesced arrival date.
-    if line.startswith("submit"):
-        assert r.endswith("fires_at=10"), "not coalesced to the open window: %r" % r
-s.close()
-PYEOF
-then
+if ! drive "$SOCK2" "$WORK/window-prefix.cmds" 10; then
   kill -9 "$DAEMON2" 2> /dev/null || true
   fail "could not drive the window daemon before the crash"
 fi
@@ -209,6 +197,75 @@ tail -n 4 "$WORK/window-resume.out" | head -n 3 | strip_admission \
 diff -u "$WORK/oracle2.final" "$WORK/window-resume.final" > /dev/null \
   || fail "window-crash resumed state differs from the uninterrupted run:
 $(diff -u "$WORK/oracle2.final" "$WORK/window-resume.final")"
+
+# --- crash after incremental checkpoints ---------------------------------
+
+# With --snapshot-every 2 the daemon checkpoints on every second record,
+# each checkpoint encoding only what the ones before did not: completed
+# jobs, slices and histogram samples are reused from the handle's memo.
+# The checkpoint at t=2 memoizes the first slices; `fail 1` then drops
+# two of them (slices_lost 2), so the next checkpoint re-encodes the
+# slices, and the ones after it reuse that text again.  The kill comes
+# after 11 commands, 10 records: the last checkpoint covers seq 9 (the
+# explicit `snapshot` restarts the count), so the resume starts from a
+# checkpoint written from the memo and replays one record.  Under the
+# same cadence it must finish bit-identically to an uninterrupted run.
+ALL3="$WORK/every2.cmds"
+cat > "$ALL3" <<'EOF'
+submit a 0 40
+submit b 1 20
+tick 1
+tick 1
+fail 1
+submit c 0 10
+tick 3
+snapshot
+submit d 1 8
+tick 2
+recover 1
+tick 4
+drain
+status
+metrics json
+quit
+EOF
+
+"$DLSCHED" serve --clock virtual --seed 42 --policy mct --wal "$WORK/oracle3" \
+  --snapshot-every 2 < "$ALL3" > "$WORK/oracle3.out" 2> /dev/null
+grep -q '^ok drained' "$WORK/oracle3.out" || fail "every-2 oracle did not drain"
+tail -n 4 "$WORK/oracle3.out" | head -n 3 | strip_admission > "$WORK/oracle3.final"
+grep -q '"requests_completed": 4\|"requests_completed":4' "$WORK/oracle3.final" \
+  || fail "every-2 oracle final state did not capture the metrics document"
+grep -q '"slices_lost": [1-9]\|"slices_lost":[1-9]' "$WORK/oracle3.final" \
+  || fail "every-2 oracle lost no slice to the failure"
+
+SOCK3="$WORK/dlsched-every2.sock"
+"$DLSCHED" serve --socket "$SOCK3" --clock virtual --seed 42 --policy mct \
+  --wal "$WORK/every2-crash" --snapshot-every 2 > "$WORK/daemon3.out" 2>&1 &
+DAEMON3=$!
+
+head -n 11 "$ALL3" > "$WORK/every2-prefix.cmds"
+if ! drive "$SOCK3" "$WORK/every2-prefix.cmds"; then
+  kill -9 "$DAEMON3" 2> /dev/null || true
+  fail "could not drive the every-2 daemon before the crash"
+fi
+
+kill -9 "$DAEMON3"
+wait "$DAEMON3" 2> /dev/null || true
+grep -q '^seq 9$' "$WORK/every2-crash/snapshot" \
+  || fail "the last checkpoint (seq 9) was not left behind"
+printf 'r 99 1234 5678\nsubmi' >> "$WORK/every2-crash/wal"
+
+tail -n +12 "$ALL3" | "$DLSCHED" serve --clock virtual --resume "$WORK/every2-crash" \
+  --snapshot-every 2 > "$WORK/every2-resume.out" 2> "$WORK/every2-resume.err"
+grep -q 'resumed from .* (seq [0-9]' "$WORK/every2-resume.err" \
+  || fail "no every-2 resume banner: $(cat "$WORK/every2-resume.err")"
+tail -n 4 "$WORK/every2-resume.out" | head -n 3 | strip_admission \
+  > "$WORK/every2-resume.final"
+
+diff -u "$WORK/oracle3.final" "$WORK/every2-resume.final" > /dev/null \
+  || fail "every-2 resumed state differs from the uninterrupted run:
+$(diff -u "$WORK/oracle3.final" "$WORK/every2-resume.final")"
 
 # --- guard rails ----------------------------------------------------------
 

@@ -95,6 +95,35 @@ let prop_adler32_reference =
         s;
       Wal.adler32 s = (!b lsl 16) lor !a)
 
+(* A snapshot's trailer is folded from per-piece sums: over random
+   splits of a random text (pieces past 65521 bytes included), the pieces'
+   sums combined, or one sum extended piece by piece, equal the sum of
+   the whole. *)
+let prop_adler32_combine =
+  QCheck.Test.make ~count:100 ~name:"combined adler32 over random splits is the whole text's"
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(int_bound 150_000) Gen.char)
+        (list_of_size Gen.(int_bound 6) (int_bound 150_000)))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let bounds = List.sort_uniq compare ((0 :: n :: List.map (fun c -> c mod (n + 1)) cuts)) in
+      let rec pieces = function
+        | a :: (b :: _ as tl) -> String.sub s a (b - a) :: pieces tl
+        | _ -> []
+      in
+      let pieces = pieces bounds in
+      let combined =
+        List.fold_left
+          (fun sum p -> Serve.Adler32.combine sum (Serve.Adler32.string p) (String.length p))
+          Serve.Adler32.empty pieces
+      and extended =
+        List.fold_left
+          (fun sum p -> Serve.Adler32.update sum (Bytes.of_string p) 0 (String.length p))
+          Serve.Adler32.empty pieces
+      in
+      combined = Wal.adler32 s && extended = Wal.adler32 s)
+
 let test_wal_file_roundtrip () =
   let dir = fresh_dir "walfile" in
   Unix.mkdir dir 0o755;
@@ -399,6 +428,11 @@ let test_restore_work_conserved () =
 let test_restore_metric_kind () =
   rejected_by_restore "gauge queue_depth 0x1p+1 0x1p+2" "gauge flow_seconds 0x1p+1 0x1p+2" ()
 
+(* A metric name no engine instrument carries: loading it used to create
+   a stray [sliced] counter and leave [slices] at 0. *)
+let test_restore_metric_name () =
+  rejected_by_restore "counter slices 7" "counter sliced 7" ()
+
 (* Fixture cache entry fields: fingerprint key (one job), review offset,
    share count, then machine, census position and share per share.  A
    position past the key's jobs used to restore and fail the first cache
@@ -409,6 +443,68 @@ let test_restore_cache_entry () =
   List.iter
     (fun by -> rejected_by_restore centry ("centry mct|stretch|uud|1:1:8:4/29 " ^ by) ())
     [ "none 1 0 5 1"; "none 1 7 0 1"; "none 1 0 0 3/2"; "none 1 0 0 0"; "0 1 0 0 1" ]
+
+(* Checkpoints encode only what the run added since the last one.  A
+   200-request mct replay, each request submitted live at its arrival,
+   checkpoints every 16 records.  Every checkpoint writes the
+   from-scratch encoding, and after the first each newly encodes
+   ([wal.snapshot_encoded_bytes]) less than what the file grew by plus
+   the size of the first: the text added since, plus the parts rewritten
+   every time (header, counters, open jobs).  By the last checkpoint that
+   is under a tenth of the bytes it writes. *)
+let test_checkpoint_encodes_new () =
+  let trace = T.poisson ~seed:3 ~rate:0.3 ~count:200 () in
+  let platform = trace.T.platform in
+  let dir = fresh_dir "incremental" in
+  let e =
+    E.create ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Mct) platform
+  in
+  let h = Snap.arm ~snapshot_every:16 ~dir e in
+  let global name = M.count (M.counter M.global name) in
+  let writes = ref [] in
+  let step f =
+    let before = (global "wal.snapshots", global "wal.snapshot_bytes",
+                  global "wal.snapshot_encoded_bytes") in
+    f ();
+    let n0, bytes0, encoded0 = before in
+    if global "wal.snapshots" > n0 then begin
+      let text = read_file (Snap.snapshot_file dir) in
+      Alcotest.(check string) "checkpoint bytes"
+        (Snap.state_to_string ~seq:(E.last_seq e) ~platform (E.dump e)) text;
+      Alcotest.(check int) "bytes counted" (String.length text)
+        (global "wal.snapshot_bytes" - bytes0);
+      writes := (String.length text, global "wal.snapshot_encoded_bytes" - encoded0) :: !writes
+    end
+  in
+  List.iter
+    (fun (en : T.entry) ->
+      let r = en.T.request in
+      step (fun () -> E.run_until e r.W.arrival);
+      step (fun () ->
+          ignore
+            (E.submit e ~id:en.T.id ~arrival:r.W.arrival ~bank:r.W.bank
+               ~num_motifs:r.W.num_motifs ())))
+    trace.T.entries;
+  step (fun () -> E.drain e);
+  Snap.close h;
+  rm_rf dir;
+  match List.rev !writes with
+  | [] -> Alcotest.fail "no checkpoint taken"
+  | (first, encoded) :: later ->
+    Alcotest.(check int) "the first checkpoint encodes everything" first encoded;
+    Alcotest.(check bool) "checkpoints every 16 of 401 records" true
+      (List.length later = 24);
+    ignore
+      (List.fold_left
+         (fun prev (bytes, encoded) ->
+           if encoded >= bytes - prev + first then
+             Alcotest.failf "a %d-byte checkpoint after a %d-byte one encoded %d bytes" bytes
+               prev encoded;
+           bytes)
+         first later);
+    let bytes, encoded = List.hd !writes in
+    if 10 * encoded >= bytes then
+      Alcotest.failf "the last checkpoint encoded %d of its %d bytes" encoded bytes
 
 (* ------------------------------------------------------------------ *)
 (* Crash / resume                                                      *)
@@ -703,7 +799,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_wal_file_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "frame length past end-of-file" `Quick test_wal_length_past_eof;
-          QCheck_alcotest.to_alcotest prop_adler32_reference
+          QCheck_alcotest.to_alcotest prop_adler32_reference;
+          QCheck_alcotest.to_alcotest prop_adler32_combine
         ] );
       ( "snapshot",
         [ Alcotest.test_case "text roundtrip" `Quick test_snapshot_roundtrip;
@@ -729,7 +826,11 @@ let () =
           Alcotest.test_case "work not conserved rejected" `Quick test_restore_work_conserved;
           Alcotest.test_case "cache entry outside the key or the platform rejected" `Quick
             test_restore_cache_entry;
-          Alcotest.test_case "metric of another kind rejected" `Quick test_restore_metric_kind
+          Alcotest.test_case "metric of another kind rejected" `Quick test_restore_metric_kind;
+          Alcotest.test_case "metric of no engine instrument rejected" `Quick
+            test_restore_metric_name;
+          Alcotest.test_case "checkpoints encode only what is new" `Quick
+            test_checkpoint_encodes_new
         ] );
       ( "resume",
         [ Alcotest.test_case "from meta" `Quick test_resume_from_meta;
