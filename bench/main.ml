@@ -14,6 +14,7 @@
      lp         -- ablation: exact-rational vs float simplex
      search     -- ablation: accelerated vs pure-exact milestone search
      serve      -- serving engine replay throughput vs trace size
+     soak       -- serving engine per-request cost and heap over 20k live submits
      micro      -- Bechamel micro-benchmarks of the core operations
 
    Absolute numbers are machine- and substrate-dependent; EXPERIMENTS.md
@@ -782,6 +783,36 @@ let run_faults () =
   Json_out.write ~experiment:"faults" (Json_out.List (List.rev !json_rows))
 
 (* ------------------------------------------------------------------ *)
+(* Live submission and scratch directories, shared by the durability   *)
+(* and soak experiments                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A live client on a virtual clock: run the engine up to the request's
+   arrival, then submit it. *)
+let submit_at_arrival engine (e : Serve.Trace.entry) =
+  let arrival = e.Serve.Trace.request.W.arrival in
+  Serve.Engine.run_until engine arrival;
+  ignore
+    (Serve.Engine.submit engine ~id:e.Serve.Trace.id ~arrival
+       ~bank:e.Serve.Trace.request.W.bank ~num_motifs:e.Serve.Trace.request.W.num_motifs ())
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let tmp name =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dlsched-bench-%s-%d" name (Unix.getpid ()))
+  in
+  rm_rf dir;
+  dir
+
+let wal_counter name = Obs.Registry.counter Obs.Registry.global name
+
+(* ------------------------------------------------------------------ *)
 (* Durability: WAL overhead and recovery fidelity                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -790,32 +821,13 @@ let run_durability () =
   Printf.printf
     "Poisson GriPPS trace driven through the serving engine three ways:\n\
      bare, write-ahead logged (fsync per event, snapshot every 50), and\n\
-     crashed at the midpoint then resumed.  The resumed state must match\n\
-     the uninterrupted logged run bit for bit.\n";
+     crashed at the midpoint then resumed.  Each request is submitted at\n\
+     its arrival, after running the engine up to it, so checkpoints see\n\
+     completed jobs and slices.  The resumed state must match the\n\
+     uninterrupted logged run bit for bit.\n";
   let count = 150 in
   let trace = Serve.Trace.poisson ~seed:42 ~machines:4 ~banks:3 ~rate:0.3 ~count () in
   let policy = (module Online.Policies.Mct : Online.Sim.POLICY) in
-  let submit_entry engine (e : Serve.Trace.entry) =
-    ignore
-      (Serve.Engine.submit engine ~id:e.Serve.Trace.id
-         ~arrival:e.Serve.Trace.request.W.arrival ~bank:e.Serve.Trace.request.W.bank
-         ~num_motifs:e.Serve.Trace.request.W.num_motifs ())
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  let tmp name =
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dlsched-bench-%s-%d" name (Unix.getpid ()))
-    in
-    rm_rf dir;
-    dir
-  in
-  let wal_counter name = Obs.Registry.counter Obs.Registry.global name in
   let counts () =
     List.map
       (fun n -> (n, Obs.Registry.count (wal_counter n)))
@@ -826,7 +838,7 @@ let run_durability () =
   let bare, bare_s =
     time_it (fun () ->
         let e = Serve.Engine.create ~clock:(Serve.Clock.virtual_ ()) ~policy trace.Serve.Trace.platform in
-        List.iter (submit_entry e) trace.Serve.Trace.entries;
+        List.iter (submit_at_arrival e) trace.Serve.Trace.entries;
         Serve.Engine.drain e;
         e)
   in
@@ -837,7 +849,7 @@ let run_durability () =
     time_it (fun () ->
         let e = Serve.Engine.create ~clock:(Serve.Clock.virtual_ ()) ~policy trace.Serve.Trace.platform in
         let h = Serve.Snapshot.arm ~snapshot_every:50 ~dir:dir_oracle e in
-        List.iter (submit_entry e) trace.Serve.Trace.entries;
+        List.iter (submit_at_arrival e) trace.Serve.Trace.entries;
         Serve.Engine.drain e;
         (e, h))
   in
@@ -851,7 +863,7 @@ let run_durability () =
   let rests = List.filteri (fun i _ -> i >= half) trace.Serve.Trace.entries in
   let e0 = Serve.Engine.create ~clock:(Serve.Clock.virtual_ ()) ~policy trace.Serve.Trace.platform in
   let h0 = Serve.Snapshot.arm ~snapshot_every:50 ~dir:dir_crash e0 in
-  List.iter (submit_entry e0) firsts;
+  List.iter (submit_at_arrival e0) firsts;
   (* kill -9: the process vanishes; nothing is flushed beyond the WAL. *)
   Serve.Snapshot.close h0;
   let (h1, e1), resume_s =
@@ -859,7 +871,7 @@ let run_durability () =
         Serve.Snapshot.resume ~snapshot_every:50 ~dir:dir_crash
           ~clock:(Serve.Clock.virtual_ ()) ~policies:[ policy ] ())
   in
-  List.iter (submit_entry e1) rests;
+  List.iter (submit_at_arrival e1) rests;
   Serve.Engine.drain e1;
   Serve.Snapshot.close h1;
   let dump e =
@@ -904,6 +916,88 @@ let run_durability () =
          ("snapshot_encoded_bytes", Json_out.Int (logged_count "wal.snapshot_encoded_bytes"));
          ("resume_identical", Json_out.Bool identical);
        ])
+
+(* ------------------------------------------------------------------ *)
+(* Soak: per-request cost and heap as history grows                    *)
+(* ------------------------------------------------------------------ *)
+
+let run_soak () =
+  section "Soak: live submits on a virtual clock as history grows";
+  let count = 20_000 and block = 2_000 in
+  Printf.printf
+    "Poisson GriPPS trace (seed 1, 0.1 requests/s, %d requests), mct, each request\n\
+     submitted at its arrival after running the engine up to it; reported per\n\
+     block of %d submits.  Completed jobs are retained, so the heap grows with\n\
+     history; the time per request should not.  Run once unarmed and once with\n\
+     the write-ahead log armed (fsync per record, snapshot every 64 records),\n\
+     each from a compacted heap; \"heap\" is the major heap after the block,\n\
+     \"top heap\" the process's peak so far.\n"
+    count block;
+  let trace = Serve.Trace.poisson ~seed:1 ~rate:0.1 ~count () in
+  let entries = Array.of_list trace.Serve.Trace.entries in
+  let policy = (module Online.Policies.Mct : Online.Sim.POLICY) in
+  let json_rows = ref [] in
+  let one ~armed =
+    let label = if armed then "armed" else "unarmed" in
+    let engine =
+      Serve.Engine.create ~clock:(Serve.Clock.virtual_ ()) ~policy trace.Serve.Trace.platform
+    in
+    let dir = tmp "soak" in
+    Gc.compact ();
+    let handle =
+      if armed then Some (Serve.Snapshot.arm ~snapshot_every:64 ~dir engine) else None
+    in
+    Printf.printf "\n%s\n%8s %10s %10s %10s %6s" label "submits" "us/req" "heap" "top heap"
+      "live";
+    if armed then Printf.printf " %10s %14s" "snapshots" "bytes/snapshot";
+    print_newline ();
+    let per_block =
+      List.init (count / block) (fun b ->
+          let snaps0 = Obs.Registry.count (wal_counter "wal.snapshots") in
+          let bytes0 = Obs.Registry.count (wal_counter "wal.snapshot_bytes") in
+          let (), elapsed =
+            time_it (fun () ->
+                for k = b * block to ((b + 1) * block) - 1 do
+                  submit_at_arrival engine entries.(k)
+                done)
+          in
+          let us = elapsed *. 1e6 /. float_of_int block in
+          let gc = Gc.quick_stat () in
+          let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6 in
+          let heap_mb = mb gc.Gc.heap_words and top_mb = mb gc.Gc.top_heap_words in
+          let snaps = Obs.Registry.count (wal_counter "wal.snapshots") - snaps0 in
+          let bytes = Obs.Registry.count (wal_counter "wal.snapshot_bytes") - bytes0 in
+          let submits = (b + 1) * block in
+          Printf.printf "%8d %10.1f %7.1f MB %7.1f MB %6d" submits us heap_mb top_mb
+            (Serve.Engine.active engine);
+          if armed then
+            Printf.printf " %10d %14.0f" snaps (float_of_int bytes /. float_of_int (max 1 snaps));
+          print_newline ();
+          json_rows :=
+            Json_out.Obj
+              [
+                ("run", Json_out.Str label);
+                ("submits", Json_out.Int submits);
+                ("us_per_request", Json_out.Float us);
+                ("heap_mb", Json_out.Float heap_mb);
+                ("top_heap_mb", Json_out.Float top_mb);
+                ("snapshots", Json_out.Int snaps);
+                ("snapshot_bytes", Json_out.Int bytes);
+              ]
+            :: !json_rows;
+          us)
+    in
+    Option.iter Serve.Snapshot.close handle;
+    rm_rf dir;
+    match per_block with
+    | _ :: second :: _ ->
+      let last = List.nth per_block (List.length per_block - 1) in
+      Printf.printf "%s: last block / second block = %.2f\n" label (last /. second)
+    | _ -> ()
+  in
+  one ~armed:false;
+  one ~armed:true;
+  Json_out.write ~experiment:"soak" (Json_out.List (List.rev !json_rows))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control: batched re-decides vs per-request re-decides     *)
@@ -1161,6 +1255,7 @@ let experiments =
     ("serve", run_serve);
     ("faults", run_faults);
     ("durability", run_durability);
+    ("soak", run_soak);
     ("admission", run_admission);
     ("fuzz", run_fuzz);
     ("micro", run_micro)

@@ -28,12 +28,10 @@ let degeneracy_to_string = function
     Printf.sprintf "machine %d, job %d: finite cost must be positive" i j
   | Shape_mismatch what -> what ^ " length mismatch"
 
-(* The per-job conditions of Section 3 for the job that will have index
-   [j], whose costs are column [col] of [cost], checked in a fixed order:
-   release, flow origin, weight, finite costs (by machine), runnability.
-   [make_checked] and [extend] both validate through it, so an instance
-   grown job by job is checked exactly like one built at once. *)
-let check_job j job cost col =
+(* The per-job conditions of Section 3 for job [j], whose costs are
+   column [j] of [cost], checked in a fixed order: release, flow origin,
+   weight, finite costs (by machine), runnability. *)
+let check_job j job cost =
   if Rat.sign job.release < 0 then Error (Negative_release j)
   else if Rat.sign job.flow_origin < 0 || Rat.compare job.flow_origin job.release > 0
   then Error (Bad_flow_origin j)
@@ -42,71 +40,49 @@ let check_job j job cost col =
     let rec costs i runnable =
       if i >= Array.length cost then if runnable then Ok () else Error (Unrunnable_job j)
       else
-        match cost.(i).(col) with
+        match cost.(i).(j) with
         | Some c when Rat.sign c <= 0 -> Error (Nonpositive_cost (i, j))
         | Some _ -> costs (i + 1) true
         | None -> costs (i + 1) runnable
     in
     costs 0 false
 
-(* Validate the jobs given by [releases]/[weights]/[cost] (one cost row
-   per machine) and append them to [jobs]/[rows]: the shared body of
-   [make_checked] and [extend]. *)
-let append_checked ~jobs ~rows ?flow_origins ~releases ~weights cost =
-  let ( let* ) = Result.bind in
-  let k = Array.length releases in
-  let* () =
-    if Array.length weights <> k then Error (Shape_mismatch "weights") else Ok ()
-  in
-  let flow_origins = Option.value flow_origins ~default:releases in
-  let* () =
-    if Array.length flow_origins <> k then Error (Shape_mismatch "flow_origins")
-    else Ok ()
-  in
-  let m = Array.length rows in
-  let* () = if m = 0 then Error No_machines else Ok () in
-  let* () = if Array.length cost <> m then Error (Shape_mismatch "cost row") else Ok () in
-  let* () =
-    if Array.exists (fun row -> Array.length row <> k) cost then
-      Error (Shape_mismatch "cost row")
-    else Ok ()
-  in
-  let fresh =
-    Array.init k (fun j ->
-        { release = releases.(j); weight = weights.(j); flow_origin = flow_origins.(j) })
-  in
-  let rec check j =
-    if j >= k then Ok ()
-    else
-      match check_job (Array.length jobs + j) fresh.(j) cost j with
-      | Ok () -> check (j + 1)
-      | e -> e
-  in
-  let* () = check 0 in
-  Ok
-    {
-      jobs = Array.append jobs fresh;
-      num_machines = m;
-      cost = Array.mapi (fun i row -> Array.append row cost.(i)) rows;
-    }
-
 (* Total construction: every way an input can be degenerate is reported as
    a typed value instead of an exception, so callers generating adversarial
    instances (lib/check) can classify rejects without parsing messages. *)
 let make_checked ?flow_origins ~releases ~weights cost =
-  append_checked ~jobs:[||]
-    ~rows:(Array.make (Array.length cost) [||])
-    ?flow_origins ~releases ~weights cost
+  let ( let* ) = Result.bind in
+  let n = Array.length releases in
+  let* () =
+    if Array.length weights <> n then Error (Shape_mismatch "weights") else Ok ()
+  in
+  let flow_origins = Option.value flow_origins ~default:releases in
+  let* () =
+    if Array.length flow_origins <> n then Error (Shape_mismatch "flow_origins")
+    else Ok ()
+  in
+  let m = Array.length cost in
+  let* () = if m = 0 then Error No_machines else Ok () in
+  let* () =
+    if Array.exists (fun row -> Array.length row <> n) cost then
+      Error (Shape_mismatch "cost row")
+    else Ok ()
+  in
+  let jobs =
+    Array.init n (fun j ->
+        { release = releases.(j); weight = weights.(j); flow_origin = flow_origins.(j) })
+  in
+  let rec check j =
+    if j >= n then Ok ()
+    else match check_job j jobs.(j) cost with Ok () -> check (j + 1) | e -> e
+  in
+  let* () = check 0 in
+  Ok { jobs; num_machines = m; cost = Array.map Array.copy cost }
 
 let make ?flow_origins ~releases ~weights cost =
   match make_checked ?flow_origins ~releases ~weights cost with
   | Ok t -> t
   | Error d -> invalid_arg ("Instance.make: " ^ degeneracy_to_string d)
-
-let extend t ~releases ~weights cost =
-  match append_checked ~jobs:t.jobs ~rows:t.cost ~releases ~weights cost with
-  | Ok t -> t
-  | Error d -> invalid_arg ("Instance.extend: " ^ degeneracy_to_string d)
 
 let uniform ~speeds ~sizes ~releases ~weights ~available =
   let m = Array.length speeds and n = Array.length sizes in

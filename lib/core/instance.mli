@@ -66,16 +66,6 @@ val make :
     @raise Invalid_argument on any {!degeneracy} (the message carries
     {!degeneracy_to_string}). *)
 
-val extend :
-  t -> releases:Rat.t array -> weights:Rat.t array -> Rat.t option array array -> t
-(** [extend t ~releases ~weights cost] appends [k] jobs ([cost] is
-    [num_machines × k], flow origins equal the releases) as indices
-    [num_jobs t .. num_jobs t + k - 1].  Structurally equal to {!make}
-    over the concatenated arrays, but only the new jobs are validated —
-    by the same per-job checks as {!make_checked}.  Costs one pointer
-    copy of [t] ([O(m·n)]) and no arithmetic on the old jobs.
-    @raise Invalid_argument on any {!degeneracy} of the new jobs. *)
-
 val uniform :
   speeds:Rat.t array ->
   sizes:Rat.t array ->

@@ -41,6 +41,10 @@ module type S = sig
       for [Approx].  The simplex pivoting rules only use this predicate and
       [compare], so numerical robustness is confined here. *)
 
+  val exactly_zero : t -> bool
+  (** A [Rat] zero or a float equal to [0.0], with no tolerance: the test
+      for dropping a term, whose absence must not change the problem. *)
+
   val sign : t -> int
   (** [-1], [0] (within tolerance) or [1]. *)
 
@@ -120,6 +124,7 @@ module Rational : With_kernels with type t = Numeric.Rat.t = struct
   include Numeric.Rat
 
   let of_rat x = x
+  let exactly_zero = Numeric.Rat.is_zero
   let exact = true
 
   module R = Numeric.Rat
@@ -237,6 +242,7 @@ module Approx : With_kernels with type t = float = struct
   let div = ( /. )
   let neg x = -.x
   let[@inline] is_zero x = Float.abs x < eps
+  let exactly_zero x = x = 0.0
   let[@inline] sign x = if x > eps then 1 else if x < -.eps then -1 else 0
   let exact = false
   let[@inline] compare a b = if is_zero (a -. b) then 0 else Float.compare a b

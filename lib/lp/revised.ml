@@ -97,7 +97,10 @@ module Make (F : Linalg.Field.With_kernels) = struct
 
   (* Normalize and build the CSC matrix.  The layout matches the dense
      solvers exactly: originals, then one slack/surplus per inequality,
-     then one artificial per Ge/Eq row; rhs is kept separately. *)
+     then one artificial per Ge/Eq row; rhs is kept separately.  Duplicate
+     terms are combined and only an exact zero is dropped, so a float
+     layout has the sparsity pattern of its problem's exact one (a 10⁻¹²
+     coefficient is a coefficient, not noise). *)
   let prepare (p : F.t Problem.t) : prepared =
     let n = p.Problem.num_vars in
     let constrs = Array.of_list p.Problem.constraints in
@@ -149,7 +152,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
            CSC columns come out row-sorted; sort the touched set. *)
         List.iter
           (fun v ->
-            if not (F.is_zero scratch.(v)) then
+            if not (F.exactly_zero scratch.(v)) then
               Sp.Builder.add builder ~row:i ~col:v scratch.(v);
             scratch.(v) <- F.zero;
             marked.(v) <- false)

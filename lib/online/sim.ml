@@ -42,20 +42,20 @@ let announce_each (on_arrival : 'a -> now:Rat.t -> job:int -> unit) :
 
 type result = { policy : string; schedule : S.t; decisions : int }
 
+type cost = machine:int -> job:int -> Rat.t option
+
 let bad ?(where = "Sim.run") name fmt =
   Printf.ksprintf (fun s -> invalid_arg (Printf.sprintf "%s(%s): %s" where name s)) fmt
 
-let check_decision ?where ?(up = fun _ -> true) ~name inst ~eligible ~now d =
-  let n = I.num_jobs inst and m = I.num_machines inst in
-  let per_machine = Array.make m Rat.zero in
+let check_decision ?where ?(up = fun _ -> true) ~name ~machines ~cost ~eligible ~now d =
+  let per_machine = Array.make machines Rat.zero in
   List.iter
     (fun s ->
-      if s.machine < 0 || s.machine >= m then bad ?where name "bad machine %d" s.machine;
-      if s.job < 0 || s.job >= n || not (eligible s.job) then
-        bad ?where name "share on inactive job %d" s.job;
+      if s.machine < 0 || s.machine >= machines then bad ?where name "bad machine %d" s.machine;
+      if not (eligible s.job) then bad ?where name "share on inactive job %d" s.job;
       if Rat.sign s.share <= 0 then bad ?where name "non-positive share";
       if not (up s.machine) then bad ?where name "share on down machine %d" s.machine;
-      if I.cost inst ~machine:s.machine ~job:s.job = None then
+      if cost ~machine:s.machine ~job:s.job = None then
         bad ?where name "share on unavailable machine %d for job %d" s.machine s.job;
       per_machine.(s.machine) <- Rat.add per_machine.(s.machine) s.share)
     d.shares;
@@ -67,11 +67,11 @@ let check_decision ?where ?(up = fun _ -> true) ~name inst ~eligible ~now d =
   | Some r when Rat.compare r now <= 0 -> bad ?where name "review_at not in the future"
   | _ -> ()
 
-let next_completion inst d ~now ~remaining =
+let next_completion ~cost d ~now ~remaining =
   let rate = Hashtbl.create 8 in
   List.iter
     (fun s ->
-      match I.cost inst ~machine:s.machine ~job:s.job with
+      match cost ~machine:s.machine ~job:s.job with
       | Some c ->
         let r = Option.value (Hashtbl.find_opt rate s.job) ~default:Rat.zero in
         Hashtbl.replace rate s.job (Rat.add r (Rat.div s.share c))
@@ -83,23 +83,23 @@ let next_completion inst d ~now ~remaining =
       match acc with None -> Some t | Some best -> Some (Rat.min best t))
     rate None
 
-let materialize inst ~now ~horizon d ~remaining =
+let materialize ~machines ~cost ~now ~horizon d ~remaining =
   let dt = Rat.sub horizon now in
-  let cursor = Array.make (I.num_machines inst) now in
+  let cursor = Array.make machines now in
   List.map
     (fun s ->
       let duration = Rat.mul s.share dt in
       let start = cursor.(s.machine) in
       let stop = Rat.add start duration in
       cursor.(s.machine) <- stop;
-      (match I.cost inst ~machine:s.machine ~job:s.job with
+      (match cost ~machine:s.machine ~job:s.job with
        | Some c -> remaining.(s.job) <- Rat.sub remaining.(s.job) (Rat.div duration c)
        | None -> assert false);
       { S.machine = s.machine; job = s.job; start; stop })
     d.shares
 
 let run (module P : POLICY) inst =
-  let n = I.num_jobs inst in
+  let n = I.num_jobs inst and machines = I.num_machines inst and cost = I.cost inst in
   let state = P.init inst in
   let remaining = Array.make n Rat.one in
   let completed = Array.make n false in
@@ -138,8 +138,8 @@ let run (module P : POLICY) inst =
     go ()
   in
   let validate_decision now d =
-    check_decision ~name:P.name inst
-      ~eligible:(fun j -> arrived.(j) && not completed.(j))
+    check_decision ~name:P.name ~machines ~cost
+      ~eligible:(fun j -> j >= 0 && j < n && arrived.(j) && not completed.(j))
       ~now d
   in
   let rec loop now guard =
@@ -159,7 +159,7 @@ let run (module P : POLICY) inst =
       validate_decision now d;
       (* Earliest of: job completion, next arrival, requested review. *)
       let completion_candidate =
-        next_completion inst d ~now ~remaining:(fun j -> remaining.(j))
+        next_completion ~cost d ~now ~remaining:(fun j -> remaining.(j))
       in
       let arrival_candidate =
         match !pending with [] -> None | j :: _ -> Some (I.release inst j)
@@ -179,7 +179,8 @@ let run (module P : POLICY) inst =
       | Some te ->
         if Rat.compare te now <= 0 then bad P.name "time did not advance";
         (* Materialize shares sequentially per machine and update progress. *)
-        slices := List.rev_append (materialize inst ~now ~horizon:te d ~remaining) !slices;
+        slices :=
+          List.rev_append (materialize ~machines ~cost ~now ~horizon:te d ~remaining) !slices;
         for j = 0 to n - 1 do
           if (not completed.(j)) && arrived.(j) then begin
             if Rat.sign remaining.(j) < 0 then

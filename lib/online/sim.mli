@@ -37,10 +37,16 @@ type decision = {
       (** ask to be consulted again at this date even if no event occurs *)
 }
 
-(** Online scheduling policy.  The engine passes the full instance to
-    [init] for convenience (cost matrix, weights), but an honest online
-    policy must only ever inspect jobs that have been announced through
-    [on_arrival]. *)
+(** Online scheduling policy.  {!run} passes the full instance to [init]
+    for convenience (cost matrix, weights), but an honest online policy
+    must only ever inspect jobs that have been announced through
+    [on_arrival].  A policy must also be index-relative: its decisions may
+    depend on the order of job indices but not on their values, so that
+    renumbering the jobs by any increasing map renumbers its shares and
+    changes nothing else.  The serving engine relies on it: it hands
+    [init] an instance over the jobs still in the system only, job [k]
+    being the [k]-th of them in index order, and translates indices at
+    the boundary (DESIGN.md §7, §13). *)
 module type POLICY = sig
   type state
 
@@ -104,36 +110,46 @@ val run : (module POLICY) -> Sched_core.Instance.t -> result
 
     The building blocks of {!run}, exposed so other event loops — notably
     the wall-clock serving engine of [Serve.Engine] — can drive the same
-    policies with identical validation and slice-materialization semantics. *)
+    policies with identical validation and slice-materialization semantics.
+    They read costs through a lookup, [cost ~machine ~job] (the paper's
+    [c_{i,j}], [None] for +∞), rather than from an instance: {!run} passes
+    [Sched_core.Instance.cost inst], and the serving engine each job's own
+    cost column under the availability overlay, so executing a decision
+    needs no instance over the jobs it names. *)
+
+type cost = machine:int -> job:int -> Rat.t option
 
 val check_decision :
   ?where:string ->
   ?up:(int -> bool) ->
   name:string ->
-  Sched_core.Instance.t ->
+  machines:int ->
+  cost:cost ->
   eligible:(int -> bool) ->
   now:Rat.t ->
   decision ->
   unit
-(** Validate a policy decision: machine/job indices in range, shares only on
-    [eligible] jobs, [up] machines (defaults to all machines up) and
-    available machines, positive shares, per-machine capacity at most 1,
-    and [review_at] strictly in the future.  The serving engine passes the
-    platform's live-machine predicate as [up] so a decision placing work on
-    a failed machine is rejected even if the instance it was checked
-    against predates the failure.
+(** Validate a policy decision: machine indices in [\[0, machines)], shares
+    only on [eligible] jobs ([eligible] must be total: it answers [false]
+    for an index out of range), [up] machines (defaults to all machines up)
+    and available machines ([cost] not [None]), positive shares,
+    per-machine capacity at most 1, and [review_at] strictly in the future.
+    The serving engine passes the platform's live-machine predicate as [up]
+    so a decision placing work on a failed machine is rejected even if the
+    policy state that made it predates the failure.
     @raise Invalid_argument with a ["where(name): ..."] message ([where]
     defaults to ["Sim.run"]). *)
 
 val next_completion :
-  Sched_core.Instance.t -> decision -> now:Rat.t -> remaining:(int -> Rat.t) -> Rat.t option
+  cost:cost -> decision -> now:Rat.t -> remaining:(int -> Rat.t) -> Rat.t option
 (** Earliest date at which a job holding a share of the decision completes,
     each job progressing at rate [Σ_i s_{i,j}/c_{i,j}] from [remaining j];
     [None] for a decision without shares.  Walks the shares only, so its
     cost follows the decision's size, not the instance's. *)
 
 val materialize :
-  Sched_core.Instance.t ->
+  machines:int ->
+  cost:cost ->
   now:Rat.t ->
   horizon:Rat.t ->
   decision ->

@@ -48,8 +48,10 @@ type job_state = {
   js_completed_at : Rat.t option;
 }
 
-(* The policy's abstract state, packed with its module. *)
-type runner = Runner : (module Sim.POLICY with type state = 's) * 's -> runner
+(* The policy's abstract state, packed with its module and its window:
+   the jobs it was built over, ascending, relative index [k] naming job
+   [window.(k)]. *)
+type runner = Runner : (module Sim.POLICY with type state = 's) * 's * int array -> runner
 
 (* A cached decision in canonical form: shares name jobs by their
    *position* in announcement order (not by absolute index, which differs
@@ -91,16 +93,13 @@ type t = {
   mutable n : int;
   ids : (string, int) Hashtbl.t;  (* request id -> job index *)
   mutable remaining : Rat.t array;  (* parallel to [jobs], fraction left *)
-  (* Instance caches, healthy and under the overlay.  Each covers a prefix
-     of [jobs] and is extended by the jobs submitted since, never rebuilt
-     while the overlay holds. *)
-  mutable inst : I.t option;
-  mutable masked : I.t option;
   (* Derived indexes over [jobs], rebuilt by [restore] and never
      serialized, so the event loop touches only the jobs still in play:
-     [live] holds the arrived, incomplete jobs (parked ones included) in
-     index order, [num_live]/[num_parked] count them, and [pending] queues
-     the jobs whose arrival date has not fired yet. *)
+     [unfinished] holds every incomplete job (a runner's window), [live]
+     the arrived ones among them (parked ones included), both in index
+     order; [num_live]/[num_parked] count the live ones, and [pending]
+     queues the jobs whose arrival date has not fired yet. *)
+  mutable unfinished : Iset.t;
   mutable live : Iset.t;
   mutable num_live : int;
   mutable num_parked : int;
@@ -193,8 +192,7 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
       n = 0;
       ids = Hashtbl.create 64;
       remaining = [||];
-      inst = None;
-      masked = None;
+      unfinished = Iset.empty;
       live = Iset.empty;
       num_live = 0;
       num_parked = 0;
@@ -279,32 +277,6 @@ let platform t = t.platform
 
 let clock_date t = W.quantize (Clock.now t.clock -. t.origin)
 
-(* [cached] (an instance over a prefix of [jobs], or none) extended by
-   the jobs it does not cover yet, with cost columns from [column]. *)
-let extended t cached column =
-  let cached =
-    match cached with
-    | Some i -> i
-    | None ->
-      let m = Array.length t.platform.W.speeds in
-      I.make ~releases:[||] ~weights:[||] (Array.make m [||])
-  in
-  let have = I.num_jobs cached in
-  if have = t.n then cached
-  else begin
-    let fresh = Array.sub t.jobs have (t.n - have) in
-    let columns = Array.map column fresh in
-    I.extend cached
-      ~releases:(Array.map (fun j -> j.arrival) fresh)
-      ~weights:(Array.map (fun j -> j.weight) fresh)
-      (Array.init (I.num_machines cached) (fun i -> Array.map (fun c -> c.(i)) columns))
-  end
-
-let instance t =
-  let inst = extended t t.inst (fun j -> j.column) in
-  t.inst <- Some inst;
-  inst
-
 (* No live machine holds the job's bank: the masked column is all-[None],
    the paper's "every c_{i,j} = +∞" row. *)
 let starved_column t column =
@@ -314,23 +286,46 @@ let starved_column t column =
     column;
   not !runnable
 
-(* The instance decisions are made against: [instance t] with down
-   machines' costs masked to [None] (the paper's +∞).  Physically the base
-   instance while the platform is healthy, so failure-free runs are
-   bit-identical to the fault-unaware engine.  Starved jobs keep their
-   healthy column — {!Sched_core.Instance.make} rejects all-[None] columns
-   — but are parked out of the policy's sight, so nothing is ever
-   scheduled against those phantom costs. *)
-let decision_instance t =
-  if W.healthy t.overlay then instance t
-  else begin
-    let inst =
-      extended t t.masked (fun j ->
-          if starved_column t j.column then j.column else W.mask_column t.overlay j.column)
-    in
-    t.masked <- Some inst;
-    inst
-  end
+(* A job's cost on a machine as decisions see it, read from the job's own
+   column — making or executing a decision needs no instance over the
+   history: down machines' costs are masked to [None] (the paper's +∞),
+   so while the platform is healthy these are the healthy costs and
+   failure-free runs are bit-identical to the fault-unaware engine.
+   Starved jobs keep their healthy column — {!Sched_core.Instance.make}
+   rejects all-[None] columns — but are parked out of the policy's sight,
+   so nothing is ever scheduled against those phantom costs. *)
+let cost t ~machine ~job =
+  let column = t.jobs.(job).column in
+  if W.machine_live t.overlay.(machine) || starved_column t column then column.(machine)
+  else None
+
+(* The instance over [jobs] (ascending indices), job [k] being
+   [jobs.(k)], with costs from [cost]. *)
+let instance_of t jobs cost =
+  I.make
+    ~releases:(Array.map (fun j -> t.jobs.(j).arrival) jobs)
+    ~weights:(Array.map (fun j -> t.jobs.(j).weight) jobs)
+    (Array.init (Array.length t.overlay) (fun machine ->
+         Array.map (fun job -> cost ~machine ~job) jobs))
+
+let instance t =
+  instance_of t (Array.init t.n Fun.id) (fun ~machine ~job -> t.jobs.(job).column.(machine))
+
+(* The instance a runner decides against: its window under the overlay. *)
+let window_instance t window = instance_of t window (cost t)
+
+(* Relative index of job [j] in a runner's window.  A runner is built over
+   every incomplete job and dropped by every live submission, so each job
+   it hears about is in its window. *)
+let rel window j =
+  let rec go lo hi =
+    if lo >= hi then bug "job %d is outside the policy's window" j
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Int.compare window.(mid) j in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length window)
 
 (* --- derived job indexes ---------------------------------------------- *)
 
@@ -362,6 +357,7 @@ let push t job remaining =
   t.jobs.(j) <- job;
   t.remaining.(j) <- remaining;
   t.n <- j + 1;
+  if job.completed_at = None then t.unfinished <- Iset.add j t.unfinished;
   if not job.arrived then t.pending <- Pending.add (job.arrival, j) t.pending
   else if job.completed_at = None then make_live t j
   else t.num_completed <- t.num_completed + 1;
@@ -510,14 +506,14 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
         js_completed_at = None;
       }
   in
-  (* The instance grew (the caches extend themselves on their next use),
-     so the policy state built over the old one is stale.  A live rebuild
-     mid-run is counted; replay submits everything up front.  The current
-     *decision* stays: it is validated shares over jobs that all still
-     exist (indices are stable under growth), and executing it needs no
-     policy state.  The newcomer forces a re-decision only when its
-     arrival date fires — which is where the batch window coalesces a
-     burst into one consultation instead of one per submit. *)
+  (* The newcomer is outside the runner's window, so the policy state is
+     stale.  A live rebuild mid-run is counted; replay submits everything
+     up front.  The current *decision* stays: it is validated shares over
+     jobs that all still exist (absolute indices are stable under growth),
+     and executing it needs no policy state.  The newcomer forces a
+     re-decision only when its arrival date fires — which is where the
+     batch window coalesces a burst into one consultation instead of one
+     per submit. *)
   drop_runner t;
   Metrics.incr t.c_submitted;
   bump t;
@@ -527,15 +523,15 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
 
 (* Parked (starved) jobs are withheld from the policy entirely: not in the
    views, not eligible, never announced.  They re-enter when a recovery
-   makes them runnable again. *)
-let views t =
+   makes them runnable again.  Ids are relative to the runner's window. *)
+let views t window =
   Seq.fold_left
     (fun acc j ->
       let job = t.jobs.(j) in
       if job.parked then acc
       else
-        { Sim.id = j; release = job.arrival; weight = job.weight; remaining = t.remaining.(j) }
-        :: acc)
+        let id = rel window j in
+        { Sim.id; release = job.arrival; weight = job.weight; remaining = t.remaining.(j) } :: acc)
     [] (Iset.to_rev_seq t.live)
 
 let by_arrival t a b =
@@ -555,10 +551,13 @@ let runner t =
   | Some r -> r
   | None ->
     let (module P : Sim.POLICY) = t.policy in
-    let state = P.init (decision_instance t) in
+    (* Over the incomplete jobs only: a rebuild costs O(window), not
+       O(history). *)
+    let window = Array.of_list (Iset.elements t.unfinished) in
+    let state = P.init (window_instance t window) in
     (* Re-announce the surviving schedulable jobs, in arrival order. *)
-    List.iter (fun j -> P.on_arrival state ~now:t.now ~job:j) (announced t);
-    let r = Runner ((module P), state) in
+    List.iter (fun j -> P.on_arrival state ~now:t.now ~job:(rel window j)) (announced t);
+    let r = Runner ((module P), state, window) in
     t.runner <- Some r;
     t.dirty <- true;
     r
@@ -601,7 +600,8 @@ let fingerprint t =
 (* Validate a decision, fresh or recalled from the cache — a bad one must
    fail loudly, not corrupt the schedule — and make it the current plan. *)
 let install t d =
-  Sim.check_decision ~where:"Serve.Engine" ~name:(policy_name t) (decision_instance t)
+  Sim.check_decision ~where:"Serve.Engine" ~name:(policy_name t)
+    ~machines:(Array.length t.overlay) ~cost:(cost t)
     ~up:(fun i -> W.machine_live t.overlay.(i))
     ~eligible:(eligible_for t) ~now:t.now d;
   t.decision <- Some d;
@@ -609,8 +609,19 @@ let install t d =
   t.dirty <- false;
   t.batch_deadline <- None
 
+(* A runner's decision with its shares renamed to absolute job indices.  A
+   share past the window names no job at all. *)
+let absolute t window (d : Sim.decision) =
+  let job k =
+    if k < 0 || k >= Array.length window then
+      invalid_arg
+        (Printf.sprintf "Serve.Engine(%s): share on inactive job %d" (policy_name t) k);
+    window.(k)
+  in
+  { d with Sim.shares = List.map (fun (s : Sim.share) -> { s with job = job s.job }) d.shares }
+
 let decide_fresh t =
-  let (Runner ((module P), state)) = runner t in
+  let (Runner ((module P), state, window)) = runner t in
   (* Every LP solve triggered by the policy — exact or float — is
      accounted to this engine by differencing the global solver
      instruments around the call, without the policy knowing about
@@ -624,7 +635,7 @@ let decide_fresh t =
     Obs.Span.with_span "engine.decide" (fun () ->
         Obs.Span.set_str "policy" P.name;
         Obs.Span.set_int "active" (active t);
-        P.decide state ~now:t.now ~active:(views t))
+        P.decide state ~now:t.now ~active:(views t window))
   in
   let delta = Lp.Instrument.(diff ~before (combined ())) in
   Metrics.add t.c_lp_solves delta.Lp.Instrument.solves;
@@ -638,6 +649,7 @@ let decide_fresh t =
   Metrics.add t.c_rat_big (NC.big_ops () - rat_big0);
   Metrics.add t.c_rat_promoted (NC.promotions () - rat_promoted0);
   Metrics.add t.c_rat_demoted (NC.demotions () - rat_demoted0);
+  let d = absolute t window d in
   install t d;
   Metrics.incr t.c_decisions;
   d
@@ -718,11 +730,11 @@ let fire_due_arrivals t =
      | runnable ->
        (* Build the runner before flipping [arrived], or a fresh rebuild
           would announce the batch a second time. *)
-       let (Runner ((module P), state)) = runner t in
+       let (Runner ((module P), state, window)) = runner t in
        List.iter arrive runnable;
        (* The whole instant's arrivals are one batch: policies hear about
           the burst in a single callback and can rebalance once. *)
-       P.on_batch_arrival state ~now:t.now ~jobs:runnable;
+       P.on_batch_arrival state ~now:t.now ~jobs:(List.map (rel window) runnable);
        (* Batching: within one window of the last decision the current
           plan keeps running and the newcomers wait for the coalesced
           re-decision. *)
@@ -743,6 +755,7 @@ let fire_due_arrivals t =
 let complete t j =
   let job = t.jobs.(j) in
   job.completed_at <- Some t.now;
+  t.unfinished <- Iset.remove j t.unfinished;
   t.live <- Iset.remove j t.live;
   t.num_live <- t.num_live - 1;
   if job.parked then t.num_parked <- t.num_parked - 1;
@@ -754,7 +767,8 @@ let complete t j =
      the eventual rebuild announces only surviving jobs — so the
      completion callback fires only on a runner that announced [j]. *)
   (match t.runner with
-   | Some (Runner ((module P), state)) -> P.on_completion state ~now:t.now ~job:j
+   | Some (Runner ((module P), state, window)) ->
+     P.on_completion state ~now:t.now ~job:(rel window j)
    | None -> ());
   let flow = Rat.sub t.now job.arrival in
   Metrics.incr t.c_completed;
@@ -791,7 +805,6 @@ let drop_lost_slices t i =
    the policy, and force the next step to re-decide against the reduced
    (or re-grown) platform. *)
 let platform_changed t =
-  t.masked <- None;
   (* Eager invalidation.  The overlay is part of every cache key, so stale
      entries could never *hit* — but a fail/recover cycle returning to a
      previous overlay must re-consult the policy, not resurrect plans made
@@ -810,12 +823,13 @@ let platform_changed t =
   in
   (match t.runner with
    | None -> ()  (* the next [runner] builds against the new platform *)
-   | Some (Runner ((module P), state)) -> (
-     match P.on_platform_change state ~now:t.now ~inst:(decision_instance t) with
+   | Some (Runner ((module P), state, window)) -> (
+     (* The same window re-masked, so relative indices stay valid. *)
+     match P.on_platform_change state ~now:t.now ~inst:(window_instance t window) with
      | `Adapted ->
        (* The policy kept its state; jobs that were parked the whole time
           were never announced, so introduce the rescued ones now. *)
-       List.iter (fun j -> P.on_arrival state ~now:t.now ~job:j) unparked
+       List.iter (fun j -> P.on_arrival state ~now:t.now ~job:(rel window j)) unparked
      | `Rebuild -> drop_runner t));
   reset_decision t;
   Metrics.set t.g_queue (float_of_int (active t))
@@ -946,9 +960,9 @@ let step t ~limit =
         | Some d when not t.dirty -> d
         | _ -> decide t
       in
-      let inst = decision_instance t in
+      let cost = cost t in
       let completion_candidate =
-        Sim.next_completion inst d ~now:t.now ~remaining:(fun j -> t.remaining.(j))
+        Sim.next_completion ~cost d ~now:t.now ~remaining:(fun j -> t.remaining.(j))
       in
       let arrival_candidate = next_arrival_after t t.now in
       let event =
@@ -971,7 +985,10 @@ let step t ~limit =
           | _ -> (event, false)
         in
         if Rat.compare te t.now > 0 then begin
-          let segment = Sim.materialize inst ~now:t.now ~horizon:te d ~remaining:t.remaining in
+          let segment =
+            Sim.materialize ~machines:(Array.length t.overlay) ~cost ~now:t.now ~horizon:te d
+              ~remaining:t.remaining
+          in
           advance_time t te;
           append_slices t segment;
           Metrics.incr t.c_segments;

@@ -21,17 +21,25 @@
     between at once.  Completions and policy-requested reviews always
     re-evaluate immediately.
 
-    {b Live submissions.}  Jobs submitted after the engine has started
-    (the [serve] front-end) extend the instance, so the policy state is
-    rebuilt from the surviving active jobs; queue-based policies lose
-    their queue estimates at that point (counted by the
-    [policy_rebuilds] metric).  The current {e decision} survives the
-    submission — its shares name jobs whose indices are stable under
-    growth and executing it needs no policy state — so the plan keeps
-    running and the newcomer only forces a re-decision when its arrival
-    date fires, which is where the batch window coalesces a burst into a
-    single consultation.  Trace replay submits everything before the
-    first step and never rebuilds.
+    {b Live submissions.}  A policy runner is built over a {e window}:
+    the jobs submitted and not yet complete (arrived, parked or still
+    pending), in index order, relative index [k] naming the window's
+    [k]-th job.  It is handed an instance over that window alone, so a
+    rebuild costs O(window), not O(history), and the engine translates
+    job indices at the boundary (announcements, completions and views
+    into the window; decision shares back to absolute indices).  This is
+    sound because policies are index-relative ({!Online.Sim.POLICY}).
+    A job submitted after the engine has started (the [serve] front-end)
+    falls outside the runner's window, so the runner is dropped and
+    rebuilt from the surviving jobs; queue-based policies lose their
+    queue estimates at that point (counted by the [policy_rebuilds]
+    metric).  The current {e decision} survives the submission — its
+    shares name absolute job indices, stable under growth, and executing
+    it reads each job's own costs, with no policy state and no instance —
+    so the plan keeps running and the newcomer only forces a re-decision
+    when its arrival date fires, which is where the batch window
+    coalesces a burst into a single consultation.  Trace replay submits
+    everything before the first step and never rebuilds.
 
     {b Decision caching.}  {!set_decision_cache} arms a cache of past
     decisions keyed by a canonical fingerprint of the masked decision
@@ -50,7 +58,7 @@
     {b Machine failures.}  Faults ({!Trace.fault}) can be injected at any
     date, live ([fail]/[recover] server commands) or from a trace's event
     stream.  A failure masks the machine's costs to [None] (the paper's
-    +∞) in the instance decisions are made against, clips the running
+    +∞) in the costs decisions are made and executed against, clips the running
     segment at the failure instant, notifies the policy
     ({!Online.Sim.POLICY.on_platform_change}) and forces a re-decision;
     in-flight work on the dead machine is by default lost and re-credited
@@ -148,18 +156,10 @@ val schedulable : t -> int
 
 val instance : t -> Sched_core.Instance.t
 (** The instance over every submitted job with healthy costs (job [j] is
-    the [j]-th submission; weights follow the objective).  Cached and
-    extended by the jobs submitted since its last use rather than
-    rebuilt, so it stays structurally equal to {!Sched_core.Instance.make}
-    over the same jobs. *)
-
-val decision_instance : t -> Sched_core.Instance.t
-(** The instance decisions are made against: {!instance} under the
-    availability overlay ({!Gripps.Workload.mask_column}: a down
-    machine's costs become [None]).  A parked job keeps its healthy
-    column, since an all-[None] column is not an instance.  Physically
-    {!instance} while every machine is up; otherwise cached until the
-    next availability change and extended like {!instance}. *)
+    the [j]-th submission; weights follow the objective), built afresh in
+    O(submitted) on each call: what {!schedule} validates against.  The
+    event loop never builds it; policies decide over their window (see
+    the module preamble). *)
 
 val completed : t -> int
 

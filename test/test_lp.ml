@@ -960,6 +960,23 @@ let test_float_image () =
     (corpus ());
   Alcotest.(check bool) "corpus LPs compared" true (!checked > 1500)
 
+(* 10⁻¹²·x = 1: the float layout drops only exact zeros, so it keeps the
+   tiny coefficient, as the certified image of the exact layout does (the
+   float pivoting rules still apply their tolerance to it). *)
+let test_prepare_keeps_tiny () =
+  let module L = Lp.Revised in
+  let module Sp = Linalg.Sparse in
+  let p, _ =
+    solve_exact ~vars:1 ~obj:[ (0, R.one) ]
+      [ ([ (0, R.inv (R.of_int 1_000_000_000_000)) ], P.Eq, R.one) ]
+  in
+  let (a : float L.layout) = Lp.Solve.float_image (Rv.prepare p)
+  and (b : float L.layout) = Rva.prepare (to_float_problem p) in
+  Alcotest.(check int) "image nnz" 2 (Array.length (Sp.vals a.L.cols));
+  Alcotest.(check int) "layout nnz" 2 (Array.length (Sp.vals b.L.cols));
+  Alcotest.(check (array int)) "same rows" (Sp.row_idx a.L.cols) (Sp.row_idx b.L.cols);
+  Alcotest.(check (array int)) "same columns" (Sp.col_ptr a.L.cols) (Sp.col_ptr b.L.cols)
+
 (* ------------------------------------------------------------------ *)
 (* Lp.Solve: the engine seam                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1037,6 +1054,8 @@ let () =
         ] );
       ( "float-systems",
         [ QCheck_alcotest.to_alcotest prop_float_builder;
-          Alcotest.test_case "certified float image = float layout" `Quick test_float_image
+          Alcotest.test_case "certified float image = float layout" `Quick test_float_image;
+          Alcotest.test_case "float layout keeps a 10^-12 coefficient" `Quick
+            test_prepare_keeps_tiny
         ] )
     ]

@@ -223,9 +223,9 @@ let test_online_opt_beats_mct () =
    offline bound.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let instance_gen =
+let sized_instance_gen ~max_jobs =
   let open QCheck.Gen in
-  let* n = int_range 1 4 in
+  let* n = int_range 1 max_jobs in
   let* m = int_range 1 3 in
   let* releases = array_size (return n) (int_range 0 8) in
   let* weights = array_size (return n) (int_range 1 3) in
@@ -245,6 +245,8 @@ let instance_gen =
        ~releases:(Array.map R.of_int releases)
        ~weights:(Array.map R.of_int weights)
        (Array.map (Array.map (fun c -> if c = 0 then None else Some (R.of_int c))) costs))
+
+let instance_gen = sized_instance_gen ~max_jobs:4
 
 let arbitrary_instance =
   QCheck.make instance_gen ~print:(fun i -> Format.asprintf "%a" I.pp i)
@@ -287,6 +289,80 @@ let prop_lazy_matches_eager =
       R.equal
         (S.max_weighted_flow eager.Sim.schedule)
         (S.max_weighted_flow lazy_.Sim.schedule))
+
+(* ------------------------------------------------------------------ *)
+(* Index-relativity: a policy initialised over a window of the jobs     *)
+(* decides as it does over all of them, up to the renumbering.          *)
+(* ------------------------------------------------------------------ *)
+
+(* [inst] restricted to [window] (ascending), job [k] being [window.(k)]. *)
+let restrict inst window =
+  let pick f = Array.map f window in
+  I.make ~flow_origins:(pick (I.flow_origin inst)) ~releases:(pick (I.release inst))
+    ~weights:(pick (I.weight inst))
+    (Array.init (I.num_machines inst) (fun i -> pick (fun j -> I.cost inst ~machine:i ~job:j)))
+
+(* An instance; per job, whether it is outside the window (0), in it (1),
+   or in it and announced (2, at least one job); the announcement order;
+   and each announced job's remaining fraction. *)
+let window_case_gen =
+  let open QCheck.Gen in
+  let* inst = sized_instance_gen ~max_jobs:7 in
+  let n = I.num_jobs inst in
+  let* tags = array_size (return n) (int_bound 2) in
+  if Array.for_all (fun t -> t < 2) tags then tags.(0) <- 2;
+  let announced = List.filter (fun j -> tags.(j) = 2) (List.init n Fun.id) in
+  let* order = shuffle_l announced in
+  let* remaining = array_size (return n) (oneofl [ R.one; R.of_ints 1 2; R.of_ints 1 3 ]) in
+  return (inst, tags, order, remaining)
+
+let print_window_case (inst, tags, order, remaining) =
+  Format.asprintf "%a@.tags [%s] order [%s] remaining [%s]" I.pp inst
+    (String.concat "; " (Array.to_list (Array.map string_of_int tags)))
+    (String.concat "; " (List.map string_of_int order))
+    (String.concat "; " (Array.to_list (Array.map R.to_string remaining)))
+
+let same_decision (a : Sim.decision) (b : Sim.decision) =
+  List.equal
+    (fun (x : Sim.share) (y : Sim.share) ->
+      x.machine = y.machine && x.job = y.job && R.equal x.share y.share)
+    a.shares b.shares
+  && Option.equal R.equal a.review_at b.review_at
+
+let prop_window_relative (module P : Sim.POLICY) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s: same decision over a window, up to renumbering" P.name)
+    ~count:100 (QCheck.make ~print:print_window_case window_case_gen)
+    (fun (inst, tags, order, remaining) ->
+      let window =
+        Array.of_list (List.filter (fun j -> tags.(j) > 0) (List.init (I.num_jobs inst) Fun.id))
+      in
+      let rel j =
+        let rec go k = if window.(k) = j then k else go (k + 1) in
+        go 0
+      in
+      let now = List.fold_left (fun acc j -> R.max acc (I.release inst j)) R.zero order in
+      let decide sub id =
+        let st = P.init sub in
+        List.iter (fun j -> P.on_arrival st ~now ~job:(id j)) order;
+        let active =
+          List.filter_map
+            (fun j ->
+              if tags.(j) = 2 then
+                Some
+                  { Sim.id = id j; release = I.release inst j; weight = I.weight inst j;
+                    remaining = remaining.(j) }
+              else None)
+            (List.init (I.num_jobs inst) Fun.id)
+        in
+        P.decide st ~now ~active
+      in
+      let full = decide inst Fun.id in
+      let windowed = decide (restrict inst window) rel in
+      same_decision full
+        { windowed with
+          shares =
+            List.map (fun (s : Sim.share) -> { s with job = window.(s.job) }) windowed.shares })
 
 (* ------------------------------------------------------------------ *)
 (* Compare harness and adversarial families                            *)
@@ -385,5 +461,6 @@ let () =
           Alcotest.test_case "srpt starvation grows" `Quick test_srpt_starvation_grows;
           Alcotest.test_case "adversarial validation" `Quick test_adversarial_validation
         ] );
-      ("policy-props", List.map policy_property policies |> List.map QCheck_alcotest.to_alcotest)
+      ("policy-props", List.map policy_property policies |> List.map QCheck_alcotest.to_alcotest);
+      ("window", List.map prop_window_relative policies |> List.map QCheck_alcotest.to_alcotest)
     ]

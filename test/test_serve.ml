@@ -965,7 +965,7 @@ let derived_platform () =
     has_bank = [| [| false; true |]; [| false; true |]; [| true; true |] |];
   }
 
-let scratch_instances platform (st : E.state) =
+let scratch_instance platform (st : E.state) =
   let jobs = Array.of_list st.st_jobs in
   let columns =
     Array.map
@@ -984,18 +984,8 @@ let scratch_instances platform (st : E.state) =
                    (Option.get (Array.find_map Fun.id column)) column))
       columns
   in
-  let make cols =
-    I.make ~releases:(Array.map (fun (js : E.job_state) -> js.js_arrival) jobs) ~weights
-      (Array.init (Array.length platform.W.speeds) (fun i -> Array.map (fun c -> c.(i)) cols))
-  in
-  let masked =
-    Array.map
-      (fun c ->
-        let m = W.mask_column st.st_overlay c in
-        if Array.for_all Option.is_none m then c else m)
-      columns
-  in
-  (make columns, make masked)
+  I.make ~releases:(Array.map (fun (js : E.job_state) -> js.js_arrival) jobs) ~weights
+    (Array.init (Array.length platform.W.speeds) (fun i -> Array.map (fun c -> c.(i)) columns))
 
 let prop_derived_state =
   let gen_op =
@@ -1047,9 +1037,7 @@ let prop_derived_state =
         let st = E.dump eng in
         let count p = List.length (List.filter p st.st_jobs) in
         let live (js : E.job_state) = js.js_arrived && js.js_completed_at = None in
-        let healthy, masked = scratch_instances platform st in
-        E.instance eng = healthy
-        && E.decision_instance eng = masked
+        E.instance eng = scratch_instance platform st
         && E.active eng = count live
         && E.starved eng = count (fun js -> live js && js.js_parked)
         && E.schedulable eng = count (fun js -> live js && not js.js_parked)
