@@ -72,6 +72,41 @@ let certified_vs_cold ~aux:_ inst =
     else of_result (Invariants.solution ~objective:r.objective r.schedule)
   | _, (certified, _) -> same_maxflow cold certified
 
+let same_outcome (a : Rat.t Lp.Solution.outcome) (b : Rat.t Lp.Solution.outcome) =
+  let same x y = Array.length x = Array.length y && Array.for_all2 Rat.equal x y in
+  match (a, b) with
+  | Optimal a, Optimal b ->
+    same a.values b.values && Rat.equal a.objective b.objective && same a.duals b.duals
+  | Infeasible, Infeasible | Unbounded, Unbounded -> true
+  | _ -> false
+
+(* The certificate's factorization against the cold solve (DESIGN §6): a
+   basis's values and duals depend only on its column set, so certifying
+   the cold exact solve's own final basis must return the cold answer
+   bit for bit — values, objective and duals, or [Infeasible].  Every
+   exact LP of the max-flow pipeline is checked so, whichever basis the
+   float pass would pick. *)
+let cold_basis_certificate ~aux:_ inst =
+  let module Ex = Lp.Revised.Exact in
+  let failures = ref 0 and solves = ref 0 in
+  let exact p =
+    let prep = Ex.prepare p in
+    let cold, st = Ex.cold_solve prep ~count1:(ref 0) ~count2:(ref 0) in
+    incr solves;
+    (match (cold, Ex.certify prep cold st.Ex.basis ~count:(ref 0)) with
+     | Unbounded, _ -> ()
+     | _, Some got when same_outcome got cold -> ()
+     | _ -> incr failures);
+    cold
+  in
+  ignore
+    (Lp.Solve.with_engine { exact; approx = Lp.Revised.Approx.solve } (fun () ->
+         MF.solve_total inst));
+  if !failures > 0 then
+    failf "%d of %d exact LPs: the cold basis certifies another answer or none" !failures
+      !solves
+  else Pass
+
 let exact_vs_accelerated ~aux:_ inst =
   same_maxflow (MF.solve_total ~accelerate:false inst) (MF.solve_total ~accelerate:true inst)
 
@@ -477,6 +512,7 @@ let all =
   [ Offline ("validator", validator);
     Offline ("dense-vs-sparse", dense_vs_sparse);
     Offline ("certified-vs-cold", certified_vs_cold);
+    Offline ("cold-basis-certificate", cold_basis_certificate);
     Offline ("exact-vs-accelerated", exact_vs_accelerated);
     Offline ("preemptive-vs-divisible", preemptive_vs_divisible);
     Offline ("makespan", makespan_oracle);

@@ -1,8 +1,9 @@
 (* Revised simplex over a sparse (CSC) constraint matrix, functorized over
    the coefficient field.  Every solve is cold: the two-phase method from
-   the slack/artificial basis.  [certify] checks, without pricing, a
-   basis that another solve of the same layout ended on; [Solve.exact]
-   uses it to answer exactly from the float solve's final basis.
+   the slack/artificial basis.  [certify] checks, from a sparse LU of it
+   and without a pivot, a basis that another solve of the same layout
+   ended on; [Solve.exact] uses it to answer exactly from the float
+   solve's final basis.
 
    Where the dense tableau rewrites all m×(n+m) entries per pivot, this
    engine keeps only the basis inverse B⁻¹ (m×m) and the basic solution
@@ -342,21 +343,24 @@ module Make (F : Linalg.Field.With_kernels) = struct
       end
     done
 
-  let phase1_value st cost1 =
+  (* The value of [cost] at the basic solution: column [basis.(i)] at
+     [xb.(i)]. *)
+  let basic_value cost basis xb =
     let acc = ref F.zero in
     Array.iteri
       (fun i b ->
-        if not (F.is_zero cost1.(b)) then
-          acc := F.add !acc (F.mul cost1.(b) st.xb.(i)))
-      st.basis;
+        if not (F.is_zero cost.(b)) then
+          acc := F.add !acc (F.mul cost.(b) xb.(i)))
+      basis;
     !acc
 
-  let extract st =
-    let prep = st.prep in
+  (* The answer at a basis: column [basis.(i)] at [xb.(i)], and [y] the
+     multipliers of the phase-2 costs. *)
+  let answer prep basis xb y =
     let values = Array.make prep.n F.zero in
     Array.iteri
-      (fun i b -> if b < prep.n then values.(b) <- st.xb.(i))
-      st.basis;
+      (fun i b -> if b < prep.n then values.(b) <- xb.(i))
+      basis;
     let objective =
       List.fold_left
         (fun acc (v, k) -> F.add acc (F.mul k values.(v)))
@@ -364,7 +368,6 @@ module Make (F : Linalg.Field.With_kernels) = struct
     in
     (* Dual of normalized row i is y at its unit column; undo the rhs flip
        and the Maximize negation, exactly as the dense extraction does. *)
-    let y = multipliers st prep.cost2 in
     let duals =
       Array.init prep.m (fun i ->
           let v = y.(i) in
@@ -372,6 +375,8 @@ module Make (F : Linalg.Field.With_kernels) = struct
           if prep.negate then F.neg v else v)
     in
     Optimal { values; objective; duals }
+
+  let extract st = answer st.prep st.basis st.xb (multipliers st st.prep.cost2)
 
   let max_iters_for prep = 1000 + (100 * (prep.m + prep.total))
 
@@ -404,7 +409,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
           assert (not F.exact);
           `Unbounded
         | `Optimal ->
-          if not (F.is_zero (phase1_value st cost1)) then `Infeasible
+          if not (F.is_zero (basic_value cost1 st.basis st.xb)) then `Infeasible
           else begin
             drive_out_artificials st;
             `Feasible
@@ -422,73 +427,64 @@ module Make (F : Linalg.Field.With_kernels) = struct
       | `Unbounded -> (Unbounded, st)
       | `Optimal -> (extract st, st))
 
-  (* Certification: rebuild the basis another solve of the same layout
-     ended on, and check it in this field without pricing a pivot.
+  module Lu = Linalg.Lu.Make (F)
 
-     [load] starts from the cold slack/artificial basis and brings in each
-     [target] column not yet basic with one [pivot], on the first row
-     whose basic column is outside [target] and whose entry of
-     w = B⁻¹·A_j is nonzero ([F.is_zero], exact in [Rat]).  Values and
-     duals depend only on the column set, not on the rows it lands on.
-     No ratio test: x_B may go negative on the way, and only the final
-     basis is checked.  [None] when some column finds no row (the target
-     is singular here). *)
-  let load prep target ~count =
-    let st = cold_state prep in
-    let wanted = Array.make (max prep.total 1) false in
-    Array.iter (fun j -> wanted.(j) <- true) target;
-    let place j =
-      st.in_basis.(j)
-      ||
-      let w = column st j in
-      let rec first r =
-        if r >= prep.m then false
-        else if wanted.(st.basis.(r)) || F.is_zero w.(r) then first (r + 1)
-        else begin
-          pivot st ~row:r ~col:j ~w;
-          incr count;
-          true
-        end
-      in
-      first 0
-    in
-    if Array.for_all place target then Some st else None
+  (* Certification: check, in this field and without pricing a pivot,
+     the basis another solve of the same layout ended on.
 
-  (* No column below [limit] prices negative against [cost]. *)
-  let dual_feasible st cost ~limit =
-    let y = multipliers st cost in
-    F.price st.prep.cols cost y st.in_basis (Array.make limit F.zero) (Array.make limit 0)
-    = 0
-
-  (* Load [target] and accept it as the answer [claim] names, checked in
-     this field; [None] when the load is singular or a check fails.
+     [target]'s columns are factorized afresh ([Linalg.Lu]), and x_B, y
+     come from its solves, so no intermediate basis is visited and x_B
+     may have any sign on the way.  Values and duals depend only on the
+     column set, not on its order or the pivots the factorization picks.
+     The basis is accepted as the answer [claim] names when:
      - [Optimal _]: x_B ≥ 0, every basic artificial is 0, and no column
        below [art_start] has a negative phase-2 reduced cost — a primal
-       and a dual feasible solution with equal objectives, so an optimum.
-     - [Infeasible]: the same checks against the phase-1 costs over every
-       column, and a positive phase-1 value — the minimum total
-       artificial is positive, so no point satisfies the constraints.
-     - [Unbounded] is never certified.
-     [count] receives the load's pivots, accepted or not. *)
+       and a dual feasible solution with equal objectives, so an optimum;
+     - [Infeasible]: x_B ≥ 0, a positive phase-1 value, and no column has
+       a negative phase-1 reduced cost — the minimum total artificial is
+       positive, so no point satisfies the constraints.
+     [Unbounded] is never certified.  [None] when [target] is singular or
+     a check fails.  [count] receives the pivots a load from the cold
+     basis would do: one per target column outside it, accepted or
+     not. *)
   let certify prep (claim : _ Solution.outcome) target ~count =
-    let primal st = Array.for_all (fun x -> F.sign x >= 0) st.xb in
-    let optimal st =
-      Array.for_all2 (fun b x -> b < prep.art_start || F.is_zero x) st.basis st.xb
-      && dual_feasible st prep.cost2 ~limit:prep.art_start
-    in
-    let infeasible st =
-      let cost1 = phase1_cost prep in
-      F.sign (phase1_value st cost1) > 0 && dual_feasible st cost1 ~limit:prep.total
-    in
-    let accept check answer =
-      match load prep target ~count with
-      | Some st when primal st && check st -> Some (answer st)
-      | _ -> None
+    let verdict lu =
+      let xb = Lu.solve lu prep.b in
+      let in_basis = Array.make (max prep.total 1) false in
+      Array.iter (fun j -> in_basis.(j) <- true) target;
+      let multipliers cost = Lu.solve_transpose lu (Array.map (fun j -> cost.(j)) target) in
+      (* No column below [limit] prices negative against [cost]. *)
+      let dual_feasible cost y ~limit =
+        F.price prep.cols cost y in_basis (Array.make limit F.zero) (Array.make limit 0) = 0
+      in
+      if not (Array.for_all (fun x -> F.sign x >= 0) xb) then None
+      else
+        match claim with
+        | Optimal _ ->
+          if Array.for_all2 (fun b x -> b < prep.art_start || F.is_zero x) target xb then
+            let y = multipliers prep.cost2 in
+            if dual_feasible prep.cost2 y ~limit:prep.art_start then
+              Some (answer prep target xb y)
+            else None
+          else None
+        | Infeasible ->
+          let cost1 = phase1_cost prep in
+          if
+            F.sign (basic_value cost1 target xb) > 0
+            && dual_feasible cost1 (multipliers cost1) ~limit:prep.total
+          then Some Infeasible
+          else None
+        | Unbounded -> None
     in
     match claim with
-    | Optimal _ -> accept optimal extract
-    | Infeasible -> accept infeasible (fun _ -> Infeasible)
     | Unbounded -> None
+    | Optimal _ | Infeasible ->
+      (* Columns from [n] on are unit columns, cold when their row's. *)
+      let ri = Sp.row_idx prep.cols and ptr = Sp.col_ptr prep.cols in
+      Array.iter
+        (fun j -> if j < prep.n || prep.dual_col.(ri.(ptr.(j))) <> j then incr count)
+        target;
+      Option.bind (Lu.factor prep.cols target) verdict
 
   (* Run [body] as one solve: time it, fold its pivot counts into the
      field's [Instrument] family and, when tracing, inside an [lp.solve]

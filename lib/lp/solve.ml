@@ -32,8 +32,9 @@ let with_engine e f =
 
 (* The float pass and the certificate of one exact solve, without
    instruments: the certified answer and basis ([None] when the solve
-   must fall back), and the pivots of the float pass and of the load.
-   Exposed for the tests. *)
+   must fall back), the pivots of the float pass, and the load pivots:
+   the basic columns outside the cold basis, the pivots a load from it
+   would do.  Exposed for the tests. *)
 type attempt = {
   certified : (R.t Solution.outcome * int array) option;
   float_pivots : int;
@@ -47,15 +48,15 @@ type attempt = {
 let float_image : Ex.prepared -> Ap.prepared = Revised.map_layout R.to_float
 
 (* Floats pick the basis, rationals certify it (DESIGN §6).  A cold float
-   two-phase solve of [prep]'s float image ends on some basis; loading
-   that basis into rationals and checking it ([Ex.certify]) costs one
-   pivot per basic column outside the cold slack/artificial basis, and no
-   pricing.  Anything the certificate does not accept falls back to the
-   cold exact solve: a float [Iteration_limit] or [Unbounded] (in phase 1
-   too, where only the tolerance gets), a singular load or a failed
-   check.  A rational beyond the float range maps to ±inf or NaN, and
-   one below it to 0.0; whatever basis the float solve then ends on, the
-   check in rationals is what decides. *)
+   two-phase solve of [prep]'s float image ends on some basis; checking
+   that basis in rationals ([Ex.certify]) costs one sparse factorization
+   of it and its solves, and no pivot.  Anything the certificate does not
+   accept falls back to the cold exact solve: a float [Iteration_limit]
+   or [Unbounded] (in phase 1 too, where only the tolerance gets), a
+   basis singular in rationals or a failed check.  A rational beyond the
+   float range maps to ±inf or NaN, and one below it to 0.0; whatever
+   basis the float solve then ends on, the check in rationals is what
+   decides. *)
 let attempt (prep : Ex.prepared) =
   let f1 = ref 0 and f2 = ref 0 and load = ref 0 in
   let certified =
@@ -63,7 +64,7 @@ let attempt (prep : Ex.prepared) =
     | exception Iteration_limit -> None
     | claim, st ->
       (* Only the basis outlives the float solve: its B⁻¹ is garbage
-         before the exact load allocates. *)
+         before the factorization allocates. *)
       let basis = st.Ap.basis in
       Option.map (fun o -> (o, basis)) (Ex.certify prep claim basis ~count:load)
   in
@@ -77,8 +78,8 @@ let certified (p : R.t Problem.t) =
       Obs.Span.set_bool "certified" (a.certified <> None);
       Obs.Span.set_int "load_pivots" a.load_pivots;
       Obs.Span.set_int "float_pivots" a.float_pivots;
-      (* The exact pivots done, per phase: a certified infeasibility
-         loaded a phase-1 basis, a certified optimum a phase-2 one. *)
+      (* The exact pivots, per phase: a certified infeasibility counts
+         its load pivots as phase 1, a certified optimum as phase 2. *)
       match a.certified with
       | Some ((Solution.Infeasible as o), _) -> (o, a.load_pivots, 0)
       | Some (o, _) -> (o, 0, a.load_pivots)

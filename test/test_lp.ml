@@ -398,6 +398,7 @@ let prop_scaling =
 
 module Rv = Lp.Revised.Exact
 module Rva = Lp.Revised.Approx
+module Lu = Linalg.Lu.Make (Linalg.Field.Rational)
 
 let solution_equal (a : Sx.solution) (b : Sx.solution) =
   Array.length a.values = Array.length b.values
@@ -854,8 +855,9 @@ let test_certified_fallbacks () =
         (if expect = `Fallback then (0, 1) else (1, 0))
         (certified, fallbacks))
     cases;
-  (* A singular target: y's column is 3 times x's, exactly.  The load
-     finds no row for y, and the certificate refuses. *)
+  (* A singular target: y's column is 3 times x's, exactly.  Its
+     factorization runs out of entries in y's column, and the certificate
+     refuses. *)
   let p =
     fst
       (solve_exact ~vars:2 ~obj:[ (0, R.one) ]
@@ -863,9 +865,138 @@ let test_certified_fallbacks () =
            ([ (0, q 1 3); (1, R.one) ], P.Le, R.one) ])
   in
   let prep = Rv.prepare p in
-  Alcotest.(check bool) "singular load" true (Rv.load prep [| 0; 1 |] ~count:(ref 0) = None);
+  Alcotest.(check bool) "singular factorization" true
+    (Lu.factor (Rv.matrix prep) [| 0; 1 |] = None);
   Alcotest.(check bool) "singular target refused" true
     (Rv.certify prep Lp.Solution.Infeasible [| 0; 1 |] ~count:(ref 0) = None)
+
+(* [duplicated_terms_problem]'s LPs, and on [contradict] two more rows
+   a·x ≥ t and a·x ≤ t − 1 on the first row's coefficients a, so that
+   phase 1 ends positive whatever a is. *)
+let feasible_or_not ((((_, _, rows, _) as spec), degenerate), contradict) =
+  let p = duplicated_terms_problem (spec, degenerate) in
+  if not contradict then p
+  else begin
+    let coeffs, (_, slack) = rows.(0) in
+    let terms = Array.to_list (Array.mapi (fun v (num, den) -> (v, q num den)) coeffs) in
+    let t = R.of_int slack in
+    let row rel rhs = { P.terms; rel; rhs } in
+    { p with P.constraints = p.P.constraints @ [ row P.Ge t; row P.Le (R.sub t R.one) ] }
+  end
+
+let feasible_or_not_arb =
+  QCheck.pair (QCheck.pair (QCheck.make mixed_lp_gen) QCheck.bool) QCheck.bool
+
+(* The cold solve's final basis and the factorization's certificate of
+   it: a basis's values and duals depend only on its column set, so the
+   certificate returns the cold outcome to the bit. *)
+let prop_cold_basis_certified =
+  QCheck.Test.make ~name:"certifying the cold basis returns the cold outcome" ~count:300
+    feasible_or_not_arb (fun spec ->
+      let prep = Rv.prepare (feasible_or_not spec) in
+      let cold, st = Rv.cold_solve prep ~count1:(ref 0) ~count2:(ref 0) in
+      match Rv.certify prep cold st.Rv.basis ~count:(ref 0) with
+      | Some got -> outcome_equal got cold
+      | None -> false)
+
+(* The order of the target's columns picks the factorization's pivots,
+   never its answer. *)
+let prop_certify_permutation =
+  QCheck.Test.make ~name:"permuting the target keeps the certified answer" ~count:300
+    (QCheck.pair feasible_or_not_arb QCheck.int)
+    (fun (spec, seed) ->
+      let prep = Rv.prepare (feasible_or_not spec) in
+      let cold, st = Rv.cold_solve prep ~count1:(ref 0) ~count2:(ref 0) in
+      let shuffled = Array.copy st.Rv.basis in
+      let rand = Random.State.make [| seed |] in
+      for i = Array.length shuffled - 1 downto 1 do
+        let k = Random.State.int rand (i + 1) in
+        let x = shuffled.(i) in
+        shuffled.(i) <- shuffled.(k);
+        shuffled.(k) <- x
+      done;
+      match
+        ( Rv.certify prep cold st.Rv.basis ~count:(ref 0),
+          Rv.certify prep cold shuffled ~count:(ref 0) )
+      with
+      | Some a, Some b -> outcome_equal a b
+      | _ -> false)
+
+(* [Linalg.Lu] on its own: random sparse integer matrices with spare
+   columns, a random choice of m of them.  The factorization is [None]
+   exactly when a dense elimination finds the choice singular, and
+   otherwise both solves satisfy their equations, checked by
+   multiplying back. *)
+let dense_singular (a : R.t array array) =
+  let a = Array.map Array.copy a and m = Array.length a in
+  let rec go c =
+    c >= m
+    ||
+    match List.find_opt (fun r -> not (R.is_zero a.(r).(c))) (List.init (m - c) (( + ) c)) with
+    | None -> false
+    | Some r ->
+      let t = a.(r) in
+      a.(r) <- a.(c);
+      a.(c) <- t;
+      for i = c + 1 to m - 1 do
+        let f = R.div a.(i).(c) a.(c).(c) in
+        a.(i) <- Array.mapi (fun k x -> R.sub x (R.mul f a.(c).(k))) a.(i)
+      done;
+      go (c + 1)
+  in
+  not (go 0)
+
+let prop_lu_solves =
+  let gen =
+    let open QCheck.Gen in
+    let* m = int_range 1 7 in
+    let* extra = int_range 0 3 in
+    let* cells =
+      array_size (return (m * (m + extra))) (frequency [ (3, return 0); (2, int_range (-3) 3) ])
+    in
+    let* pick = shuffle_l (List.init (m + extra) Fun.id) in
+    let* rhs = array_size (return m) (int_range (-5) 5) in
+    return (m, extra, cells, Array.sub (Array.of_list pick) 0 m, rhs)
+  in
+  QCheck.Test.make ~name:"sparse LU: singular iff dense, solves check out" ~count:500
+    (QCheck.make gen) (fun (m, extra, cells, cols, rhs) ->
+      let entry r j = R.of_int cells.((j * m) + r) in
+      let builder = Linalg.Sparse.Builder.create ~nrows:m ~ncols:(m + extra) in
+      for j = 0 to m + extra - 1 do
+        for r = 0 to m - 1 do
+          if not (R.is_zero (entry r j)) then
+            Linalg.Sparse.Builder.add builder ~row:r ~col:j (entry r j)
+        done
+      done;
+      let a = Linalg.Sparse.Builder.finish builder in
+      let b = Array.map R.of_int rhs in
+      let dense = Array.init m (fun r -> Array.map (fun j -> entry r j) cols) in
+      match Lu.factor a cols with
+      | None -> dense_singular dense
+      | Some lu ->
+        let x = Lu.solve lu b and y = Lu.solve_transpose lu b in
+        let sum f = List.fold_left (fun acc k -> R.add acc (f k)) R.zero (List.init m Fun.id) in
+        (not (dense_singular dense))
+        && List.for_all
+             (fun i ->
+               R.equal (sum (fun k -> R.mul dense.(i).(k) x.(k))) b.(i)
+               && R.equal (sum (fun r -> R.mul y.(r) dense.(r).(i))) b.(i))
+             (List.init m Fun.id))
+
+(* The limit of the float probe (DESIGN §6): its pivoting rules read a
+   10⁻¹² coefficient as zero, so the float solve of 10⁻¹²·x = 1 answers
+   [Infeasible].  The exact answer x = 10¹² still comes out, through one
+   fallback to the cold exact solve. *)
+let test_tiny_coefficient () =
+  let p, _ =
+    solve_exact ~vars:1 ~obj:[ (0, R.one) ]
+      [ ([ (0, R.inv (R.of_int 1_000_000_000_000)) ], P.Eq, R.one) ]
+  in
+  let outcome, certified, fallbacks = certified_solve p in
+  Alcotest.(check rat) "x" (R.of_int 1_000_000_000_000) (expect_optimal outcome).values.(0);
+  Alcotest.(check (pair int int)) "certified, fallbacks" (0, 1) (certified, fallbacks);
+  Alcotest.(check bool) "float solve infeasible" true
+    (Rva.solve (to_float_problem p) = Lp.Solution.Infeasible)
 
 (* ------------------------------------------------------------------ *)
 (* Float systems built once                                            *)
@@ -1050,7 +1181,12 @@ let () =
         [ Alcotest.test_case "certified ≡ cold over the corpus" `Quick
             test_certified_corpus;
           Alcotest.test_case "each fallback branch returns the cold answer" `Quick
-            test_certified_fallbacks
+            test_certified_fallbacks;
+          Alcotest.test_case "10^-12 coefficient: float infeasible, exact by fallback"
+            `Quick test_tiny_coefficient;
+          QCheck_alcotest.to_alcotest prop_cold_basis_certified;
+          QCheck_alcotest.to_alcotest prop_certify_permutation;
+          QCheck_alcotest.to_alcotest prop_lu_solves
         ] );
       ( "float-systems",
         [ QCheck_alcotest.to_alcotest prop_float_builder;
