@@ -4,7 +4,7 @@
      dlsched max-flow INSTANCE [--trace FILE]
      dlsched feasible INSTANCE --deadlines 8,7,6
      dlsched milestones INSTANCE
-     dlsched simulate INSTANCE [--policy mct|fcfs|srpt|online-opt] [--stretch]
+     dlsched simulate INSTANCE [--policy P] [--stretch]
      dlsched compare INSTANCE [--stretch]
      dlsched generate --jobs N --machines M [--seed S] [-o FILE]
      dlsched gripps [--machines M] [--banks B] [--replication R] [--requests N]
@@ -273,7 +273,8 @@ let feasible_cmd =
     Obs.Span.with_span "dlsched.feasible" (fun () ->
       let inst = load_instance file in
       let ds =
-        String.split_on_char ',' deadlines |> List.map R.of_string |> Array.of_list
+        or_die (fun s -> String.split_on_char ',' s |> List.map R.of_string |> Array.of_list)
+          deadlines
       in
       if Array.length ds <> I.num_jobs inst then begin
         Format.eprintf "expected %d deadlines, got %d@." (I.num_jobs inst) (Array.length ds);
@@ -307,11 +308,6 @@ let milestones_cmd =
 (* --- simulate ------------------------------------------------------ *)
 
 let simulate_cmd =
-  let policy =
-    Flags.mk [ "policy"; "p" ] "Online policy: mct, fcfs, srpt or online-opt."
-      (Arg.enum [ ("mct", `Mct); ("fcfs", `Fcfs); ("srpt", `Srpt); ("online-opt", `Oo) ])
-      `Mct
-  in
   let stretch =
     Flags.switch [ "stretch" ] "Reweight the instance for max-stretch before simulating."
   in
@@ -319,14 +315,7 @@ let simulate_cmd =
     Obs.Span.with_span "dlsched.simulate" (fun () ->
       let inst = load_instance file in
       let inst = if stretch then I.stretch_weights inst else inst in
-      let m : (module Online.Sim.POLICY) =
-        match policy with
-        | `Mct -> (module Online.Policies.Mct)
-        | `Fcfs -> (module Online.Policies.Fcfs)
-        | `Srpt -> (module Online.Policies.Srpt)
-        | `Oo -> (module Online.Online_opt.Divisible)
-      in
-      let r = Online.Sim.run m inst in
+      let r = Online.Sim.run policy inst in
       let offline = Sched_core.Max_flow.solve inst in
       print_schedule ~header:(Printf.sprintf "%s schedule:" r.Online.Sim.policy)
         r.Online.Sim.schedule;
@@ -336,7 +325,7 @@ let simulate_cmd =
   in
   let doc = "Run an online policy on the instance and compare to the offline optimum." in
   Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ Flags.setup $ Flags.instance $ policy $ stretch)
+    Term.(const run $ Flags.setup $ Flags.instance $ Flags.policy $ stretch)
 
 (* --- compare ------------------------------------------------------- *)
 

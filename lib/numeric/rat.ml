@@ -381,6 +381,7 @@ let of_string s =
   | Some i ->
     let n = parse "numerator" (String.sub s 0 i) in
     let d = parse "denominator" (String.sub s (i + 1) (String.length s - i - 1)) in
+    if B.is_zero d then fail "zero denominator";
     make n d
   | None -> (
     match String.index_opt s '.' with

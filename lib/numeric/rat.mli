@@ -44,7 +44,8 @@ val of_float : float -> t
 
 val of_string : string -> t
 (** Accepts ["n"], ["n/d"] and decimal notation ["1.25"].
-    @raise Invalid_argument on malformed input. *)
+    @raise Invalid_argument on malformed input, a zero denominator
+    included. *)
 
 (** {1 Inspection} *)
 

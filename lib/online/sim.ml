@@ -61,7 +61,7 @@ let next_completion ~cost d ~now ~remaining =
       match acc with None -> Some t | Some best -> Some (Rat.min best t))
     rate None
 
-let materialize ~machines ~cost ~now ~horizon d ~remaining =
+let materialize ~machines ~cost ~now ~horizon d ~debit =
   let dt = Rat.sub horizon now in
   let cursor = Array.make machines now in
   List.map
@@ -71,7 +71,7 @@ let materialize ~machines ~cost ~now ~horizon d ~remaining =
       let stop = Rat.add start duration in
       cursor.(s.machine) <- stop;
       (match cost ~machine:s.machine ~job:s.job with
-       | Some c -> remaining.(s.job) <- Rat.sub remaining.(s.job) (Rat.div duration c)
+       | Some c -> debit s.job (Rat.div duration c)
        | None -> assert false);
       { S.machine = s.machine; job = s.job; start; stop })
     d.shares
@@ -158,7 +158,10 @@ let run (module P : POLICY) inst =
         if Rat.compare te now <= 0 then bad P.name "time did not advance";
         (* Materialize shares sequentially per machine and update progress. *)
         slices :=
-          List.rev_append (materialize ~machines ~cost ~now ~horizon:te d ~remaining) !slices;
+          List.rev_append
+            (materialize ~machines ~cost ~now ~horizon:te d ~debit:(fun j work ->
+                 remaining.(j) <- Rat.sub remaining.(j) work))
+            !slices;
         for j = 0 to n - 1 do
           if (not completed.(j)) && arrived.(j) then begin
             if Rat.sign remaining.(j) < 0 then

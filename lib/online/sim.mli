@@ -125,11 +125,13 @@ val materialize :
   now:Rat.t ->
   horizon:Rat.t ->
   decision ->
-  remaining:Rat.t array ->
+  debit:(int -> Rat.t -> unit) ->
   Sched_core.Schedule.slice list
 (** Lay the decision's shares out sequentially per machine over
     [\[now, horizon)] (share [s] becomes a slice of duration
-    [s·(horizon−now)] starting at the machine's cursor), debiting each
-    job's entry of [remaining] by the fraction processed.  The result is
-    machine-disjoint within the segment; slices are returned in decision
-    order. *)
+    [s·(horizon−now)] starting at the machine's cursor), calling
+    [debit j work] with the fraction [work] of job [j] each slice
+    processes, in decision order: the caller owns the remaining
+    fractions, as {!next_completion} reads them through a function.  The
+    result is machine-disjoint within the segment; slices are returned
+    in decision order. *)

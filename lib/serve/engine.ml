@@ -18,25 +18,12 @@ module Pending = Set.Make (struct
     if c <> 0 then c else Int.compare i j
 end)
 
-type objective = [ `Flow | `Stretch ]
-
 type lost_work = [ `Lost | `Preserved ]
 
-type job = {
-  id : string;
-  arrival : Rat.t;
-  bank : int;  (* kept for durability snapshots; costs derive from it *)
-  num_motifs : int;
-  column : Rat.t option array;  (* cost per machine, healthy platform *)
-  weight : Rat.t;
-  fastest : Rat.t;  (* min finite cost, for stretch accounting *)
-  mutable arrived : bool;  (* arrival date has passed *)
-  mutable parked : bool;  (* arrived but starved: no live machine can run it *)
-  mutable completed_at : Rat.t option;
-}
-
 (* A job as a snapshot records it, and the one input of admission: a
-   live submission is a fresh job state (not arrived, nothing done). *)
+   live submission is a fresh job state (not arrived, nothing done).  It
+   is also the engine's own record of the job: every change (arrival,
+   parking, a debit, a lost-work re-credit, completion) replaces it. *)
 type job_state = {
   js_id : string;
   js_arrival : Rat.t;
@@ -44,8 +31,17 @@ type job_state = {
   js_num_motifs : int;
   js_remaining : Rat.t;
   js_arrived : bool;
-  js_parked : bool;
+  js_parked : bool;  (* arrived but starved: no live machine can run it *)
   js_completed_at : Rat.t option;
+}
+
+(* A stored job: its state, and what admission derives from the state's
+   bank and motif count once.  The weight is [1/fastest cost], so the
+   policy optimizes max stretch. *)
+type job = {
+  mutable st : job_state;
+  column : Rat.t option array;  (* cost per machine, healthy platform *)
+  weight : Rat.t;
 }
 
 (* The policy's abstract state, packed with its module and its window:
@@ -82,7 +78,6 @@ type t = {
   clock : Clock.t;
   mutable origin : float;  (* clock date of engine time 0; rebased on restore *)
   batch_window : Rat.t;
-  objective : objective;
   lost_work : lost_work;
   (* Machine availability.  [overlay] is mutated in place; [faults] is the
      pending injection queue, sorted by date. *)
@@ -92,17 +87,14 @@ type t = {
   mutable jobs : job array;
   mutable n : int;
   ids : (string, int) Hashtbl.t;  (* request id -> job index *)
-  mutable remaining : Rat.t array;  (* parallel to [jobs], fraction left *)
   (* Derived indexes over [jobs], rebuilt by [restore] and never
      serialized, so the event loop touches only the jobs still in play:
      [unfinished] holds every incomplete job (a runner's window), [live]
      the arrived ones among them (parked ones included), both in index
-     order; [num_live]/[num_parked] count the live ones, and [pending]
-     queues the jobs whose arrival date has not fired yet. *)
+     order, and [pending] queues the jobs whose arrival date has not
+     fired yet. *)
   mutable unfinished : Iset.t;
   mutable live : Iset.t;
-  mutable num_live : int;
-  mutable num_parked : int;
   mutable pending : Pending.t;
   mutable runner : runner option;
   mutable now : Rat.t;
@@ -120,7 +112,6 @@ type t = {
   (* Output. *)
   mutable slices : S.slice list;  (* reverse order *)
   last_stop : Rat.t array;  (* per machine, incremental validation *)
-  mutable num_completed : int;
   (* Metrics. *)
   metrics : Metrics.t;
   c_submitted : Metrics.counter;
@@ -144,10 +135,8 @@ type t = {
      instruments ([Lp.Instrument]) attributed to this engine (LP-free
      policies leave these at zero). *)
   c_lp_solves : Metrics.counter;
-  c_lp_warm : Metrics.counter;
   c_lp_pivots1 : Metrics.counter;
   c_lp_pivots2 : Metrics.counter;
-  c_lp_pivots_dual : Metrics.counter;
   h_lp_seconds : Metrics.histogram;
   (* Numeric-tower fast-path telemetry, same per-decision delta scheme
      (DESIGN.md §10). *)
@@ -172,33 +161,58 @@ let policy_name t =
   let (module P : Sim.POLICY) = t.policy in
   P.name
 
-let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Lost) ~clock
-    ~policy platform =
+let create ?(batch_window = Rat.zero) ?(lost_work = `Lost) ~clock ~policy platform =
   if Rat.sign batch_window < 0 then invalid_arg "Engine.create: negative batch window";
   let m = Array.length platform.W.speeds in
+  (* Registered in the order [dump] lists them, part of the v2 snapshot
+     bytes (DESIGN.md §11).  Every LP solve is cold, so [lp_pivots_dual]
+     and [lp_solves_warm] only hold their place and read 0. *)
   let metrics = Metrics.create () in
-  let t =
-    {
-      platform;
-      policy;
-      clock;
-      origin = Clock.now clock;
-      batch_window;
-      objective;
-      lost_work;
-      overlay = W.all_up platform;
-      faults = [];
-      jobs = [||];
-      n = 0;
-      ids = Hashtbl.create 64;
-      remaining = [||];
-      unfinished = Iset.empty;
-      live = Iset.empty;
-      num_live = 0;
-      num_parked = 0;
-      pending = Pending.empty;
-      runner = None;
-      now = Rat.zero;
+  let c_rat_demoted = Metrics.counter metrics "rat.demotions" in
+  let c_rat_promoted = Metrics.counter metrics "rat.promotions" in
+  let c_rat_big = Metrics.counter metrics "rat.big_ops" in
+  let c_rat_small = Metrics.counter metrics "rat.small_ops" in
+  let h_lp_seconds = Metrics.histogram metrics "lp_solve_seconds" in
+  ignore (Metrics.counter metrics "lp_pivots_dual");
+  let c_lp_pivots2 = Metrics.counter metrics "lp_pivots_phase2" in
+  let c_lp_pivots1 = Metrics.counter metrics "lp_pivots_phase1" in
+  ignore (Metrics.counter metrics "lp_solves_warm");
+  let c_lp_solves = Metrics.counter metrics "lp_solves" in
+  let h_stretch = Metrics.histogram metrics "stretch" in
+  let h_weighted = Metrics.histogram metrics "weighted_flow_seconds" in
+  let h_flow = Metrics.histogram metrics "flow_seconds" in
+  let g_queue = Metrics.gauge metrics "queue_depth" in
+  let g_machines_up = Metrics.gauge metrics "machines_up" in
+  let c_slices_lost = Metrics.counter metrics "slices_lost" in
+  let c_recoveries = Metrics.counter metrics "machine_recoveries" in
+  let c_failures = Metrics.counter metrics "machine_failures" in
+  let c_rebuilds = Metrics.counter metrics "policy_rebuilds" in
+  let c_cache_misses = Metrics.counter metrics "decision_cache_misses" in
+  let c_cache_hits = Metrics.counter metrics "decision_cache_hits" in
+  let c_coalesced = Metrics.counter metrics "arrivals_coalesced" in
+  let c_slices = Metrics.counter metrics "slices" in
+  let c_segments = Metrics.counter metrics "segments" in
+  let c_decisions = Metrics.counter metrics "decisions" in
+  let c_completed = Metrics.counter metrics "requests_completed" in
+  let c_submitted = Metrics.counter metrics "requests_submitted" in
+  Metrics.set g_machines_up (float_of_int m);
+  {
+    platform;
+    policy;
+    clock;
+    origin = Clock.now clock;
+    batch_window;
+    lost_work;
+    overlay = W.all_up platform;
+    faults = [];
+    jobs = [||];
+    n = 0;
+    ids = Hashtbl.create 64;
+    unfinished = Iset.empty;
+    live = Iset.empty;
+    pending = Pending.empty;
+    runner = None;
+    now = Rat.zero;
     decision = None;
     decided_at = Rat.zero;
     dirty = true;
@@ -207,49 +221,45 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
     decision_cache = Hashtbl.create 16;
     slices = [];
     last_stop = Array.make m Rat.zero;
-    num_completed = 0;
     metrics;
-    c_submitted = Metrics.counter metrics "requests_submitted";
-    c_completed = Metrics.counter metrics "requests_completed";
-    c_decisions = Metrics.counter metrics "decisions";
-    c_segments = Metrics.counter metrics "segments";
-    c_slices = Metrics.counter metrics "slices";
-      c_coalesced = Metrics.counter metrics "arrivals_coalesced";
-      c_cache_hits = Metrics.counter metrics "decision_cache_hits";
-      c_cache_misses = Metrics.counter metrics "decision_cache_misses";
-      c_rebuilds = Metrics.counter metrics "policy_rebuilds";
-      c_failures = Metrics.counter metrics "machine_failures";
-      c_recoveries = Metrics.counter metrics "machine_recoveries";
-      c_slices_lost = Metrics.counter metrics "slices_lost";
-      g_machines_up = Metrics.gauge metrics "machines_up";
-      g_queue = Metrics.gauge metrics "queue_depth";
-    h_flow = Metrics.histogram metrics "flow_seconds";
-    h_weighted = Metrics.histogram metrics "weighted_flow_seconds";
-    h_stretch = Metrics.histogram metrics "stretch";
-    c_lp_solves = Metrics.counter metrics "lp_solves";
-    c_lp_warm = Metrics.counter metrics "lp_solves_warm";
-    c_lp_pivots1 = Metrics.counter metrics "lp_pivots_phase1";
-    c_lp_pivots2 = Metrics.counter metrics "lp_pivots_phase2";
-      c_lp_pivots_dual = Metrics.counter metrics "lp_pivots_dual";
-      h_lp_seconds = Metrics.histogram metrics "lp_solve_seconds";
-      c_rat_small = Metrics.counter metrics "rat.small_ops";
-      c_rat_big = Metrics.counter metrics "rat.big_ops";
-      c_rat_promoted = Metrics.counter metrics "rat.promotions";
-      c_rat_demoted = Metrics.counter metrics "rat.demotions";
-      durability = None;
-    }
-  in
-  Metrics.set t.g_machines_up (float_of_int m);
-  t
+    c_submitted;
+    c_completed;
+    c_decisions;
+    c_segments;
+    c_slices;
+    c_coalesced;
+    c_cache_hits;
+    c_cache_misses;
+    c_rebuilds;
+    c_failures;
+    c_recoveries;
+    c_slices_lost;
+    g_machines_up;
+    g_queue;
+    h_flow;
+    h_weighted;
+    h_stretch;
+    c_lp_solves;
+    c_lp_pivots1;
+    c_lp_pivots2;
+    h_lp_seconds;
+    c_rat_small;
+    c_rat_big;
+    c_rat_promoted;
+    c_rat_demoted;
+    durability = None;
+  }
 
 let submitted t = t.n
-let completed t = t.num_completed
+let completed t = t.n - Iset.cardinal t.unfinished
 
-let active t = t.num_live
-let starved t = t.num_parked
+let parked t j = t.jobs.(j).st.js_parked
+
+let active t = Iset.cardinal t.live
+let starved t = Iset.fold (fun j k -> if parked t j then k + 1 else k) t.live 0
 
 (* Arrived, incomplete and not starved: the jobs the policy may schedule. *)
-let schedulable t = t.num_live - t.num_parked
+let schedulable t = active t - starved t
 
 let machine_up t i =
   if i < 0 || i >= Array.length t.overlay then
@@ -264,7 +274,7 @@ let find t id = Hashtbl.find_opt t.ids id
 let job_completed t j =
   if j < 0 || j >= t.n then
     invalid_arg (Printf.sprintf "Engine.job_completed: job %d out of range" j);
-  t.jobs.(j).completed_at <> None
+  t.jobs.(j).st.js_completed_at <> None
 
 let set_decision_cache t enabled =
   t.cache_enabled <- enabled;
@@ -303,7 +313,7 @@ let cost t ~machine ~job =
    [jobs.(k)], with costs from [cost]. *)
 let instance_of t jobs cost =
   I.make
-    ~releases:(Array.map (fun j -> t.jobs.(j).arrival) jobs)
+    ~releases:(Array.map (fun j -> t.jobs.(j).st.js_arrival) jobs)
     ~weights:(Array.map (fun j -> t.jobs.(j).weight) jobs)
     (Array.init (Array.length t.overlay) (fun machine ->
          Array.map (fun job -> cost ~machine ~job) jobs))
@@ -324,40 +334,30 @@ let rel window j =
   in
   go 0 (Array.length window)
 
-(* --- derived job indexes ---------------------------------------------- *)
+(* --- job store ---------------------------------------------------------- *)
 
-let make_live t j =
-  t.live <- Iset.add j t.live;
-  t.num_live <- t.num_live + 1;
-  if t.jobs.(j).parked then t.num_parked <- t.num_parked + 1
-
-let set_parked t j parked =
+(* Replace job [j]'s state: every change to a job goes through here. *)
+let update t j f =
   let job = t.jobs.(j) in
-  if job.parked <> parked then begin
-    job.parked <- parked;
-    t.num_parked <- (t.num_parked + if parked then 1 else -1)
-  end
+  job.st <- f job.st
 
-(* Store a job (new, or restored with its flags) and file it in the index
-   its flags place it in. *)
-let push t job remaining =
+(* Store a job (new, or restored with its flags) and file it in the
+   indexes its flags place it in. *)
+let push t job =
   if t.n = Array.length t.jobs then begin
-    let cap = Stdlib.max 8 (2 * t.n) in
-    let jobs = Array.make cap job in
+    let jobs = Array.make (Stdlib.max 8 (2 * t.n)) job in
     Array.blit t.jobs 0 jobs 0 t.n;
-    t.jobs <- jobs;
-    let rem = Array.make cap Rat.one in
-    Array.blit t.remaining 0 rem 0 t.n;
-    t.remaining <- rem
+    t.jobs <- jobs
   end;
   let j = t.n in
   t.jobs.(j) <- job;
-  t.remaining.(j) <- remaining;
   t.n <- j + 1;
-  if job.completed_at = None then t.unfinished <- Iset.add j t.unfinished;
-  if not job.arrived then t.pending <- Pending.add (job.arrival, j) t.pending
-  else if job.completed_at = None then make_live t j
-  else t.num_completed <- t.num_completed + 1;
+  let st = job.st in
+  if not st.js_arrived then t.pending <- Pending.add (st.js_arrival, j) t.pending;
+  if st.js_completed_at = None then begin
+    t.unfinished <- Iset.add j t.unfinished;
+    if st.js_arrived then t.live <- Iset.add j t.live
+  end;
   j
 
 (* --- durability ------------------------------------------------------ *)
@@ -467,21 +467,7 @@ let admit t ~where js =
   then fail "request %S: parked flag %b disagrees with the overlay" id js.js_parked;
   log_record t (Wal.Submit { id; arrival; bank; num_motifs });
   let fastest = Array.fold_left min_opt None column |> Option.get in
-  let job =
-    {
-      id;
-      arrival;
-      bank;
-      num_motifs;
-      column;
-      weight = (match t.objective with `Flow -> Rat.one | `Stretch -> Rat.inv fastest);
-      fastest;
-      arrived = js.js_arrived;
-      parked = js.js_parked;
-      completed_at = js.js_completed_at;
-    }
-  in
-  let j = push t job remaining in
+  let j = push t { st = js; column; weight = Rat.inv fastest } in
   Hashtbl.add t.ids id j;
   j
 
@@ -521,11 +507,11 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
 let views t window =
   Seq.fold_left
     (fun acc j ->
-      let job = t.jobs.(j) in
-      if job.parked then acc
+      let { st; weight; _ } = t.jobs.(j) in
+      if st.js_parked then acc
       else
         let id = rel window j in
-        { Sim.id; release = job.arrival; weight = job.weight; remaining = t.remaining.(j) } :: acc)
+        { Sim.id; release = st.js_arrival; weight; remaining = st.js_remaining } :: acc)
     [] (Iset.to_rev_seq t.live)
 
 (* Schedulable jobs in announcement order (arrival date, then index) — the
@@ -533,9 +519,9 @@ let views t window =
    canonical job enumeration the decision cache keys on. *)
 let announced t =
   Iset.elements t.live
-  |> List.filter (fun j -> not t.jobs.(j).parked)
+  |> List.filter (fun j -> not (parked t j))
   |> List.sort (fun a b ->
-         let c = Rat.compare t.jobs.(a).arrival t.jobs.(b).arrival in
+         let c = Rat.compare t.jobs.(a).st.js_arrival t.jobs.(b).st.js_arrival in
          if c <> 0 then c else compare a b)
 
 let runner t =
@@ -554,7 +540,7 @@ let runner t =
     t.dirty <- true;
     r
 
-let eligible_for t j = Iset.mem j t.live && not t.jobs.(j).parked
+let eligible_for t j = Iset.mem j t.live && not (parked t j)
 
 (* Canonical fingerprint of the masked decision instance: availability
    overlay plus the *shape* of every schedulable job — arrival age, bank,
@@ -571,21 +557,19 @@ let eligible_for t j = Iset.mem j t.live && not t.jobs.(j).parked
 let fingerprint t =
   let b = Buffer.create 256 in
   Buffer.add_string b (policy_name t);
-  Buffer.add_char b '|';
-  Buffer.add_string b (match t.objective with `Flow -> "flow" | `Stretch -> "stretch");
-  Buffer.add_char b '|';
+  Buffer.add_string b "|stretch|";
   Array.iter (fun s -> Buffer.add_char b (match s with W.Up -> 'u' | W.Down -> 'd')) t.overlay;
   List.iter
     (fun j ->
-      let job = t.jobs.(j) in
+      let st = t.jobs.(j).st in
       Buffer.add_char b '|';
-      Buffer.add_string b (Rat.to_string (Rat.sub t.now job.arrival));
+      Buffer.add_string b (Rat.to_string (Rat.sub t.now st.js_arrival));
       Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int job.bank);
+      Buffer.add_string b (string_of_int st.js_bank);
       Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int job.num_motifs);
+      Buffer.add_string b (string_of_int st.js_num_motifs);
       Buffer.add_char b ':';
-      Buffer.add_string b (Rat.to_string t.remaining.(j)))
+      Buffer.add_string b (Rat.to_string st.js_remaining))
     (announced t);
   Buffer.contents b
 
@@ -631,10 +615,8 @@ let decide_fresh t =
   in
   let delta = Lp.Instrument.(diff ~before (combined ())) in
   Metrics.add t.c_lp_solves delta.Lp.Instrument.solves;
-  Metrics.add t.c_lp_warm delta.Lp.Instrument.warm_solves;
   Metrics.add t.c_lp_pivots1 delta.Lp.Instrument.pivots_phase1;
   Metrics.add t.c_lp_pivots2 delta.Lp.Instrument.pivots_phase2;
-  Metrics.add t.c_lp_pivots_dual delta.Lp.Instrument.pivots_dual;
   if delta.Lp.Instrument.solves > 0 then
     Metrics.observe t.h_lp_seconds delta.Lp.Instrument.seconds;
   Metrics.add t.c_rat_small (NC.small_ops () - rat_small0);
@@ -705,25 +687,21 @@ let fire_due_arrivals t =
     let parked, runnable =
       List.partition (fun j -> starved_column t t.jobs.(j).column) due
     in
-    let arrive j =
-      t.jobs.(j).arrived <- true;
-      make_live t j
+    let arrive ~parked j =
+      update t j (fun st -> { st with js_arrived = true; js_parked = parked });
+      t.live <- Iset.add j t.live
     in
     (* Nothing live can run a starved job: park it instead of announcing
        it — Mct's arrival handler, for one, asserts some machine can take
        the job. *)
-    List.iter
-      (fun j ->
-        t.jobs.(j).parked <- true;
-        arrive j)
-      parked;
+    List.iter (arrive ~parked:true) parked;
     (match runnable with
      | [] -> ()
      | runnable ->
        (* Build the runner before flipping [arrived], or a fresh rebuild
           would announce the batch a second time. *)
        let (Runner ((module P), state, window)) = runner t in
-       List.iter arrive runnable;
+       List.iter (arrive ~parked:false) runnable;
        List.iter (fun j -> P.on_arrival state ~now:t.now ~job:(rel window j)) runnable;
        (* Batching: within one window of the last decision the current
           plan keeps running and the newcomers wait for the coalesced
@@ -743,13 +721,9 @@ let fire_due_arrivals t =
     Metrics.set t.g_queue (float_of_int (active t))
 
 let complete t j =
-  let job = t.jobs.(j) in
-  job.completed_at <- Some t.now;
+  update t j (fun st -> { st with js_completed_at = Some t.now });
   t.unfinished <- Iset.remove j t.unfinished;
   t.live <- Iset.remove j t.live;
-  t.num_live <- t.num_live - 1;
-  if job.parked then t.num_parked <- t.num_parked - 1;
-  t.num_completed <- t.num_completed + 1;
   t.dirty <- true;
   (* The finishing decision may have outlived its policy state: a live
      submission (or a decision-cache hit) leaves the validated shares
@@ -760,11 +734,14 @@ let complete t j =
    | Some (Runner ((module P), state, window)) ->
      P.on_completion state ~now:t.now ~job:(rel window j)
    | None -> ());
-  let flow = Rat.sub t.now job.arrival in
+  let job = t.jobs.(j) in
+  let flow = Rat.sub t.now job.st.js_arrival in
+  (* The weight is [1/fastest cost]: a weighted flow is a stretch. *)
+  let stretch = Rat.to_float (Rat.mul job.weight flow) in
   Metrics.incr t.c_completed;
   Metrics.observe t.h_flow (Rat.to_float flow);
-  Metrics.observe t.h_weighted (Rat.to_float (Rat.mul job.weight flow));
-  Metrics.observe t.h_stretch (Rat.to_float (Rat.div flow job.fastest));
+  Metrics.observe t.h_weighted stretch;
+  Metrics.observe t.h_stretch stretch;
   Metrics.set t.g_queue (float_of_int (active t))
 
 (* --- machine failures ----------------------------------------------- *)
@@ -779,11 +756,11 @@ let drop_lost_slices t i =
   let lost = ref 0 in
   let keep (s : S.slice) =
     let job = t.jobs.(s.job) in
-    if s.machine = i && job.completed_at = None then begin
+    if s.machine = i && job.st.js_completed_at = None then begin
       incr lost;
       let c = Option.get job.column.(i) in
-      t.remaining.(s.job) <-
-        Rat.add t.remaining.(s.job) (Rat.div (Rat.sub s.stop s.start) c);
+      let work = Rat.div (Rat.sub s.stop s.start) c in
+      update t s.job (fun st -> { st with js_remaining = Rat.add st.js_remaining work });
       false
     end
     else true
@@ -802,7 +779,11 @@ let platform_changed t =
      before the disruption, and the table should not hoard entries for
      overlays that may never recur. *)
   Hashtbl.reset t.decision_cache;
-  Iset.iter (fun j -> set_parked t j (starved_column t t.jobs.(j).column)) t.live;
+  Iset.iter
+    (fun j ->
+      let parked = starved_column t t.jobs.(j).column in
+      update t j (fun st -> { st with js_parked = parked }))
+    t.live;
   quiesce t;
   Metrics.set t.g_queue (float_of_int (active t))
 
@@ -881,7 +862,7 @@ let check_slice t ~fail frontier (s : S.slice) =
     fail (Printf.sprintf "empty slice of job %d on machine %d" s.job s.machine)
   else if Rat.compare s.start frontier.(s.machine) < 0 then
     fail (Printf.sprintf "slice overlaps on machine %d" s.machine)
-  else if Rat.compare s.start t.jobs.(s.job).arrival < 0 then
+  else if Rat.compare s.start t.jobs.(s.job).st.js_arrival < 0 then
     fail (Printf.sprintf "slice starts before release of job %d" s.job)
   else if Rat.compare s.stop t.now > 0 then
     fail (Printf.sprintf "slice of job %d ends after now" s.job);
@@ -913,7 +894,7 @@ let step t ~limit =
        arriving at the recovery must be announced. *)
     fire_due_faults t;
     fire_due_arrivals t;
-    if schedulable t = 0 then begin
+    if not (Iset.exists (fun j -> not (parked t j)) t.live) then begin
       (* Idle: empty, or only starved jobs waiting for a recovery.  Sleep
          until something changes — an arrival or an injected fault — and
          stop (even mid-drain) when nothing ever will: a permanently
@@ -934,7 +915,7 @@ let step t ~limit =
       in
       let cost = cost t in
       let completion_candidate =
-        Sim.next_completion ~cost d ~now:t.now ~remaining:(fun j -> t.remaining.(j))
+        Sim.next_completion ~cost d ~now:t.now ~remaining:(fun j -> t.jobs.(j).st.js_remaining)
       in
       let arrival_candidate = next_arrival_after t t.now in
       let event =
@@ -959,7 +940,8 @@ let step t ~limit =
         if Rat.compare te t.now > 0 then begin
           let segment =
             Sim.materialize ~machines:(Array.length t.overlay) ~cost ~now:t.now ~horizon:te d
-              ~remaining:t.remaining
+              ~debit:(fun j work ->
+                update t j (fun st -> { st with js_remaining = Rat.sub st.js_remaining work }))
           in
           advance_time t te;
           append_slices t segment;
@@ -970,8 +952,9 @@ let step t ~limit =
           let finished =
             Iset.fold
               (fun j acc ->
-                if Rat.sign t.remaining.(j) < 0 then bug "job %d over-processed" j;
-                if Rat.is_zero t.remaining.(j) then j :: acc else acc)
+                let remaining = t.jobs.(j).st.js_remaining in
+                if Rat.sign remaining < 0 then bug "job %d over-processed" j;
+                if Rat.is_zero remaining then j :: acc else acc)
               t.live []
           in
           (* Ascending index order, as policies and histograms expect. *)
@@ -1010,7 +993,7 @@ let catch_up t =
   end
 
 let drain t =
-  if t.num_completed < t.n then begin
+  if not (Iset.is_empty t.unfinished) then begin
     log_record t Wal.Drain;
     step t ~limit:None;
     bump t
@@ -1045,7 +1028,6 @@ let rebase t = t.origin <- Clock.now t.clock -. Rat.to_float t.now
 type state = {
   st_policy : string;
   st_batch_window : Rat.t;
-  st_objective : objective;
   st_lost_work : lost_work;
   st_now : Rat.t;
   st_jobs : job_state list;  (* in submission (= policy index) order *)
@@ -1062,27 +1044,14 @@ let dump t =
   {
     st_policy = policy_name t;
     st_batch_window = t.batch_window;
-    st_objective = t.objective;
     st_lost_work = t.lost_work;
     st_now = t.now;
-    st_jobs =
-      List.init t.n (fun j ->
-          let job = t.jobs.(j) in
-          {
-            js_id = job.id;
-            js_arrival = job.arrival;
-            js_bank = job.bank;
-            js_num_motifs = job.num_motifs;
-            js_remaining = t.remaining.(j);
-            js_arrived = job.arrived;
-            js_parked = job.parked;
-            js_completed_at = job.completed_at;
-          });
+    st_jobs = List.init t.n (fun j -> t.jobs.(j).st);
     st_overlay = Array.copy t.overlay;
     st_faults = t.faults;
     st_slices = List.rev t.slices;
     st_last_stop = Array.copy t.last_stop;
-    st_num_completed = t.num_completed;
+    st_num_completed = completed t;
     st_metrics = Metrics.dump t.metrics;
     (* The cache survives a checkpoint in the live engine (quiescing drops
        the policy runner, not remembered plans), so a resumed engine must
@@ -1113,18 +1082,17 @@ let restore ~clock ~policy platform st =
          at)
        st.st_now st.st_faults);
   let t =
-    create ~batch_window:st.st_batch_window ~objective:st.st_objective
-      ~lost_work:st.st_lost_work ~clock ~policy platform
+    create ~batch_window:st.st_batch_window ~lost_work:st.st_lost_work ~clock ~policy platform
   in
   t.now <- st.st_now;
   rebase t;
   (* The overlay first: admission checks each job's [parked] flag against
      it.  Jobs then go through the live admission path, which rebuilds
-     the derived indexes and the completed count from their flags. *)
+     the derived indexes from their flags. *)
   Array.blit st.st_overlay 0 t.overlay 0 m;
   List.iter (fun js -> ignore (admit t ~where:"Engine.restore" js)) st.st_jobs;
-  if t.num_completed <> st.st_num_completed then
-    fail "%d completed requests recorded, %d found" st.st_num_completed t.num_completed;
+  if completed t <> st.st_num_completed then
+    fail "%d completed requests recorded, %d found" st.st_num_completed (completed t);
   (* Slices through the live slice check, from an empty frontier; then
      work conservation: each job's slices, at its cost column, plus its
      remaining fraction make exactly one job.  Under [`Lost] a failure
@@ -1144,9 +1112,10 @@ let restore ~clock ~policy platform st =
     st.st_slices;
   Array.iteri
     (fun j w ->
-      let total = Rat.add w t.remaining.(j) in
+      let st = t.jobs.(j).st in
+      let total = Rat.add w st.js_remaining in
       if not (Rat.equal total Rat.one) then
-        fail "request %S: slices and remaining work add up to %s, not 1" t.jobs.(j).id
+        fail "request %S: slices and remaining work add up to %s, not 1" st.js_id
           (Rat.to_string total))
     work;
   Array.iteri
@@ -1197,11 +1166,9 @@ let restore ~clock ~policy platform st =
    | exception Invalid_argument msg -> fail "%s" msg);
   t
 
-let replay ?batch_window ?objective ?lost_work ~policy (trace : Trace.t) =
+let replay ?batch_window ?lost_work ~policy (trace : Trace.t) =
   let clock = Clock.virtual_ () in
-  let t =
-    create ?batch_window ?objective ?lost_work ~clock ~policy trace.Trace.platform
-  in
+  let t = create ?batch_window ?lost_work ~clock ~policy trace.Trace.platform in
   List.iter
     (fun (e : Trace.entry) ->
       ignore

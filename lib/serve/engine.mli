@@ -75,12 +75,6 @@
 
 module Rat = Numeric.Rat
 
-type objective =
-  [ `Flow  (** unit weights: the policy optimizes max flow *)
-  | `Stretch
-    (** weight [1/fastest_cost] per job: the policy optimizes max
-        stretch *) ]
-
 type lost_work =
   [ `Lost  (** in-flight work on a failed machine is lost and redone *)
   | `Preserved  (** partial results survive the failure (checkpointing) *) ]
@@ -89,16 +83,15 @@ type t
 
 val create :
   ?batch_window:Rat.t ->
-  ?objective:objective ->
   ?lost_work:lost_work ->
   clock:Clock.t ->
   policy:(module Online.Sim.POLICY) ->
   Gripps.Workload.platform ->
   t
 (** [batch_window] defaults to zero (re-evaluate on every arrival);
-    [objective] defaults to [`Stretch]; [lost_work] defaults to [`Lost].
-    Engine time starts at 0 at the clock's current date, with every
-    machine up. *)
+    [lost_work] defaults to [`Lost].  Each job weighs [1/fastest_cost],
+    so the policy optimizes max stretch.  Engine time starts at 0 at the
+    clock's current date, with every machine up. *)
 
 val submit :
   t -> id:string -> ?arrival:Rat.t -> bank:int -> num_motifs:int -> unit -> int
@@ -156,16 +149,19 @@ val starved : t -> int
 
 val schedulable : t -> int
 (** Arrived, incomplete jobs the policy may schedule: [active - starved].
-    All three counts are kept incrementally, not by scanning the jobs. *)
+    All three counts are computed from the arrived, incomplete jobs'
+    records on each call, in O(active). *)
 
 val instance : t -> Sched_core.Instance.t
 (** The instance over every submitted job with healthy costs (job [j] is
-    the [j]-th submission; weights follow the objective), built afresh in
+    the [j]-th submission, weighing [1/fastest_cost]), built afresh in
     O(submitted) on each call: what {!schedule} validates against.  The
     event loop never builds it; policies decide over their window (see
     the module preamble). *)
 
 val completed : t -> int
+(** Completed jobs: {!submitted} less the incomplete ones, in
+    O(incomplete). *)
 
 val find : t -> string -> int option
 (** Job index of a submitted request id, if any. *)
@@ -210,7 +206,6 @@ val schedule : t -> Sched_core.Schedule.t
 
 val replay :
   ?batch_window:Rat.t ->
-  ?objective:objective ->
   ?lost_work:lost_work ->
   policy:(module Online.Sim.POLICY) ->
   Trace.t ->
@@ -285,11 +280,17 @@ type cached_decision = {
     uninterrupted one hits, splitting the [decision_cache_hits] /
     [decision_cache_misses] counters and with them bit-identity. *)
 
-(** A job as a snapshot records it.  A completed job's state is final:
-    no later event changes any of its fields, and jobs are never removed
-    or reordered, so the dumps of one engine list a completed job the
-    same way at the same position ever after ({!Snapshot} encodes the
-    completed prefix once per durability handle on that contract). *)
+(** A job as a snapshot records it, which is also the engine's own
+    record of the job: the engine stores each job's [job_state] next to
+    what admission derives from it (cost column, weight), and every
+    change (arrival, parking, a debit, a lost-work re-credit, completion)
+    replaces the record, so {!dump} lists the stored records as they are
+    and no per-job field can live outside the snapshot.  A completed
+    job's state is final: no later event changes any of its fields, and
+    jobs are never removed or reordered, so the dumps of one engine list
+    a completed job the same way at the same position ever after
+    ({!Snapshot} encodes the completed prefix once per durability handle
+    on that contract). *)
 type job_state = {
   js_id : string;
   js_arrival : Rat.t;
@@ -304,7 +305,6 @@ type job_state = {
 type state = {
   st_policy : string;
   st_batch_window : Rat.t;
-  st_objective : objective;
   st_lost_work : lost_work;
   st_now : Rat.t;
   st_jobs : job_state list;  (** in submission (= policy index) order *)

@@ -123,7 +123,8 @@ let layout =
       platform;
       keyed "policy" (id "policy name");
       keyed "batch_window" rat;
-      keyed "objective" (enum "objective" [ ("flow", `Flow); ("stretch", `Stretch) ]);
+      (* The engine optimizes max stretch only; the line stays for v2. *)
+      keyed "objective" (lit "stretch");
       keyed "lost_work" (enum "lost_work" [ ("lost", `Lost); ("preserved", `Preserved) ]);
       keyed "now" rat;
       section
@@ -138,20 +139,18 @@ let layout =
       section "cache" (keyed "centry" centry) ]
     (fun ( seq,
            platform,
-           { Engine.st_policy; st_batch_window; st_objective; st_lost_work; st_now; st_jobs;
-             st_overlay; st_faults; st_slices; st_last_stop; st_num_completed; st_metrics;
-             st_cache } ) ->
-      [ (); seq; platform; st_policy; st_batch_window; st_objective; st_lost_work; st_now;
+           { Engine.st_policy; st_batch_window; st_lost_work; st_now; st_jobs; st_overlay;
+             st_faults; st_slices; st_last_stop; st_num_completed; st_metrics; st_cache } ) ->
+      [ (); seq; platform; st_policy; st_batch_window; (); st_lost_work; st_now;
         st_jobs; st_overlay; st_faults; st_slices; st_last_stop; st_num_completed; st_metrics;
         st_cache ])
-    (fun [ (); seq; platform; st_policy; st_batch_window; st_objective; st_lost_work; st_now;
+    (fun [ (); seq; platform; st_policy; st_batch_window; (); st_lost_work; st_now;
            st_jobs; st_overlay; st_faults; st_slices; st_last_stop; st_num_completed;
            st_metrics; st_cache ] ->
       ( seq,
         platform,
-        { Engine.st_policy; st_batch_window; st_objective; st_lost_work; st_now; st_jobs;
-          st_overlay; st_faults; st_slices; st_last_stop; st_num_completed; st_metrics;
-          st_cache } ))
+        { Engine.st_policy; st_batch_window; st_lost_work; st_now; st_jobs; st_overlay;
+          st_faults; st_slices; st_last_stop; st_num_completed; st_metrics; st_cache } ))
 
 let trailer = Codec.(keyed "checksum" int)
 

@@ -62,6 +62,18 @@ fi
 grep -q 'line 2' "$WORK/err.txt" || fail "malformed-trace error not line-numbered"
 [ "$(wc -l < "$WORK/err.txt")" -eq 1 ] || fail "expected a one-line error"
 
+# A malformed deadline (a bad token, a zero denominator) is a user error:
+# exit 2 with one "dlsched:" line.
+"$DLSCHED" generate -n 3 -m 2 -s 1 -o "$WORK/three.inst" > /dev/null
+for ds in 1,x,3 1,1/0,3; do
+  STATUS=0
+  "$DLSCHED" feasible "$WORK/three.inst" --deadlines "$ds" > /dev/null 2> "$WORK/err.txt" \
+    || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "feasible --deadlines $ds exited $STATUS, not 2"
+  [ "$(wc -l < "$WORK/err.txt")" -eq 1 ] && grep -q '^dlsched: ' "$WORK/err.txt" \
+    || fail "feasible --deadlines $ds: expected one dlsched: line"
+done
+
 # --- serve: the line protocol over stdin/stdout ---------------------------
 
 "$DLSCHED" serve --clock virtual --seed 42 --policy mct > "$WORK/serve.out" \

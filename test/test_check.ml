@@ -255,11 +255,13 @@ let test_cache_resume_repro () =
   match Check.Oracles.find "wal-crash-resume" with
   | None -> Alcotest.fail "wal-crash-resume oracle missing from the matrix"
   | Some o -> (
-    (* The fuzzer recorded aux 690535 in the artifact's .sh file: cache=true,
-       snapshot_every=1, crash at op 6, under mct, the one policy the serve
-       oracles ran then.  691201 encodes the same knobs and still picks mct
-       now that aux also picks the policy. *)
-    match Check.Oracles.run_serve o ~aux:691201 script with
+    (* Aux 326833, as the fuzzer recorded it in the artifact's .sh file:
+       cache on, snapshot_every=1, crash at op 6, between the burst's
+       repeat and the drain that ends it.  The repeat recreates a
+       fingerprint the first burst cached, so the resumed engine hits only
+       if the snapshot carried the cache: with [Engine.dump] writing an
+       empty cache, this case fails (fuzz seed 1, case 114). *)
+    match Check.Oracles.run_serve o ~aux:326833 script with
     | Check.Oracles.Pass -> ()
     | Check.Oracles.Fail m -> Alcotest.failf "cache-resume repro regressed: %s" m)
 

@@ -344,6 +344,8 @@ let test_snapshot_rejects_dangling () =
   rejected_by_parser "slices 6" "slices -3";
   (* A machine is up or down; no other state parses. *)
   rejected_by_parser "avail down" "avail degraded 3/4";
+  (* The engine optimizes max stretch only. *)
+  rejected_by_parser "objective stretch" "objective flow";
   (* A count past the lines left is rejected before anything is read or
      allocated for it: 2^62 - 1 used to escape as [Array.make]'s
      [Invalid_argument], and 50000000 to allocate 400 MB first. *)

@@ -977,11 +977,8 @@ let scratch_instance platform (st : E.state) =
   let weights =
     Array.map
       (fun column ->
-        match st.st_objective with
-        | `Flow -> R.one
-        | `Stretch ->
-          R.inv (Array.fold_left (fun acc c -> match c with Some c -> R.min acc c | None -> acc)
-                   (Option.get (Array.find_map Fun.id column)) column))
+        R.inv (Array.fold_left (fun acc c -> match c with Some c -> R.min acc c | None -> acc)
+                 (Option.get (Array.find_map Fun.id column)) column))
       columns
   in
   I.make ~releases:(Array.map (fun (js : E.job_state) -> js.js_arrival) jobs) ~weights
@@ -1006,9 +1003,9 @@ let prop_derived_state =
   in
   let gen =
     QCheck.Gen.(
-      quad (list_size (int_range 1 30) gen_op) (int_bound 2) (oneofl [ 0; 50 ]) bool)
+      triple (list_size (int_range 1 30) gen_op) (int_bound 2) (oneofl [ 0; 50 ]))
   in
-  let print (ops, pi, window, flow) =
+  let print (ops, pi, window) =
     let op = function
       | D_submit (b, m, d) -> Printf.sprintf "submit(%d,%d,+%d)" b m d
       | D_tick cs -> Printf.sprintf "tick(%d)" cs
@@ -1018,18 +1015,16 @@ let prop_derived_state =
       | D_later (d, T.Recover i) -> Printf.sprintf "recover(%d)@+%d" i d
       | D_drain -> "drain"
     in
-    Printf.sprintf "policy %d, window %dcs, %s: [%s]" pi window
-      (if flow then "flow" else "stretch")
+    Printf.sprintf "policy %d, window %dcs: [%s]" pi window
       (String.concat "; " (List.map op ops))
   in
   QCheck.Test.make ~count:60 ~name:"incremental instances and job counts match a full rebuild"
     (QCheck.make ~print gen)
-    (fun (ops, pi, window, flow) ->
+    (fun (ops, pi, window) ->
       let platform = derived_platform () in
       let eng =
-        E.create ~batch_window:(R.of_ints window 100)
-          ~objective:(if flow then `Flow else `Stretch)
-          ~clock:(Serve.Clock.virtual_ ()) ~policy:(List.nth policies pi) platform
+        E.create ~batch_window:(R.of_ints window 100) ~clock:(Serve.Clock.virtual_ ())
+          ~policy:(List.nth policies pi) platform
       in
       let counter = ref 0 in
       let cs n = R.of_ints n 100 in
