@@ -741,8 +741,7 @@ let complete t j =
   Metrics.incr t.c_completed;
   Metrics.observe t.h_flow (Rat.to_float flow);
   Metrics.observe t.h_weighted stretch;
-  Metrics.observe t.h_stretch stretch;
-  Metrics.set t.g_queue (float_of_int (active t))
+  Metrics.observe t.h_stretch stretch
 
 (* --- machine failures ----------------------------------------------- *)
 
@@ -958,7 +957,9 @@ let step t ~limit =
               t.live []
           in
           (* Ascending index order, as policies and histograms expect. *)
-          List.iter (complete t) (List.rev finished)
+          List.iter (complete t) (List.rev finished);
+          (* Once per sweep, not per job: counting the live set walks it. *)
+          Metrics.set t.g_queue (float_of_int (active t))
         end;
         if not clipped then begin
           (match d.Sim.review_at with

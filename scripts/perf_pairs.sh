@@ -7,15 +7,15 @@
 # Exports REV (any git revision; PAIRS defaults to 10, SECONDS to 5) into
 # _build/perf_pairs/<commit>/ with `git archive`, builds perfbench there
 # and in the checkout, then runs PAIRS pairs per workload of
-# BENCHMARK.json, each pair once per side with --trace 0, the side that
-# goes first alternating from pair to pair.  SEED (default 1) picks the
-# benchmark seed and WORKLOADS (space-separated) narrows the workloads.
+# BENCHMARK.json, each pair once per side with --seed 1 --trace 0, the
+# side that goes first alternating from pair to pair.
 #
 # For every end-to-end metric of BENCHMARK.json it prints the median and
 # interquartile range per side and how many pairs the change wins.  It
-# exits 1 when a run fails a check or a change median is worse than the
-# base median by more than the metric's bound (a fraction of the base
-# median), and 2 on a usage error.  It only reads BENCHMARK.json and
+# exits 1 when a run exits nonzero, prints no JSON result or fails a
+# check, or when a change median is worse than the base median by more
+# than the metric's bound (a fraction of the base median), and 2 on a
+# usage error.  It only reads BENCHMARK.json and
 # writes only under _build/.
 set -eu
 cd "$(dirname "$0")/.."
@@ -26,7 +26,6 @@ if [ $# -lt 1 ] || [ $# -gt 3 ]; then
 fi
 PAIRS=${2:-10}
 SECONDS_PER_RUN=${3:-5}
-SEED=${SEED:-1}
 COMMIT=$(git rev-parse --verify --quiet "$1^{commit}") || {
   echo "perf_pairs: unknown revision $1" >&2
   exit 2
@@ -52,15 +51,24 @@ dune build --root . --cache=disabled perfbench/main.exe 2> "$OUT/build-change.lo
   exit 1
 }
 
-if [ -z "${WORKLOADS:-}" ]; then
-  WORKLOADS=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
-fi
+WORKLOADS=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 
 # One untraced run from a side's root; its last stdout line is the JSON
-# result, appended to OUT/<workload>.<side>.
+# result, appended to OUT/<workload>.<side>.  A run that exits nonzero
+# or prints nothing stops the script, so the two sides' files always
+# hold one line per pair, in pair order.
 run() { # side root workload
-  (cd "$2" && ./_build/default/perfbench/main.exe --workload "$3" --seed "$SEED" \
-    --seconds "$SECONDS_PER_RUN" --trace 0) | tail -n 1 >> "$OUT/$3.$1"
+  if ! (cd "$2" && ./_build/default/perfbench/main.exe --workload "$3" --seed 1 \
+      --seconds "$SECONDS_PER_RUN" --trace 0) > "$OUT/run.out"; then
+    echo "perf_pairs: FAIL $3: a $1 run exited nonzero" >&2
+    exit 1
+  fi
+  last=$(tail -n 1 "$OUT/run.out")
+  if [ -z "$last" ]; then
+    echo "perf_pairs: FAIL $3: a $1 run printed no result" >&2
+    exit 1
+  fi
+  printf '%s\n' "$last" >> "$OUT/$3.$1"
 }
 
 for w in $WORKLOADS; do
@@ -78,10 +86,10 @@ for w in $WORKLOADS; do
   done
 done
 
-python3 - "$OUT" "$COMMIT" "$SEED" "$SECONDS_PER_RUN" $WORKLOADS <<'PYEOF'
+python3 - "$OUT" "$COMMIT" "$SECONDS_PER_RUN" $WORKLOADS <<'PYEOF'
 import json, statistics, sys
 
-out, commit, seed, seconds, workloads = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:]
+out, commit, seconds, workloads = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 bench = json.load(open("BENCHMARK.json"))
 
 def quartiles(xs):
@@ -91,12 +99,17 @@ def quartiles(xs):
     return q[0], q[2]
 
 def load(path):
-    return [json.loads(line) for line in open(path) if line.strip()]
+    try:
+        return [json.loads(line) for line in open(path)]
+    except ValueError:
+        sys.exit(f"perf_pairs: FAIL {path}: a run's last line is not a JSON result")
 
 bad = []
-print(f"base {commit[:12]} vs checkout, seed {seed}, {seconds} s per run")
+print(f"base {commit[:12]} vs checkout, seed 1, {seconds} s per run")
 for w in workloads:
     base, change = load(f"{out}/{w}.base"), load(f"{out}/{w}.change")
+    if len(base) != len(change):
+        sys.exit(f"perf_pairs: FAIL {w}: {len(base)} base runs but {len(change)} change runs")
     for side, runs in (("base", base), ("change", change)):
         for r in runs:
             if not r["correct"] or r["failed"]:
@@ -105,10 +118,13 @@ for w in workloads:
     print(f"  {'metric':20} {'base median [IQR]':34} {'change median [IQR]':34} {'change':>8}  wins")
     for m in bench["end_to_end"]:
         name = m["name"]
-        b = [r["metrics"][name]["value"] for r in base if name in r["metrics"]]
-        c = [r["metrics"][name]["value"] for r in change if name in r["metrics"]]
-        if not b or not c:
+        # Runs pair by position; a metric counts only where both runs of
+        # a pair report it.
+        pairs = [(x["metrics"][name]["value"], y["metrics"][name]["value"])
+                 for x, y in zip(base, change) if name in x["metrics"] and name in y["metrics"]]
+        if not pairs:
             continue
+        b, c = [x for x, _ in pairs], [y for _, y in pairs]
         lower = m["better"] == "lower"
         mb, mc = statistics.median(b), statistics.median(c)
         (b1, b3), (c1, c3) = quartiles(b), quartiles(c)
