@@ -11,11 +11,14 @@
    [F.t] boxes every float it reads from an array and reaches every
    [F.add] through an indirect call; the loops below are written per
    field instead, so the [Approx] ones run on unboxed [float array]s.
-   The pivoting rules that drive them stay generic in [Lp.Revised.Make].
+   The phase logic and the other pivoting rules stay generic in
+   [Lp.Revised.Make]; two kernels apply the rule they are named for
+   (Dantzig's entering column, the minimum-ratio row) in one pass each.
    Both versions of a loop perform the same field operations in the same
-   order and test zeros with the same predicate, so the float kernels
-   return bit-for-bit what the generic code they replace returned
-   (DESIGN §6). *)
+   order and test zeros with the same predicate (except that rational
+   pricing skips a term whose dual is an exact zero, which changes no
+   value), so the float kernels return bit-for-bit what the generic code
+   they replace returned (DESIGN §6). *)
 
 module type S = sig
   type t
@@ -61,11 +64,13 @@ end
 module type Kernels = sig
   type t
 
-  val eliminate : t array array -> int -> t array -> unit
+  val eliminate : t array array -> int -> t array -> int array
   (** [eliminate rows r f], a Gauss–Jordan step on the pivot [f.(r)]:
       row [r] is divided by [f.(r)], then for each [i ≠ r] in order with
       [f.(i)] nz, [rows.(i) <- rows.(i) − f.(i)·rows.(r)].  Both updates
-      touch only the columns where row [r] is exactly nonzero. *)
+      touch only the columns where row [r] is exactly nonzero; those
+      columns are returned, in increasing order (the pivot row's
+      support). *)
 
   val eliminate_vec : t array -> int -> t array -> unit
   (** [eliminate_vec x r f], the same step on a vector:
@@ -78,36 +83,34 @@ module type Kernels = sig
       when [rows.(i).(r)] is nz.  With [rows = B⁻¹] and [w] zero this is
       [w = B⁻¹·A_j]. *)
 
-  val multipliers : t array -> int array -> t array array -> t array
-  (** [multipliers cost basis rows] is [y], zero-initialized, then for
-      each [i] in order with [c = cost.(basis.(i))] nz,
-      [y.(k) <- y.(k) + c·rows.(i).(k)] for each [k] in order where
-      [rows.(i).(k)] is nz: [y = c_B·B⁻¹] for [rows = B⁻¹]. *)
+  val multipliers : t array -> t array -> int array -> t array array -> int array -> unit
+  (** [multipliers y cost basis rows ks] recomputes [y.(k)] for each [k]
+      in [ks]: zero, then for each [i] in order with
+      [c = cost.(basis.(i))] nz, [y.(k) <- y.(k) + c·rows.(i).(k)] when
+      [rows.(i).(k)] is nz.  Other entries of [y] are left as they are.
+      Over every [k], this is [y = c_B·B⁻¹] for [rows = B⁻¹]. *)
 
   val dot_add : t Sparse.t -> int -> t array -> t
   (** [dot_add mat j x = 0 + x.(r₁)·v₁ + x.(r₂)·v₂ + …] over column [j]. *)
 
-  val dot_sub : t Sparse.t -> int -> t array -> t -> t
-  (** [dot_sub mat j x init = init − x.(r₁)·v₁ − x.(r₂)·v₂ − …] over
-      column [j]. *)
+  val price : t Sparse.t -> t array -> t array -> int array -> int -> t array -> unit
+  (** [price mat cost y cols n d]: [d.(j) <- cost.(j) − y.(r₁)·v₁ −
+      y.(r₂)·v₂ − …] over column [j], for each [j] among [cols.(0)] …
+      [cols.(n-1)].  Other entries of [d] are left as they are. *)
 
-  val price : t Sparse.t -> t array -> t array -> bool array -> t array -> int array -> int
-  (** [price mat cost y skip d cand]: [d.(j) <- dot_sub mat j y cost.(j)]
-      for each [j < Array.length d] in order with [skip.(j)] false; the
-      [j] with [sign d.(j) < 0] are written to [cand] in increasing
-      order and their number is returned.  Other entries of [d] and
-      [cand] are left as they are. *)
+  val dantzig : t array -> bool array -> int -> int
+  (** [dantzig d skip n], Dantzig's entering rule: scanning [j] from 0 to
+      [n - 1] over the [j] with [skip.(j)] false and [sign d.(j) < 0],
+      the first one found is the best so far, and a later one replaces
+      it when [compare d.(j) d.(best) < 0].  The last best, or [-1] when
+      there is none. *)
 
-  val ratios : t array -> t array -> t array -> int array -> int
-  (** [ratios xb w r cand]: for each [i] in order with [sign w.(i) > 0]
-      ([w.(i)] positive beyond the tolerance), [r.(i) <- xb.(i) / w.(i)]
-      and [i] is written to [cand]; returns their number.  Other entries
-      of [r] and [cand] are left as they are. *)
-
-  val compare_at : t array -> int -> int -> int
-  (** [compare_at a i j = compare a.(i) a.(j)], read in place so the
-      generic rules scanning [price]'s and [ratios]' results box
-      nothing. *)
+  val leaving : t array -> t array -> int array -> int
+  (** [leaving xb w basis], the minimum-ratio rule: scanning the rows [i]
+      with [sign w.(i) > 0] in order, with ratio [xb.(i) / w.(i)], the
+      first one is the best so far, and a later one replaces it when its
+      ratio compares below the best's, or equal with a smaller
+      [basis.(i)].  The last best, or [-1] when there is none. *)
 end
 
 module type With_kernels = sig
@@ -149,7 +152,8 @@ module Rational : With_kernels with type t = Numeric.Rat.t = struct
         let fi = f.(i) in
         if i <> r && not (R.is_zero fi) then
           Array.iter (fun k -> a.(k) <- R.sub a.(k) (R.mul fi prow.(k))) supp)
-      rows
+      rows;
+    supp
 
   let eliminate_vec x r f =
     x.(r) <- R.div x.(r) f.(r);
@@ -167,17 +171,19 @@ module Rational : With_kernels with type t = Numeric.Rat.t = struct
       done
     done
 
-  let add_scaled_nz y s x =
-    Array.iteri (fun k v -> if not (R.is_zero v) then y.(k) <- R.add y.(k) (R.mul s v)) x
-
-  let multipliers cost basis rows =
-    let y = Array.make (Array.length basis) R.zero in
+  let multipliers y cost basis rows ks =
+    Array.iter (fun k -> y.(k) <- R.zero) ks;
     Array.iteri
       (fun i b ->
         let cb = cost.(b) in
-        if not (R.is_zero cb) then add_scaled_nz y cb rows.(i))
-      basis;
-    y
+        if not (R.is_zero cb) then
+          let row = rows.(i) in
+          Array.iter
+            (fun k ->
+              let v = row.(k) in
+              if not (R.is_zero v) then y.(k) <- R.add y.(k) (R.mul cb v))
+            ks)
+      basis
 
   let dot_add mat j x =
     let ptr = Sparse.col_ptr mat and ri = Sparse.row_idx mat and vals = Sparse.vals mat in
@@ -187,46 +193,50 @@ module Rational : With_kernels with type t = Numeric.Rat.t = struct
     done;
     !acc
 
-  let dot_sub mat j x init =
+  (* A zero dual's term is skipped: it would subtract an exact zero. *)
+  let price mat cost y cols n d =
     let ptr = Sparse.col_ptr mat and ri = Sparse.row_idx mat and vals = Sparse.vals mat in
-    let acc = ref init in
-    for e = ptr.(j) to ptr.(j + 1) - 1 do
-      acc := R.sub !acc (R.mul x.(ri.(e)) vals.(e))
-    done;
-    !acc
+    for c = 0 to n - 1 do
+      let j = cols.(c) in
+      let acc = ref cost.(j) in
+      for e = ptr.(j) to ptr.(j + 1) - 1 do
+        let yr = y.(ri.(e)) in
+        if not (R.is_zero yr) then acc := R.sub !acc (R.mul yr vals.(e))
+      done;
+      d.(j) <- !acc
+    done
 
-  let price mat cost y skip d cand =
-    let n = ref 0 in
-    for j = 0 to Array.length d - 1 do
-      if not skip.(j) then begin
-        d.(j) <- dot_sub mat j y cost.(j);
-        if R.sign d.(j) < 0 then begin
-          cand.(!n) <- j;
-          incr n
-        end
-      end
+  let dantzig d skip n =
+    let best = ref (-1) in
+    for j = 0 to n - 1 do
+      if (not skip.(j)) && R.sign d.(j) < 0 && (!best < 0 || R.compare d.(j) d.(!best) < 0)
+      then best := j
     done;
-    !n
+    !best
 
-  let ratios xb w r cand =
-    let n = ref 0 in
+  let leaving xb w basis =
+    let best = ref (-1) and rbest = ref R.zero in
     Array.iteri
       (fun i wi ->
         if R.sign wi > 0 then begin
-          r.(i) <- R.div xb.(i) wi;
-          cand.(!n) <- i;
-          incr n
+          let ratio = R.div xb.(i) wi in
+          let c = if !best < 0 then -1 else R.compare ratio !rbest in
+          if c < 0 || (c = 0 && basis.(i) < basis.(!best)) then begin
+            best := i;
+            rbest := ratio
+          end
         end)
       w;
-    !n
-  let compare_at a i j = R.compare a.(i) a.(j)
+    !best
 end
 
 (* Every loop below is annotated [float array] so that reads and writes
    stay unboxed; each is the [Rational] loop above with [+.], [-.], [*.],
-   [/.] for the field operations and the same zero tests.  [price]
-   repeats [dot_sub]'s loop rather than calling it: a float returned
-   from a call that is not inlined is boxed. *)
+   [/.] for the field operations and the same zero tests, save one:
+   [price] multiplies every term, also where [y] is [0.0], because
+   [0.0 *. inf] is NaN, not 0, so skipping it could change a reduced
+   cost.  Running bests are kept in local refs, which stay unboxed; a
+   float returned from a call that is not inlined would be boxed. *)
 module Approx : With_kernels with type t = float = struct
   type t = float
 
@@ -275,7 +285,8 @@ module Approx : With_kernels with type t = float = struct
           a.(k) <- a.(k) -. (fi *. prow.(k))
         done
       end
-    done
+    done;
+    supp
 
   let eliminate_vec (x : float array) r (f : float array) =
     x.(r) <- x.(r) /. f.(r);
@@ -296,19 +307,22 @@ module Approx : With_kernels with type t = float = struct
       done
     done
 
-  let add_scaled_nz (y : float array) (s : float) (x : float array) =
-    for k = 0 to Array.length x - 1 do
-      let v = x.(k) in
-      if not (is_zero v) then y.(k) <- y.(k) +. (s *. v)
-    done
-
-  let multipliers (cost : float array) basis rows =
-    let y = Array.make (Array.length basis) 0.0 in
+  let multipliers (y : float array) (cost : float array) basis (rows : float array array)
+      ks =
+    for e = 0 to Array.length ks - 1 do
+      y.(ks.(e)) <- 0.0
+    done;
     for i = 0 to Array.length basis - 1 do
       let cb = cost.(basis.(i)) in
-      if not (is_zero cb) then add_scaled_nz y cb rows.(i)
-    done;
-    y
+      if not (is_zero cb) then begin
+        let row = rows.(i) in
+        for e = 0 to Array.length ks - 1 do
+          let k = ks.(e) in
+          let v = row.(k) in
+          if not (is_zero v) then y.(k) <- y.(k) +. (cb *. v)
+        done
+      end
+    done
 
   let dot_add mat j (x : float array) =
     let ptr = Sparse.col_ptr mat and ri = Sparse.row_idx mat in
@@ -319,44 +333,42 @@ module Approx : With_kernels with type t = float = struct
     done;
     !acc
 
-  let dot_sub mat j (x : float array) (init : float) =
+  let price mat (cost : float array) (y : float array) cols n (d : float array) =
     let ptr = Sparse.col_ptr mat and ri = Sparse.row_idx mat in
     let vals : float array = Sparse.vals mat in
-    let acc = ref init in
-    for e = ptr.(j) to ptr.(j + 1) - 1 do
-      acc := !acc -. (x.(ri.(e)) *. vals.(e))
-    done;
-    !acc
+    for c = 0 to n - 1 do
+      let j = cols.(c) in
+      let acc = ref cost.(j) in
+      for e = ptr.(j) to ptr.(j + 1) - 1 do
+        acc := !acc -. (y.(ri.(e)) *. vals.(e))
+      done;
+      d.(j) <- !acc
+    done
 
-  let price mat (cost : float array) (y : float array) skip (d : float array) cand =
-    let ptr = Sparse.col_ptr mat and ri = Sparse.row_idx mat in
-    let vals : float array = Sparse.vals mat in
-    let n = ref 0 in
-    for j = 0 to Array.length d - 1 do
-      if not skip.(j) then begin
-        let acc = ref cost.(j) in
-        for e = ptr.(j) to ptr.(j + 1) - 1 do
-          acc := !acc -. (y.(ri.(e)) *. vals.(e))
-        done;
-        d.(j) <- !acc;
-        if sign !acc < 0 then begin
-          cand.(!n) <- j;
-          incr n
+  let dantzig (d : float array) skip n =
+    let best = ref (-1) and dbest = ref 0.0 in
+    for j = 0 to n - 1 do
+      let dj = d.(j) in
+      (* [dj < -.eps] is [sign dj < 0], tested first: most columns fail it. *)
+      if dj < -.eps && (not skip.(j)) && (!best < 0 || compare dj !dbest < 0) then begin
+        best := j;
+        dbest := dj
+      end
+    done;
+    !best
+
+  let leaving (xb : float array) (w : float array) basis =
+    let best = ref (-1) and rbest = ref 0.0 in
+    for i = 0 to Array.length w - 1 do
+      let wi = w.(i) in
+      if wi > eps (* sign wi > 0 *) then begin
+        let ratio = xb.(i) /. wi in
+        let c = if !best < 0 then -1 else compare ratio !rbest in
+        if c < 0 || (c = 0 && basis.(i) < basis.(!best)) then begin
+          best := i;
+          rbest := ratio
         end
       end
     done;
-    !n
-
-  let ratios (xb : float array) (w : float array) (r : float array) cand =
-    let n = ref 0 in
-    for i = 0 to Array.length w - 1 do
-      let wi = w.(i) in
-      if sign wi > 0 then begin
-        r.(i) <- xb.(i) /. wi;
-        cand.(!n) <- i;
-        incr n
-      end
-    done;
-    !n
-  let compare_at (a : float array) i j = compare a.(i) a.(j)
+    !best
 end

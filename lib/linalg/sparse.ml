@@ -102,6 +102,23 @@ let map f t =
   { nrows = t.nrows; ncols = t.ncols; col_ptr = t.col_ptr; row_idx = t.row_idx;
     vals = Array.map f t.vals }
 
+let row_pattern t =
+  let ptr = Array.make (t.nrows + 1) 0 in
+  Array.iter (fun r -> ptr.(r + 1) <- ptr.(r + 1) + 1) t.row_idx;
+  for r = 1 to t.nrows do
+    ptr.(r) <- ptr.(r) + ptr.(r - 1)
+  done;
+  let next = Array.sub ptr 0 t.nrows and cols = Array.make (nnz t) 0 in
+  (* Columns in increasing order, so each row's list comes out sorted. *)
+  for j = 0 to t.ncols - 1 do
+    for k = t.col_ptr.(j) to t.col_ptr.(j + 1) - 1 do
+      let r = t.row_idx.(k) in
+      cols.(next.(r)) <- j;
+      next.(r) <- next.(r) + 1
+    done
+  done;
+  (ptr, cols)
+
 let col_ptr t = t.col_ptr
 let row_idx t = t.row_idx
 let vals t = t.vals

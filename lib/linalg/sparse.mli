@@ -36,6 +36,12 @@ val map : ('a -> 'b) -> 'a t -> 'b t
     index arrays are shared, not copied.  An entry that converts to zero
     stays stored. *)
 
+val row_pattern : 'f t -> int array * int array
+(** [(ptr, cols)], the pattern read by rows, without the values: row
+    [r]'s stored entries lie in columns [cols.(k)] for [k] from
+    [ptr.(r)] to [ptr.(r+1) - 1], in increasing column order.  [ptr]
+    has length [nrows + 1]. *)
+
 (** {1 Raw storage}
 
     For inner loops that must not allocate a closure per column (the

@@ -7,17 +7,21 @@
 
    Where the dense tableau rewrites all m×(n+m) entries per pivot, this
    engine keeps only the basis inverse B⁻¹ (m×m) and the basic solution
-   x_B, prices candidate columns against the sparse matrix (y = c_B·B⁻¹,
+   x_B, prices columns against the sparse matrix (y = c_B·B⁻¹,
    d_j = c_j − y·A_j), and updates B⁻¹ by touching only the nonzero
    columns of the pivot row — O(m · nnz(pivot row)) per pivot rather than
-   the tableau's m×(n+m).  The win grows with the number of variables, and
-   the scheduling formulations have one variable per machine×interval.
+   the tableau's m×(n+m).  The win grows with the number of variables,
+   and the scheduling formulations have one variable per
+   machine×interval.  y and d are kept across pivots: a pivot changes y
+   only on that support, and d only on the columns with an entry on a
+   support row, so only those are recomputed.
 
-   Rules here, loops in the field: every pivoting rule below is written
-   once, and the O(m·nnz) arithmetic it drives is the field's kernels
-   ([Linalg.Field.Kernels]), implemented over [Rat] and over unboxed
-   [float array]s with the same operations in the same order (DESIGN
-   §6).
+   Rules here, loops in the field: the phase logic, the Dantzig budget,
+   the Bland fallback and the drive-out are written once below; the
+   O(m·nnz) arithmetic, Dantzig's scan and the ratio test are the
+   field's kernels ([Linalg.Field.Kernels]), implemented over [Rat] and
+   over unboxed [float array]s with the same operations in the same
+   order (DESIGN §6).
 
    Support, not tolerance: the row updates of [pivot] run on
    [F.support], which drops only *exact* zeros — a [Rat] zero, a
@@ -53,6 +57,10 @@ type 'f layout = {
   art_start : int;
   num_art : int;
   cols : 'f Sp.t; (* m × total *)
+  (* [cols]' pattern by rows ([Sp.row_pattern]): the columns with an
+     entry on row r are row_cols.(row_ptr.(r)) … row_cols.(row_ptr.(r+1) - 1). *)
+  row_ptr : int array;
+  row_cols : int array;
   b : 'f array; (* normalized (nonnegative) right-hand sides *)
   cost2 : 'f array; (* phase-2 costs over all columns (minimization) *)
   objective : (int * 'f) list; (* the problem's own objective terms *)
@@ -62,9 +70,10 @@ type 'f layout = {
 }
 
 (* The same layout with every coefficient converted: CSC values, rhs,
-   costs and objective.  The sparsity pattern, the row flips, the slack
-   and artificial numbering and [dual_col] are shared, so the image is
-   decided by the source field's normalization, not by its own. *)
+   costs and objective.  The sparsity pattern (its row index too), the
+   row flips, the slack and artificial numbering and [dual_col] are
+   shared, so the image is decided by the source field's normalization,
+   not by its own. *)
 let map_layout f l =
   {
     l with
@@ -176,6 +185,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
            incr next_art))
       normalized;
     let cols = Sp.Builder.finish builder in
+    let row_ptr, row_cols = Sp.row_pattern cols in
     let negate = p.Problem.direction = Problem.Maximize in
     let cost2 = Array.make (max total 1) F.zero in
     List.iter
@@ -190,6 +200,8 @@ module Make (F : Linalg.Field.With_kernels) = struct
       art_start;
       num_art;
       cols;
+      row_ptr;
+      row_cols;
       b;
       cost2;
       objective = p.Problem.objective;
@@ -235,91 +247,83 @@ module Make (F : Linalg.Field.With_kernels) = struct
   let row_entry st r j = F.dot_add st.prep.cols j st.binv.(r)
 
   (* Simplex multipliers y = c_B · B⁻¹ for cost vector [cost]. *)
-  let multipliers st cost = F.multipliers cost st.basis st.binv
-
-  let reduced_cost st cost y j = F.dot_sub st.prep.cols j y cost.(j)
+  let multipliers st cost =
+    let m = st.prep.m in
+    let y = Array.make m F.zero in
+    F.multipliers y cost st.basis st.binv (Array.init m Fun.id);
+    y
 
   (* Basis change: column [col] enters at row [row]; [w] = B⁻¹·A_col.
-     Updates B⁻¹ and x_B, each row only on the pivot row's support. *)
+     Updates B⁻¹ and x_B, each row only on the pivot row's support, and
+     returns that support: the columns of B⁻¹ the pivot may change. *)
   let pivot st ~row ~col ~w =
-    F.eliminate st.binv row w;
+    let supp = F.eliminate st.binv row w in
     F.eliminate_vec st.xb row w;
     st.in_basis.(st.basis.(row)) <- false;
     st.basis.(row) <- col;
-    st.in_basis.(col) <- true
-
-  (* Leaving row: minimum ratio x_B / w over positive w entries, ties
-     broken by smallest basic variable index — identical to the dense
-     solvers' rule.  [ratio] and [rows] are scratch of length m. *)
-  let leaving st w ~ratio ~rows =
-    let positive = F.ratios st.xb w ratio rows in
-    let best = ref (-1) in
-    for k = 0 to positive - 1 do
-      let i = rows.(k) in
-      if !best < 0 then best := i
-      else begin
-        let c = F.compare_at ratio i !best in
-        if c < 0 || (c = 0 && st.basis.(i) < st.basis.(!best)) then best := i
-      end
-    done;
-    if !best < 0 then None else Some !best
+    st.in_basis.(col) <- true;
+    supp
 
   exception Iteration_limit = Iteration_limit
 
   (* Primal simplex from the current (primal-feasible) state.  Entering
      rules and the Dantzig budget mirror [Oracle.Simplex.optimize] so that
-     solves traverse the same bases as the dense tableau. *)
+     solves traverse the same bases as the dense tableau.
+
+     y = c_B·B⁻¹ and the reduced costs d_j = c_j − y·A_j of every column
+     below [allowed_up_to] (basic ones too, so a column that leaves is
+     already priced) are computed in full once, then kept: a pivot
+     recomputes y only on its support and reprices only the columns with
+     an entry on a support row, which leaves every value as a full
+     recomputation would give it, to the bit (DESIGN §6). *)
   let primal ?(count = ref 0) st ~cost ~allowed_up_to ~max_iters =
-    let m = st.prep.m in
-    let width = st.prep.total + 1 in
-    let dantzig_budget = 50 + (4 * (m + width)) in
-    let iters = ref 0 in
-    (* Scratch for pricing and the ratio test (values and candidate
-       indices), reused by every iteration so no pivot allocates an array
-       of the matrix's width. *)
-    let d = Array.make allowed_up_to F.zero and cols = Array.make allowed_up_to 0 in
-    let ratio = Array.make m F.zero and rows = Array.make m 0 in
-    let rec loop () =
-      incr iters;
-      if !iters > max_iters then raise Iteration_limit;
-      let y = multipliers st cost in
-      let enter =
-        if !iters <= dantzig_budget then begin
-          (* Dantzig: most negative reduced cost, first index on ties.
-             [price] lists the nonbasic columns with a negative reduced
-             cost in increasing order.  Basic columns have reduced cost
-             exactly zero, so skipping them matches the dense scan. *)
-          let negative = F.price st.prep.cols cost y st.in_basis d cols in
-          let best = ref (-1) in
-          for k = 0 to negative - 1 do
-            let j = cols.(k) in
-            if !best < 0 || F.compare_at d j !best < 0 then best := j
-          done;
-          if !best < 0 then None else Some !best
-        end
-        else begin
-          (* Bland: smallest index with negative reduced cost. *)
-          let rec go j =
-            if j >= allowed_up_to then None
-            else if st.in_basis.(j) then go (j + 1)
-            else if F.sign (reduced_cost st cost y j) < 0 then Some j
-            else go (j + 1)
-          in
-          go 0
-        end
-      in
-      match enter with
-      | None -> `Optimal
-      | Some j -> (
-        let w = column st j in
-        match leaving st w ~ratio ~rows with
-        | None -> `Unbounded
-        | Some i ->
-          pivot st ~row:i ~col:j ~w;
-          incr count;
-          loop ())
+    let prep = st.prep in
+    let dantzig_budget = 50 + (4 * (prep.m + prep.total + 1)) in
+    let y = multipliers st cost in
+    let d = Array.make allowed_up_to F.zero in
+    (* [cols] lists the columns to price; [seen.(j)] is the last pivot
+       that listed [j]. *)
+    let cols = Array.init allowed_up_to Fun.id and seen = Array.make allowed_up_to 0 in
+    F.price prep.cols cost y cols allowed_up_to d;
+    let reprice iters supp =
+      F.multipliers y cost st.basis st.binv supp;
+      let n = ref 0 in
+      Array.iter
+        (fun r ->
+          for e = prep.row_ptr.(r) to prep.row_ptr.(r + 1) - 1 do
+            let j = prep.row_cols.(e) in
+            if j < allowed_up_to && seen.(j) <> iters then begin
+              seen.(j) <- iters;
+              cols.(!n) <- j;
+              incr n
+            end
+          done)
+        supp;
+      F.price prep.cols cost y cols !n d
     in
-    loop ()
+    (* Bland: smallest index with negative reduced cost. *)
+    let rec bland j =
+      if j >= allowed_up_to then -1
+      else if (not st.in_basis.(j)) && F.sign d.(j) < 0 then j
+      else bland (j + 1)
+    in
+    let rec loop iters =
+      if iters > max_iters then raise Iteration_limit;
+      (* Dantzig: most negative reduced cost, first index on ties. *)
+      let j = if iters <= dantzig_budget then F.dantzig d st.in_basis allowed_up_to else bland 0 in
+      if j < 0 then `Optimal
+      else begin
+        let w = column st j in
+        let i = F.leaving st.xb w st.basis in
+        if i < 0 then `Unbounded
+        else begin
+          reprice iters (pivot st ~row:i ~col:j ~w);
+          incr count;
+          loop (iters + 1)
+        end
+      end
+    in
+    loop 1
 
   (* Drive zero-valued basic artificials out of the basis, mirroring the
      dense phase-1 epilogue: scan rows in order, pivot on the first real
@@ -338,7 +342,7 @@ module Make (F : Linalg.Field.With_kernels) = struct
         match find 0 with
         | Some j ->
           let w = column st j in
-          pivot st ~row:i ~col:j ~w
+          ignore (pivot st ~row:i ~col:j ~w)
         | None -> ()
       end
     done
@@ -453,9 +457,12 @@ module Make (F : Linalg.Field.With_kernels) = struct
       let in_basis = Array.make (max prep.total 1) false in
       Array.iter (fun j -> in_basis.(j) <- true) target;
       let multipliers cost = Lu.solve_transpose lu (Array.map (fun j -> cost.(j)) target) in
-      (* No column below [limit] prices negative against [cost]. *)
+      (* No nonbasic column below [limit] prices negative against [cost]. *)
       let dual_feasible cost y ~limit =
-        F.price prep.cols cost y in_basis (Array.make limit F.zero) (Array.make limit 0) = 0
+        let cols = Array.of_seq (Seq.filter (fun j -> not in_basis.(j)) (Seq.init limit Fun.id)) in
+        let d = Array.make limit F.zero in
+        F.price prep.cols cost y cols (Array.length cols) d;
+        Array.for_all (fun j -> F.sign d.(j) >= 0) cols
       in
       if not (Array.for_all (fun x -> F.sign x >= 0) xb) then None
       else

@@ -415,6 +415,8 @@ let outcome_equal (a : Sx.outcome) (b : Sx.outcome) =
 
 let to_float_problem (p : R.t P.t) : float P.t = P.map R.to_float p
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let test_revised_hand_cases () =
   (* Dantzig's example through the revised engine, checked bit-for-bit
      against the dense tableau (values, objective, and duals). *)
@@ -445,6 +447,37 @@ let test_revised_hand_cases () =
          ([ (0, R.of_int 2); (1, R.of_int 2) ], P.Eq, R.of_int 6);
          ([ (0, R.one) ], P.Le, R.of_int 3) ])
     ]
+
+(* Beale's cycling LP: max ¾x₁ − 20x₂ + ½x₃ − 6x₄ subject to
+   ¼x₁ − 8x₂ − x₃ + 9x₄ ≤ 0, ½x₁ − 12x₂ − ½x₃ + 3x₄ ≤ 0, x₃ ≤ 1.  Dantzig
+   with first-index ties cycles on it, so it spends the whole Dantzig
+   budget (50 + 4·(m + width) = 94 pivots) and the Bland fallback ends
+   it: the only LP known to reach the Bland branch.  Both fields pin the
+   pivot counts and the optimum 5/4. *)
+let beale_lp () =
+  fst
+    (solve_exact ~dir:P.Maximize ~vars:4
+       ~obj:[ (0, q 3 4); (1, R.of_int (-20)); (2, q 1 2); (3, R.of_int (-6)) ]
+       [ ([ (0, q 1 4); (1, R.of_int (-8)); (2, R.of_int (-1)); (3, R.of_int 9) ], P.Le,
+          R.zero);
+         ([ (0, q 1 2); (1, R.of_int (-12)); (2, q (-1) 2); (3, R.of_int 3) ], P.Le,
+          R.zero);
+         ([ (2, R.one) ], P.Le, R.one)
+       ])
+
+let test_beale_bland () =
+  let p = beale_lp () in
+  let p1 = ref 0 and p2 = ref 0 in
+  (match Rv.cold_solve (Rv.prepare p) ~count1:p1 ~count2:p2 with
+   | Sx.Optimal s, _ -> Alcotest.check rat "exact objective" (q 5 4) s.objective
+   | _ -> Alcotest.fail "exact: expected optimal");
+  Alcotest.(check (list int)) "exact pivots per phase" [ 0; 96 ] [ !p1; !p2 ];
+  let p1 = ref 0 and p2 = ref 0 in
+  (match Rva.cold_solve (Rva.prepare (to_float_problem p)) ~count1:p1 ~count2:p2 with
+   | Lp.Solution.Optimal s, _ ->
+     Alcotest.(check (float 1e-9)) "float objective" 1.25 s.Lp.Solution.objective
+   | _ -> Alcotest.fail "float: expected optimal");
+  Alcotest.(check (list int)) "float pivots per phase" [ 0; 96 ] [ !p1; !p2 ]
 
 (* The parity claim behind the dense-oracle differential tests
    ([Oracle.with_dense]): a cold
@@ -922,6 +955,135 @@ let prop_certify_permutation =
       | Some a, Some b -> outcome_equal a b
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Kept y and reduced costs ≡ recomputing them every iteration         *)
+(* ------------------------------------------------------------------ *)
+
+(* The primal loop with nothing kept across pivots: every iteration
+   recomputes y = c_B·B⁻¹ with [multipliers] and every nonbasic reduced
+   cost with [price], picks the entering column (Dantzig, then Bland)
+   and the leaving row (minimum ratio, smallest basic variable on ties)
+   by plain scans, and pivots.  The engine keeps y and d and refreshes
+   only what a pivot's support touches; its final basis, x_B bits and
+   per-phase pivot counts must be this loop's. *)
+module Reference (F : Linalg.Field.With_kernels) = struct
+  module E = Lp.Revised.Make (F)
+  module L = Lp.Revised
+
+  let primal count (st : E.state) ~cost ~allowed_up_to ~max_iters =
+    let prep = st.E.prep in
+    let budget = 50 + (4 * (prep.L.m + prep.L.total + 1)) in
+    let rec loop iters =
+      if iters > max_iters then raise L.Iteration_limit;
+      let y = E.multipliers st cost in
+      let nonbasic =
+        Array.of_list
+          (List.filter (fun j -> not st.E.in_basis.(j)) (List.init allowed_up_to Fun.id))
+      in
+      let d = Array.make allowed_up_to F.zero in
+      F.price prep.L.cols cost y nonbasic (Array.length nonbasic) d;
+      let negative = List.filter (fun j -> F.sign d.(j) < 0) (Array.to_list nonbasic) in
+      let enter =
+        match negative with
+        | [] -> None
+        | first :: rest when iters <= budget ->
+          Some (List.fold_left (fun b j -> if F.compare d.(j) d.(b) < 0 then j else b) first rest)
+        | first :: _ -> Some first
+      in
+      match enter with
+      | None -> `Optimal
+      | Some j -> (
+        let w = E.column st j in
+        let ratio i = F.div st.E.xb.(i) w.(i) in
+        let better i b =
+          let c = F.compare (ratio i) (ratio b) in
+          c < 0 || (c = 0 && st.E.basis.(i) < st.E.basis.(b))
+        in
+        let leave =
+          List.fold_left
+            (fun best i ->
+              if F.sign w.(i) <= 0 then best
+              else match best with Some b when not (better i b) -> best | _ -> Some i)
+            None
+            (List.init prep.L.m Fun.id)
+        in
+        match leave with
+        | None -> `Unbounded
+        | Some i ->
+          ignore (E.pivot st ~row:i ~col:j ~w);
+          incr count;
+          loop (iters + 1))
+    in
+    loop 1
+
+  (* [E.cold_solve]'s two phases around [primal]: the outcome's tag, the
+     final state and the pivots per phase. *)
+  let cold_solve prep =
+    let st = E.cold_state prep and p1 = ref 0 and p2 = ref 0 in
+    let max_iters = E.max_iters_for prep in
+    let phase2 () =
+      primal p2 st ~cost:prep.L.cost2 ~allowed_up_to:prep.L.art_start ~max_iters
+    in
+    let tag =
+      if prep.L.num_art = 0 then phase2 ()
+      else
+        let cost1 = E.phase1_cost prep in
+        match primal p1 st ~cost:cost1 ~allowed_up_to:prep.L.total ~max_iters with
+        | `Unbounded -> `Unbounded
+        | `Optimal when not (F.is_zero (E.basic_value cost1 st.E.basis st.E.xb)) ->
+          `Infeasible
+        | `Optimal ->
+          E.drive_out_artificials st;
+          phase2 ()
+    in
+    (tag, st, [ !p1; !p2 ])
+
+  (* The engine and the reference agree on [prep]: outcome, final basis,
+     every bit of x_B ([same] compares two values) and pivots per phase. *)
+  let agree ~same prep =
+    let p1 = ref 0 and p2 = ref 0 in
+    let outcome, st = E.cold_solve prep ~count1:p1 ~count2:p2 in
+    let tag =
+      match outcome with
+      | Lp.Solution.Optimal _ -> `Optimal
+      | Lp.Solution.Infeasible -> `Infeasible
+      | Lp.Solution.Unbounded -> `Unbounded
+    in
+    let ref_tag, ref_st, ref_counts = cold_solve prep in
+    tag = ref_tag
+    && st.E.basis = ref_st.E.basis
+    && Array.for_all2 same st.E.xb ref_st.E.xb
+    && [ !p1; !p2 ] = ref_counts
+end
+
+module Ref_exact = Reference (Linalg.Field.Rational)
+module Ref_approx = Reference (Linalg.Field.Approx)
+
+let agree_exact p = Ref_exact.agree ~same:R.equal (Rv.prepare p)
+let agree_approx p = Ref_approx.agree ~same:same_bits (Rva.prepare (to_float_problem p))
+
+let test_reference_corpus () =
+  let solved = ref 0 in
+  List.iter
+    (fun (label, problems) ->
+      List.iteri
+        (fun k p ->
+          incr solved;
+          if not (agree_exact p) then Alcotest.failf "%s #%d: exact engine ≠ reference" label k;
+          if not (agree_approx p) then Alcotest.failf "%s #%d: float engine ≠ reference" label k)
+        problems)
+    (corpus ());
+  Alcotest.(check int) "corpus LPs" 2014 !solved
+
+(* Mixed LPs with duplicated terms, optionally degenerate (every row
+   through 0), optionally with a contradictory pair so phase 1 ends
+   positive. *)
+let prop_reference_random =
+  QCheck.Test.make ~name:"kept y and d ≡ recomputed, random LPs, both fields" ~count:400
+    feasible_or_not_arb (fun spec ->
+      let p = feasible_or_not spec in
+      agree_exact p && agree_approx p)
+
 (* [Linalg.Lu] on its own: random sparse integer matrices with spare
    columns, a random choice of m of them.  The factorization is [None]
    exactly when a dense elimination finds the choice singular, and
@@ -1002,7 +1164,6 @@ let test_tiny_coefficient () =
 (* Float systems built once                                            *)
 (* ------------------------------------------------------------------ *)
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let same_terms a b = List.equal (fun (v, x) (w, y) -> v = w && same_bits x y) a b
 
 (* Two float problems agree to the bit: variables, direction, objective,
@@ -1156,7 +1317,8 @@ let () =
           Alcotest.test_case "duplicate terms" `Quick test_duplicate_terms;
           Alcotest.test_case "exact fractional optimum" `Quick test_exactness;
           Alcotest.test_case "duality hand case" `Quick test_duality_hand_case;
-          Alcotest.test_case "revised hand cases" `Quick test_revised_hand_cases
+          Alcotest.test_case "revised hand cases" `Quick test_revised_hand_cases;
+          Alcotest.test_case "Beale's cycling LP reaches Bland" `Quick test_beale_bland
         ] );
       ( "simplex-props",
         List.map QCheck_alcotest.to_alcotest
@@ -1187,6 +1349,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_cold_basis_certified;
           QCheck_alcotest.to_alcotest prop_certify_permutation;
           QCheck_alcotest.to_alcotest prop_lu_solves
+        ] );
+      ( "kept-pricing",
+        [ Alcotest.test_case "engine ≡ full recomputation over the corpus" `Quick
+            test_reference_corpus;
+          QCheck_alcotest.to_alcotest prop_reference_random
         ] );
       ( "float-systems",
         [ QCheck_alcotest.to_alcotest prop_float_builder;
